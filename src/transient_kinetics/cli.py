@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,8 +41,10 @@ from .errors import (
     ZeroEnthalpyError,
     UntriggeredTraceError,
 )
+# every output goes through cli._atomic_write, the write boundary that
+# perfbench/tracer.py times
+from .fileio import atomic_write as _atomic_write, parse_bool
 from .kinetics import (
-    ArrheniusParams,
     ExposureSchedule,
     PhotolysisState,
     ScheduleSegment,
@@ -68,12 +70,6 @@ ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
 
 class InsufficientDataError(Exception):
     pass
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
 
 
 def _write_summary(outdir: Path, command: str, cal: Calibration, results, extra=None) -> None:
@@ -237,9 +233,10 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
             temperature = float(cells[1]) + (273.15 if celsius else 0.0)
         except ValueError:
             raise ConfigError(f"{path}:{n}: non-numeric schedule row") from None
-        uv = cells[2].lower() in ("true", "1", "yes", "on")
-        if cells[2].lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
-            raise ConfigError(f"{path}:{n}: bad uv_on value {cells[2]!r}")
+        try:
+            uv = parse_bool(cells[2])
+        except ValueError:
+            raise ConfigError(f"{path}:{n}: bad uv_on value {cells[2]!r}") from None
         try:
             segments.append(ScheduleSegment(duration, temperature, uv))
         except DomainError as exc:
@@ -270,14 +267,12 @@ def _times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict[str, float | Non
 def cmd_predict(args) -> int:
     cal = _load_effective_calibration(args)
     outdir = _outdir(args)
-    params = cal.kinetics
-    if args.pre_exponential is not None or args.activation_energy_kj is not None:
-        params = ArrheniusParams.from_kj_per_mol(
-            args.pre_exponential if args.pre_exponential is not None else cal.kinetics.pre_exponential,
-            args.activation_energy_kj
-            if args.activation_energy_kj is not None
-            else cal.kinetics.activation_energy / 1000.0,
-        )
+    overrides = {}
+    if args.pre_exponential is not None:
+        overrides["pre_exponential"] = args.pre_exponential
+    if args.activation_energy_kj is not None:
+        overrides["activation_energy"] = args.activation_energy_kj * 1000.0
+    params = replace(cal.kinetics, **overrides)
     schedule = _read_schedule_csv(resolve_preset_path(args.schedule))
     if args.assume_triggered:
         photolysis = PhotolysisState.saturated(cal.dpi_initial, cal.photolysis_rate)

@@ -6,16 +6,20 @@ preserved in order (the mission script relies on this); scalar lookups
 take the last occurrence. The packaged ``presets/`` directory provides
 the default calibration and the bundled mission; the directory can be
 overridden with the TRANSIENT_KINETICS_PRESETS environment variable.
+One table, ``CALIBRATION_TABLE``, describes every calibration key and
+drives parsing, unknown-key rejection and the summary echo.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
+from .fileio import parse_bool
 from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams
 from .mechanics import (
     DEFAULT_ACTUATOR,
@@ -24,12 +28,7 @@ from .mechanics import (
     MaterialSpec,
     validate_actuator_wall,
 )
-from .sensors import (
-    PhotodiodeSpec,
-    SensorHealth,
-    StrainSensorSpec,
-    TempSensorSpec,
-)
+from .sensors import PhotodiodeSpec, SensorHealth, StrainSensorSpec, TempSensorSpec
 
 PRESETS_ENV_VAR = "TRANSIENT_KINETICS_PRESETS"
 DEFAULT_CALIBRATION_NAME = "default.cfg"
@@ -70,19 +69,10 @@ def as_float(value: str, context: str) -> float:
 
 
 def as_bool(value: str, context: str) -> bool:
-    word = value.strip().lower()
-    if word in ("true", "1", "yes", "on"):
-        return True
-    if word in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{context}: expected a boolean, got {value!r}")
-
-
-def _section_dict(entries: Section, context: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for key, value in entries:
-        out[key] = value
-    return out
+    try:
+        return parse_bool(value)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_table(value: str, context: str) -> tuple[tuple[float, float], ...]:
@@ -138,311 +128,159 @@ class Calibration:
     photodiode: PhotodiodeSpec = PhotodiodeSpec()
     health: SensorHealth = SensorHealth()
     simulation: SimulationSettings = SimulationSettings()
+    wall_material: str | None = None  # checked against the actuator after every overlay
 
     def to_dict(self) -> dict:
         """Echo of the effective configuration, for output summaries."""
-        return {
-            "kinetics": {
-                "pre_exponential_per_s": self.kinetics.pre_exponential,
-                "activation_energy_j_per_mol": self.kinetics.activation_energy,
-            },
-            "photolysis": {
-                "rate_per_s": self.photolysis_rate,
-                "hf_saturation": self.hf_saturation,
-                "dpi_initial_mol_m3": self.dpi_initial,
-            },
-            "materials": {
-                name: {
-                    "modulus_pa": m.modulus,
-                    "elastic_limit_strain": m.elastic_limit_strain,
-                    "fracture_strain": m.fracture_strain,
-                    "fracture_stress_pa": m.fracture_stress,
-                    "poisson": m.poisson,
-                    "density_kg_m3": m.density,
-                    "dpi_wt_percent": m.dpi_wt_percent,
-                }
-                for name, m in sorted(self.materials.items())
-            },
-            "actuator": {
-                "angle_per_pressure_deg_per_kpa": self.actuator.angle_per_pressure,
-                "max_pressure_kpa": self.actuator.max_pressure,
-                "strain_per_pressure_per_kpa": self.actuator.strain_per_pressure,
-                "stride_per_cycle_m": self.actuator.stride_per_cycle,
-                "cycle_period_s": self.actuator.cycle_period,
-            },
-            "sensor_temp": {
-                "r0_ohm": self.temp_sensor.r0,
-                "tcr_ohm_per_c": self.temp_sensor.slope,
-                "t_ref_c": self.temp_sensor.t_ref,
-                "fail_resistance_ohm": self.temp_sensor.fail_resistance,
-            },
-            "sensor_strain": {
-                "c0_pf": self.strain_sensor.c0,
-                "swing_pf": self.strain_sensor.swing,
-                "angle_full_deg": self.strain_sensor.angle_full,
-            },
-            "sensor_photo": {
-                "reverse_current_a": self.photodiode.photo_current_reverse,
-                "forward_current_a": self.photodiode.photo_current_forward,
-                "dark_current_a": self.photodiode.dark_current,
-            },
-            "sensor_health": {
-                "alpha_degrade": self.health.alpha_degrade,
-                "alpha_fail": self.health.alpha_fail,
-            },
-            "simulation": {
-                "dt_s": self.simulation.dt_s,
-                "mobility_loss_alpha": self.simulation.mobility_loss_alpha,
-                "decomposed_alpha": self.simulation.decomposed_alpha,
-                "body_thermal_lag_s": self.simulation.body_thermal_lag_s,
-                "dose_alarm_fraction": self.simulation.dose_alarm_fraction,
-                "alarm_temperature_c": self.simulation.alarm_temperature_c,
-                "uv_current_threshold_a": self.simulation.uv_current_threshold_a,
-                "monitor_bias_v": self.simulation.monitor_bias_v,
-                "timeout_s": self.simulation.timeout_s,
-            },
+        echo = {
+            section.replace(".", "_"): {
+                echo_key: attrgetter(path)(self) for _, echo_key, path, _ in rows if echo_key
+            }
+            for section, rows in CALIBRATION_TABLE.items()
         }
+        echo["materials"] = {
+            name: {echo_key: getattr(spec, fld) for _, echo_key, fld, _ in MATERIAL_ROWS}
+            for name, spec in sorted(self.materials.items())
+        }
+        return echo
 
 
-_KINETICS_KEYS = {"pre_exponential_per_s", "activation_energy_kj_per_mol"}
-_PHOTOLYSIS_KEYS = {"rate_per_s", "hf_saturation", "dpi_initial_mol_m3"}
-_MATERIAL_KEYS = {
-    "modulus_pa",
-    "elastic_limit_strain",
-    "fracture_strain",
-    "fracture_stress_pa",
-    "poisson",
-    "density_kg_m3",
-    "dpi_wt_percent",
+# Unit rules of the calibration table besides a plain number (None) or a
+# float factor applied to the number as written.
+PER_KPA = "value at max_pressure_kpa, stored per kPa"
+ANCHORS = "'x1:y1, x2:y2, ...' anchor table"
+TEXT = "text"
+
+# file section -> rows of (file key, summary echo key or None, Calibration
+# attribute path, unit rule). Each section overlays only the keys it names;
+# the echo of section "a.b" is "a_b". PER_KPA divides by the section's own
+# max_pressure_kpa when given, else by the current one.
+CALIBRATION_TABLE: dict[str, tuple[tuple[str, str | None, str, object], ...]] = {
+    "kinetics": (
+        ("pre_exponential_per_s", "pre_exponential_per_s", "kinetics.pre_exponential", None),
+        # kJ/mol in the file, J/mol in memory and in the echo
+        ("activation_energy_kj_per_mol", "activation_energy_j_per_mol", "kinetics.activation_energy", 1e3),
+    ),
+    "photolysis": (
+        ("rate_per_s", "rate_per_s", "photolysis_rate", None),
+        ("hf_saturation", "hf_saturation", "hf_saturation", None),
+        ("dpi_initial_mol_m3", "dpi_initial_mol_m3", "dpi_initial", None),
+    ),
+    "actuator": (
+        ("max_pressure_kpa", "max_pressure_kpa", "actuator.max_pressure", None),
+        ("angle_at_max_deg", "angle_per_pressure_deg_per_kpa", "actuator.angle_per_pressure", PER_KPA),
+        ("strain_at_max", "strain_per_pressure_per_kpa", "actuator.strain_per_pressure", PER_KPA),
+        ("angle_table", None, "actuator.angle_table", ANCHORS),
+        ("stride_per_cycle_m", "stride_per_cycle_m", "actuator.stride_per_cycle", None),
+        ("cycle_period_s", "cycle_period_s", "actuator.cycle_period", None),
+        ("wall_material", None, "wall_material", TEXT),
+    ),
+    "sensor.temp": (
+        ("r0_ohm", "r0_ohm", "temp_sensor.r0", None),
+        ("tcr_ohm_per_c", "tcr_ohm_per_c", "temp_sensor.slope", None),
+        ("t_ref_c", "t_ref_c", "temp_sensor.t_ref", None),
+        ("fail_resistance_ohm", "fail_resistance_ohm", "temp_sensor.fail_resistance", None),
+    ),
+    "sensor.strain": (
+        ("c0_pf", "c0_pf", "strain_sensor.c0", None),
+        ("swing_pf", "swing_pf", "strain_sensor.swing", None),
+        ("angle_full_deg", "angle_full_deg", "strain_sensor.angle_full", None),
+        ("capacitance_table", None, "strain_sensor.capacitance_table", ANCHORS),
+    ),
+    "sensor.photo": (
+        ("reverse_current_a", "reverse_current_a", "photodiode.photo_current_reverse", None),
+        ("forward_current_a", "forward_current_a", "photodiode.photo_current_forward", None),
+        ("dark_current_a", "dark_current_a", "photodiode.dark_current", None),
+    ),
+    "sensor.health": (
+        ("alpha_degrade", "alpha_degrade", "health.alpha_degrade", None),
+        ("alpha_fail", "alpha_fail", "health.alpha_fail", None),
+    ),
+    "simulation": tuple(
+        (f.name, f.name, f"simulation.{f.name}", None) for f in fields(SimulationSettings)
+    ),
 }
-_ACTUATOR_KEYS = {
-    "angle_at_max_deg",
-    "strain_at_max",
-    "max_pressure_kpa",
-    "stride_per_cycle_m",
-    "cycle_period_s",
-    "angle_table",
-    "wall_material",
-}
-_TEMP_KEYS = {"r0_ohm", "tcr_ohm_per_c", "t_ref_c", "fail_resistance_ohm"}
-_STRAIN_KEYS = {"c0_pf", "swing_pf", "angle_full_deg", "capacitance_table"}
-_PHOTO_KEYS = {"reverse_current_a", "forward_current_a", "dark_current_a"}
-_HEALTH_KEYS = {"alpha_degrade", "alpha_fail"}
-_SIMULATION_KEYS = {
-    "dt_s",
-    "mobility_loss_alpha",
-    "decomposed_alpha",
-    "body_thermal_lag_s",
-    "dose_alarm_fraction",
-    "alarm_temperature_c",
-    "uv_current_threshold_a",
-    "monitor_bias_v",
-    "timeout_s",
-}
+
+# Every [material.<name>] section gives all of these keys (MaterialSpec fields).
+MATERIAL_ROWS = (
+    ("modulus_pa", "modulus_pa", "modulus", None),
+    ("elastic_limit_strain", "elastic_limit_strain", "elastic_limit_strain", None),
+    ("fracture_strain", "fracture_strain", "fracture_strain", None),
+    ("fracture_stress_pa", "fracture_stress_pa", "fracture_stress", None),
+    ("poisson", "poisson", "poisson", None),
+    ("density_kg_m3", "density_kg_m3", "density", None),
+    ("dpi_wt_percent", "dpi_wt_percent", "dpi_wt_percent", None),
+)
 
 
-def _check_keys(entries: dict[str, str], allowed: set[str], context: str) -> None:
-    unknown = set(entries) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+def _convert(raw: str, rule, ctx: str, values: dict, cal: Calibration):
+    if rule is TEXT:
+        return raw
+    if rule is ANCHORS:
+        return _parse_table(raw, ctx)
+    value = as_float(raw, ctx)
+    if rule is PER_KPA:
+        return value / values.get("actuator.max_pressure", cal.actuator.max_pressure)
+    return value if rule is None else value * rule
+
+
+def _overlay(cal: Calibration, values: dict) -> Calibration:
+    """One dataclasses.replace per overlaid attribute, so its __post_init__ checks run."""
+    nested: dict[str, dict] = {}
+    for path, value in values.items():
+        attr, _, fld = path.rpartition(".")
+        nested.setdefault(attr, {})[fld] = value
+    top = nested.pop("", {})
+    for attr, changes in nested.items():
+        top[attr] = replace(getattr(cal, attr), **changes)
+    return replace(cal, **top)
 
 
 def apply_sections(base: Calibration, sections, source: str) -> Calibration:
     """Overlay parsed config sections onto an existing calibration.
 
-    Invalid physical values surface as ConfigError carrying the source.
+    Invalid physical values surface as ConfigError carrying the source. The
+    named actuator wall, from this or an earlier overlay, must survive the
+    actuator's full-pressure strain.
     """
     try:
-        return _apply_sections(base, sections, source)
+        cal = _apply_sections(base, sections, source)
+        if cal.wall_material is not None:
+            if cal.wall_material not in cal.materials:
+                raise ConfigError(
+                    f"{source}: actuator wall_material {cal.wall_material!r} is not a known material"
+                )
+            validate_actuator_wall(cal.actuator, cal.materials[cal.wall_material])
+        return cal
     except ConfigError:
         raise
     except DomainError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def _apply_sections(base: Calibration, sections, source: str) -> Calibration:
-    cal = base
-    pending_wall: str | None = None
+def _apply_sections(cal: Calibration, sections, source: str) -> Calibration:
     for name, entries in sections:
         ctx = f"{source} [{name}]"
-        data = _section_dict(entries, ctx)
-        if name == "kinetics":
-            _check_keys(data, _KINETICS_KEYS, ctx)
-            pre = data.get("pre_exponential_per_s")
-            ea = data.get("activation_energy_kj_per_mol")
-            cal = replace(
-                cal,
-                kinetics=ArrheniusParams.from_kj_per_mol(
-                    as_float(pre, ctx) if pre is not None else cal.kinetics.pre_exponential,
-                    as_float(ea, ctx)
-                    if ea is not None
-                    else cal.kinetics.activation_energy / 1000.0,
-                ),
-            )
-        elif name == "photolysis":
-            _check_keys(data, _PHOTOLYSIS_KEYS, ctx)
-            cal = replace(
-                cal,
-                photolysis_rate=as_float(data["rate_per_s"], ctx)
-                if "rate_per_s" in data
-                else cal.photolysis_rate,
-                hf_saturation=as_float(data["hf_saturation"], ctx)
-                if "hf_saturation" in data
-                else cal.hf_saturation,
-                dpi_initial=as_float(data["dpi_initial_mol_m3"], ctx)
-                if "dpi_initial_mol_m3" in data
-                else cal.dpi_initial,
-            )
-        elif name.startswith("material."):
-            mat_name = name[len("material.") :]
-            _check_keys(data, _MATERIAL_KEYS, ctx)
-            try:
-                spec = MaterialSpec(
-                    name=mat_name,
-                    modulus=as_float(data["modulus_pa"], ctx),
-                    elastic_limit_strain=as_float(data["elastic_limit_strain"], ctx),
-                    fracture_strain=as_float(data["fracture_strain"], ctx),
-                    fracture_stress=as_float(data["fracture_stress_pa"], ctx),
-                    poisson=as_float(data["poisson"], ctx),
-                    density=as_float(data["density_kg_m3"], ctx),
-                    dpi_wt_percent=as_float(data["dpi_wt_percent"], ctx),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"{ctx}: missing key {exc.args[0]!r}") from None
-            materials = dict(cal.materials)
-            materials[mat_name] = spec
-            cal = replace(cal, materials=materials)
-        elif name == "actuator":
-            _check_keys(data, _ACTUATOR_KEYS, ctx)
-            max_p = (
-                as_float(data["max_pressure_kpa"], ctx)
-                if "max_pressure_kpa" in data
-                else cal.actuator.max_pressure
-            )
-            angle_slope = (
-                as_float(data["angle_at_max_deg"], ctx) / max_p
-                if "angle_at_max_deg" in data
-                else cal.actuator.angle_per_pressure
-            )
-            strain_slope = (
-                as_float(data["strain_at_max"], ctx) / max_p
-                if "strain_at_max" in data
-                else cal.actuator.strain_per_pressure
-            )
-            table = (
-                _parse_table(data["angle_table"], ctx)
-                if "angle_table" in data
-                else cal.actuator.angle_table
-            )
-            actuator = ActuatorSpec(
-                angle_per_pressure=angle_slope,
-                max_pressure=max_p,
-                strain_per_pressure=strain_slope,
-                stride_per_cycle=as_float(data["stride_per_cycle_m"], ctx)
-                if "stride_per_cycle_m" in data
-                else cal.actuator.stride_per_cycle,
-                cycle_period=as_float(data["cycle_period_s"], ctx)
-                if "cycle_period_s" in data
-                else cal.actuator.cycle_period,
-                angle_table=table,
-            )
-            cal = replace(cal, actuator=actuator)
-            pending_wall = data.get("wall_material", pending_wall)
-        elif name == "sensor.temp":
-            _check_keys(data, _TEMP_KEYS, ctx)
-            cal = replace(
-                cal,
-                temp_sensor=TempSensorSpec(
-                    r0=as_float(data["r0_ohm"], ctx)
-                    if "r0_ohm" in data
-                    else cal.temp_sensor.r0,
-                    slope=as_float(data["tcr_ohm_per_c"], ctx)
-                    if "tcr_ohm_per_c" in data
-                    else cal.temp_sensor.slope,
-                    t_ref=as_float(data["t_ref_c"], ctx)
-                    if "t_ref_c" in data
-                    else cal.temp_sensor.t_ref,
-                    fail_resistance=as_float(data["fail_resistance_ohm"], ctx)
-                    if "fail_resistance_ohm" in data
-                    else cal.temp_sensor.fail_resistance,
-                ),
-            )
-        elif name == "sensor.strain":
-            _check_keys(data, _STRAIN_KEYS, ctx)
-            cal = replace(
-                cal,
-                strain_sensor=StrainSensorSpec(
-                    c0=as_float(data["c0_pf"], ctx)
-                    if "c0_pf" in data
-                    else cal.strain_sensor.c0,
-                    swing=as_float(data["swing_pf"], ctx)
-                    if "swing_pf" in data
-                    else cal.strain_sensor.swing,
-                    angle_full=as_float(data["angle_full_deg"], ctx)
-                    if "angle_full_deg" in data
-                    else cal.strain_sensor.angle_full,
-                    capacitance_table=_parse_table(data["capacitance_table"], ctx)
-                    if "capacitance_table" in data
-                    else cal.strain_sensor.capacitance_table,
-                ),
-            )
-        elif name == "sensor.photo":
-            _check_keys(data, _PHOTO_KEYS, ctx)
-            cal = replace(
-                cal,
-                photodiode=PhotodiodeSpec(
-                    photo_current_reverse=as_float(data["reverse_current_a"], ctx)
-                    if "reverse_current_a" in data
-                    else cal.photodiode.photo_current_reverse,
-                    photo_current_forward=as_float(data["forward_current_a"], ctx)
-                    if "forward_current_a" in data
-                    else cal.photodiode.photo_current_forward,
-                    dark_current=as_float(data["dark_current_a"], ctx)
-                    if "dark_current_a" in data
-                    else cal.photodiode.dark_current,
-                ),
-            )
-        elif name == "sensor.health":
-            _check_keys(data, _HEALTH_KEYS, ctx)
-            cal = replace(
-                cal,
-                health=SensorHealth(
-                    alpha_degrade=as_float(data["alpha_degrade"], ctx)
-                    if "alpha_degrade" in data
-                    else cal.health.alpha_degrade,
-                    alpha_fail=as_float(data["alpha_fail"], ctx)
-                    if "alpha_fail" in data
-                    else cal.health.alpha_fail,
-                ),
-            )
-        elif name == "simulation":
-            _check_keys(data, _SIMULATION_KEYS, ctx)
-            sim = cal.simulation
-            updates = {}
-            mapping = {
-                "dt_s": "dt_s",
-                "mobility_loss_alpha": "mobility_loss_alpha",
-                "decomposed_alpha": "decomposed_alpha",
-                "body_thermal_lag_s": "body_thermal_lag_s",
-                "dose_alarm_fraction": "dose_alarm_fraction",
-                "alarm_temperature_c": "alarm_temperature_c",
-                "uv_current_threshold_a": "uv_current_threshold_a",
-                "monitor_bias_v": "monitor_bias_v",
-                "timeout_s": "timeout_s",
-            }
-            for key, attr in mapping.items():
-                if key in data:
-                    updates[attr] = as_float(data[key], ctx)
-            cal = replace(cal, simulation=replace(sim, **updates))
-        else:
+        data = dict(entries)  # a repeated key: the last one wins
+        is_material = name.startswith("material.")
+        rows = MATERIAL_ROWS if is_material else CALIBRATION_TABLE.get(name)
+        if rows is None:
             raise ConfigError(f"{source}: unknown section [{name}]")
-
-    if pending_wall is not None:
-        if pending_wall not in cal.materials:
-            raise ConfigError(
-                f"{source}: actuator wall_material {pending_wall!r} is not a known material"
-            )
-        validate_actuator_wall(cal.actuator, cal.materials[pending_wall])
+        unknown = set(data) - {row[0] for row in rows}
+        if unknown:
+            raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+        values = {}
+        for key, _, path, rule in rows:
+            if key in data:
+                values[path] = _convert(data[key], rule, ctx, values, cal)
+            elif is_material:
+                raise ConfigError(f"{ctx}: missing key {key!r}")
+        if is_material:
+            mat_name = name[len("material.") :]
+            spec = MaterialSpec(name=mat_name, **values)
+            cal = replace(cal, materials={**cal.materials, mat_name: spec})
+        else:
+            cal = _overlay(cal, values)
     return cal
 
 

@@ -22,6 +22,7 @@ from .errors import (
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
+from .fileio import atomic_write, parse_bool
 from .kinetics import GAS_CONSTANT, ArrheniusParams
 
 # numpy 2.0 renamed trapz
@@ -306,7 +307,7 @@ def synthesize_trace(
 
 
 def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
-    """Write a trace in the ingestion format (UTF-8, LF, '.' decimals)."""
+    """Write a trace atomically in the ingestion format (UTF-8, LF, '.' decimals)."""
     buf = io.StringIO()
     buf.write(f"# temperature_K={trace.temperature_k!r}\n")
     buf.write(f"# uv_on={'true' if trace.uv_on else 'false'}\n")
@@ -315,20 +316,7 @@ def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
     buf.write(TRACE_HEADER + "\n")
     for t, q in zip(trace.time_s, trace.heat_flow_w):
         buf.write(f"{float(t)!r},{float(q)!r}\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-
-
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
-
-
-def _parse_bool(raw: str, line_number: int) -> bool:
-    word = raw.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise TraceParseError(f"expected a boolean, got {raw!r}", line_number)
+    atomic_write(path, buf.getvalue())
 
 
 def read_trace_csv(path: str | Path) -> DscTrace:
@@ -377,7 +365,10 @@ def read_trace_csv(path: str | Path) -> DscTrace:
         raise TraceParseError(
             f"bad temperature_K value {meta['temperature_K']!r}", 1
         ) from None
-    uv_on = _parse_bool(meta.get("uv_on", "false"), 1)
+    try:
+        uv_on = parse_bool(meta.get("uv_on", "false"))
+    except ValueError as exc:
+        raise TraceParseError(str(exc), 1) from None
     label = meta.get("label", "")
     try:
         return DscTrace(

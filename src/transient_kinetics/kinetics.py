@@ -224,6 +224,30 @@ def _advance_alpha(alpha: float, k_eff: float, dt: float, order: float) -> float
     return 1.0 - base ** (1.0 / (1.0 - order))
 
 
+def advance(
+    hf: float,
+    alpha: float,
+    k_thermal: float,
+    uv_on: bool,
+    dt: float,
+    k_photo: float,
+    hf_max: float,
+    hf_sat: float,
+    order: float,
+) -> tuple[float, float]:
+    """One exact step of the coupled dose and conversion laws at frozen conditions.
+
+    Under UV the fluoride dose approaches ``hf_max`` first-order at
+    ``k_photo`` (the dose persists in the dark); alpha then advances at
+    ``k_thermal`` scaled by the trigger coupling of the updated dose
+    fraction hf / hf_max. Returns the new (hf, alpha).
+    """
+    if uv_on:
+        hf = hf_max + (hf - hf_max) * math.exp(-k_photo * dt)
+    g = trigger_coupling(hf / hf_max, hf_sat)
+    return hf, _advance_alpha(alpha, k_thermal * g, dt, order)
+
+
 def integrate_conversion(
     schedule: ExposureSchedule,
     params: ArrheniusParams,
@@ -234,10 +258,8 @@ def integrate_conversion(
 ) -> ConversionSeries:
     """March the coupled photolysis/conversion laws through a schedule.
 
-    Each step applies an exact exponential update at the frozen segment
-    conditions: fluoride grows first (UV-on segments only, dose is
-    persistent), then alpha advances at k(T) scaled by the trigger
-    coupling evaluated from the updated dose. For a fully triggered
+    Each step is one ``advance`` at the frozen segment conditions, with
+    the dose in mol/m^3 (hf_max = dpi_initial). For a fully triggered
     history (g = 1) the result matches the closed-form piecewise product
     to rounding error for any step size.
     """
@@ -258,19 +280,22 @@ def integrate_conversion(
         remaining = seg.duration
         while remaining > 1e-12:
             step = dt if remaining >= dt else remaining
-            if seg.uv_on:
-                # exact first-order approach of hf toward dpi_initial
-                hf = photolysis.dpi_initial + (hf - photolysis.dpi_initial) * math.exp(
-                    -photolysis.k_photo * step
-                )
-            hf_frac = hf / photolysis.dpi_initial
-            g = trigger_coupling(hf_frac, hf_sat)
-            alpha = _advance_alpha(alpha, k_thermal * g, step, reaction_order)
+            hf, alpha = advance(
+                hf,
+                alpha,
+                k_thermal,
+                seg.uv_on,
+                step,
+                photolysis.k_photo,
+                photolysis.dpi_initial,
+                hf_sat,
+                reaction_order,
+            )
             t += step
             remaining -= step
             times.append(t)
             alphas.append(alpha)
-            hf_fracs.append(hf_frac)
+            hf_fracs.append(hf / photolysis.dpi_initial)
 
     return ConversionSeries(
         t=np.asarray(times), alpha=np.asarray(alphas), hf_fraction=np.asarray(hf_fracs)

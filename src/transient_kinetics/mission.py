@@ -20,11 +20,7 @@ import numpy as np
 
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
 from .errors import ConfigError, SensorFailedError, SimulationFault
-from .kinetics import (
-    ArrheniusParams,
-    arrhenius_rate,
-    trigger_coupling,
-)
+from .kinetics import ArrheniusParams, advance, arrhenius_rate
 from .mechanics import ActuatorSpec, GaitState, gait_advance
 from .sensors import (
     PhotodiodeSpec,
@@ -303,24 +299,19 @@ def step(
     env = locate_zone(world, robot.position)
     settings = specs.settings
 
-    # photolysis dose (persistent; grows only under UV)
-    hf = robot.hf_fraction
-    if env.uv_on:
-        hf = 1.0 - (1.0 - hf) * math.exp(-specs.photolysis_rate * dt)
-
-    # conversion: exact exponential sub-step at frozen conditions
-    g = trigger_coupling(hf, specs.hf_sat)
-    k_thermal = arrhenius_rate(specs.kinetics, env.temperature)
-    k_eff = k_thermal * g
-    alpha = robot.alpha
-    if k_eff > 0.0 and alpha < 1.0:
-        if specs.reaction_order == 1.0:
-            alpha = 1.0 - (1.0 - alpha) * math.exp(-k_eff * dt)
-        else:
-            base = (1.0 - alpha) ** (1.0 - specs.reaction_order) - (
-                1.0 - specs.reaction_order
-            ) * k_eff * dt
-            alpha = 1.0 if base <= 0.0 else 1.0 - base ** (1.0 / (1.0 - specs.reaction_order))
+    # photolysis dose as a fraction (hf_max = 1), then conversion: exact
+    # exponential sub-steps at frozen conditions
+    hf, alpha = advance(
+        robot.hf_fraction,
+        robot.alpha,
+        arrhenius_rate(specs.kinetics, env.temperature),
+        env.uv_on,
+        dt,
+        specs.photolysis_rate,
+        1.0,
+        specs.hf_sat,
+        specs.reaction_order,
+    )
 
     mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
     operational = mobility > 0.0

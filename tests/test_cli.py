@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transient_kinetics import cli as cli_module
+from transient_kinetics.config import Calibration
 from transient_kinetics.dscfit import read_trace_csv, synthesize_trace, write_trace_csv
 from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate
 
@@ -194,6 +196,28 @@ class TestPredict:
         t95 = read_summary(out)["results"]["time_to_alpha_s"]["0.95"]
         assert t95 == pytest.approx(-math.log(0.05) / k, rel=1e-3)
 
+    def test_pre_exponential_alone_keeps_activation_energy_bits(self, tmp_path, monkeypatch):
+        # an Ea (J/mol) that a kJ/mol round trip would move by one ulp
+        ea = 65507.70429955353
+        assert ea / 1000.0 * 1000.0 != ea
+        cal = Calibration(kinetics=ArrheniusParams(0.1703, ea))
+        monkeypatch.setattr(cli_module, "default_calibration", lambda: cal)
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n100,25,false\n")
+        out = tmp_path / "out"
+        assert cli_module.main(["predict", str(sched), "--pre-exponential", "0.3", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["results"]["pre_exponential_per_s"] == 0.3
+        assert summary["results"]["activation_energy_j_per_mol"] == ea
+        assert summary["config"]["kinetics"]["activation_energy_j_per_mol"] == ea
+
+    def test_bad_uv_on_word_exits_2(self, tmp_path):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n100,25,maybe\n")
+        proc = cli("predict", sched, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "bad uv_on value 'maybe'" in proc.stderr
+
 
 class TestSimulate:
     def test_bundled_mission_event_narrative(self, tmp_path):
@@ -244,6 +268,15 @@ class TestSimulate:
         mission.write_text("[zone.1]\nx_min = 0\n")
         proc = cli("simulate", mission, "--out", tmp_path / "out")
         assert proc.returncode == 2
+
+    def test_bad_uv_on_word_exits_2(self, tmp_path):
+        mission = tmp_path / "bad.mission"
+        mission.write_text(
+            "[zone.1]\nname = lab\nx_min = 0\nx_max = 1\ntemperature_c = 25\nuv_on = maybe\n"
+        )
+        proc = cli("simulate", mission, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "expected a boolean, got 'maybe'" in proc.stderr
 
     def test_unknown_mission_exits_2(self, tmp_path):
         proc = cli("simulate", "missing.mission", "--out", tmp_path / "out")
@@ -298,6 +331,25 @@ class TestSynth:
         blocker.write_text("occupied")
         proc = cli("synth", "--k", 1e-3, "--out", blocker)
         assert proc.returncode == 4
+
+
+class TestAtomicOutputs:
+    def test_existing_tmp_file_survives_untouched(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        stray = out / "summary.json.tmp"
+        stray.write_text("user data\n")
+        proc = cli("synth", "--k", 1e-3, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert stray.read_text() == "user data\n"
+        assert read_summary(out)["command"] == "synth"
+
+    def test_output_path_is_a_directory_leaves_no_tmp(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        proc = cli("synth", "--k", 1e-3, "--out", out)
+        assert proc.returncode == 4
+        assert list(out.glob("*.tmp")) == []
 
 
 class TestGlobalBehavior:

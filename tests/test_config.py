@@ -15,6 +15,163 @@ from transient_kinetics.config import (
 )
 from transient_kinetics.errors import ConfigError
 
+# Sets every key of every calibration section, with a second [actuator]
+# section that gives only max_pressure_kpa (the slopes must stay) and a new
+# material that the actuator names as its wall.
+EVERY_KEY_OVERLAY = """\
+[kinetics]
+pre_exponential_per_s = 0.25
+activation_energy_kj_per_mol = 20.5
+
+[photolysis]
+rate_per_s = 0.002
+hf_saturation = 0.9
+dpi_initial_mol_m3 = 80.0
+
+[material.stiff-wall]
+modulus_pa = 60000
+elastic_limit_strain = 3.5
+fracture_strain = 6.0
+fracture_stress_pa = 300000
+poisson = 0.45
+density_kg_m3 = 1100
+dpi_wt_percent = 15
+
+[actuator]
+angle_at_max_deg = 40.0
+strain_at_max = 0.9
+max_pressure_kpa = 10.0
+stride_per_cycle_m = 0.03
+cycle_period_s = 1.5
+angle_table = 0:0, 5:18, 10:40, 16:60
+wall_material = stiff-wall
+
+[actuator]
+max_pressure_kpa = 16.0
+
+[sensor.temp]
+r0_ohm = 12.0
+tcr_ohm_per_c = 0.004
+t_ref_c = 20.0
+fail_resistance_ohm = 2e6
+
+[sensor.strain]
+c0_pf = 11.0
+swing_pf = 1.5
+angle_full_deg = 40.0
+capacitance_table = 0:11, 20:11.6, 40:12.5
+
+[sensor.photo]
+reverse_current_a = -6e-8
+forward_current_a = 3e-8
+dark_current_a = 1e-11
+
+[sensor.health]
+alpha_degrade = 0.25
+alpha_fail = 0.8
+
+[simulation]
+dt_s = 0.5
+mobility_loss_alpha = 0.15
+decomposed_alpha = 0.98
+body_thermal_lag_s = 30.0
+dose_alarm_fraction = 0.4
+alarm_temperature_c = 90.0
+uv_current_threshold_a = 2e-9
+monitor_bias_v = -1.5
+timeout_s = 100000.0
+"""
+
+# The summary echo of EVERY_KEY_OVERLAY over default_calibration().
+EVERY_KEY_ECHO = {
+    "kinetics": {
+        "pre_exponential_per_s": 0.25,
+        "activation_energy_j_per_mol": 20500.0,
+    },
+    "photolysis": {
+        "rate_per_s": 0.002,
+        "hf_saturation": 0.9,
+        "dpi_initial_mol_m3": 80.0,
+    },
+    "actuator": {
+        "max_pressure_kpa": 16.0,
+        "angle_per_pressure_deg_per_kpa": 4.0,
+        "strain_per_pressure_per_kpa": 0.09,
+        "stride_per_cycle_m": 0.03,
+        "cycle_period_s": 1.5,
+    },
+    "sensor_temp": {
+        "r0_ohm": 12.0,
+        "tcr_ohm_per_c": 0.004,
+        "t_ref_c": 20.0,
+        "fail_resistance_ohm": 2000000.0,
+    },
+    "sensor_strain": {
+        "c0_pf": 11.0,
+        "swing_pf": 1.5,
+        "angle_full_deg": 40.0,
+    },
+    "sensor_photo": {
+        "reverse_current_a": -6e-08,
+        "forward_current_a": 3e-08,
+        "dark_current_a": 1e-11,
+    },
+    "sensor_health": {
+        "alpha_degrade": 0.25,
+        "alpha_fail": 0.8,
+    },
+    "simulation": {
+        "dt_s": 0.5,
+        "mobility_loss_alpha": 0.15,
+        "decomposed_alpha": 0.98,
+        "body_thermal_lag_s": 30.0,
+        "dose_alarm_fraction": 0.4,
+        "alarm_temperature_c": 90.0,
+        "uv_current_threshold_a": 2e-09,
+        "monitor_bias_v": -1.5,
+        "timeout_s": 100000.0,
+    },
+    "materials": {
+        "ecoflex-0wt": {
+            "modulus_pa": 40020.0,
+            "elastic_limit_strain": 4.0,
+            "fracture_strain": 6.8372,
+            "fracture_stress_pa": 425100.0,
+            "poisson": 0.43,
+            "density_kg_m3": 1070.0,
+            "dpi_wt_percent": 0.0,
+        },
+        "ecoflex-10wt": {
+            "modulus_pa": 40020.0,
+            "elastic_limit_strain": 4.0,
+            "fracture_strain": 5.7167,
+            "fracture_stress_pa": 145300.0,
+            "poisson": 0.43,
+            "density_kg_m3": 1070.0,
+            "dpi_wt_percent": 10.0,
+        },
+        "ecoflex-20wt": {
+            "modulus_pa": 40020.0,
+            "elastic_limit_strain": 4.0,
+            "fracture_strain": 4.9334,
+            "fracture_stress_pa": 189700.0,
+            "poisson": 0.43,
+            "density_kg_m3": 1070.0,
+            "dpi_wt_percent": 20.0,
+        },
+        "stiff-wall": {
+            "modulus_pa": 60000.0,
+            "elastic_limit_strain": 3.5,
+            "fracture_strain": 6.0,
+            "fracture_stress_pa": 300000.0,
+            "poisson": 0.45,
+            "density_kg_m3": 1100.0,
+            "dpi_wt_percent": 15.0,
+        },
+    },
+}
+
+
 
 class TestParseSections:
     def test_basic(self):
@@ -90,6 +247,45 @@ class TestCalibration:
         with pytest.raises(ConfigError) as err:
             load_calibration_file(cfg, default_calibration())
         assert "fracture" in str(err.value)
+
+    def test_actuator_wall_checked_on_every_overlay(self, tmp_path):
+        # the wall is named in default.cfg; an overlay that only raises the
+        # strain must still be checked against it
+        cfg = tmp_path / "act.cfg"
+        cfg.write_text("[actuator]\nstrain_at_max = 80.0\n")
+        base = default_calibration()
+        assert base.wall_material == "ecoflex-20wt"
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg, base)
+        assert "fracture" in str(err.value)
+
+    def test_every_key_overlay_echo(self, tmp_path):
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(EVERY_KEY_OVERLAY)
+        cal = load_calibration_file(cfg, default_calibration())
+        assert cal.to_dict() == EVERY_KEY_ECHO
+        assert cal.actuator.angle_table == ((0.0, 0.0), (5.0, 18.0), (10.0, 40.0), (16.0, 60.0))
+        assert cal.strain_sensor.capacitance_table == ((0.0, 11.0), (20.0, 11.6), (40.0, 12.5))
+        assert cal.wall_material == "stiff-wall"
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "kinetics",
+            "photolysis",
+            "material.custom",
+            "actuator",
+            "sensor.temp",
+            "sensor.strain",
+            "sensor.photo",
+            "sensor.health",
+            "simulation",
+        ],
+    )
+    def test_unknown_key_rejected_in_every_section(self, section):
+        with pytest.raises(ConfigError) as err:
+            apply_sections(default_calibration(), [(section, [("bogus_key", "1")])], "<test>")
+        assert str(err.value) == f"<test> [{section}]: unknown keys ['bogus_key']"
 
     def test_config_echo_round_trips_key_values(self):
         echo = default_calibration().to_dict()

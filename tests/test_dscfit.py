@@ -1,6 +1,7 @@
 """Trace ingestion, enthalpy integration, rate fitting, Arrhenius regression."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -274,6 +275,27 @@ class TestTraceCsv:
         with pytest.raises(TraceParseError) as err:
             read_trace_csv(path)
         assert err.value.line_number == 5
+
+    def test_bad_uv_on_word_reports_line_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# temperature_K=300\n# uv_on=maybe\ntime_s,heat_flow_W\n0,1\n1,0.5\n")
+        with pytest.raises(TraceParseError) as err:
+            read_trace_csv(path)
+        assert err.value.line_number == 1
+        assert "expected a boolean, got 'maybe'" in str(err.value)
+
+    def test_failed_rename_keeps_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"old contents\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_trace_csv(make_trace(1e-3, 10.0, n=20), path)
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

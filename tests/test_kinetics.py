@@ -14,6 +14,7 @@ from transient_kinetics.kinetics import (
     ExposureSchedule,
     PhotolysisState,
     ScheduleSegment,
+    advance,
     arrhenius_rate,
     conversion_from_heat,
     conversion_rate,
@@ -310,6 +311,27 @@ class TestIntegrateConversion:
         # analytic: alpha = k t / (1 + k t) for n = 2
         expected = k * 4000.0 / (1.0 + k * 4000.0)
         assert series.alpha[-1] == pytest.approx(expected, rel=1e-10)
+
+
+class TestAdvance:
+    def test_fraction_dose_matches_complement_form(self):
+        # hf_max = 1 (the mission's dose fraction) reproduces
+        # 1 - (1 - hf) * exp(-k dt) bit for bit
+        for hf in (0.0, 0.1, 0.5, 0.93, 0.999):
+            for dt in (0.1, 1.0, 37.5):
+                decay = math.exp(-DEFAULT_K_PHOTO * dt)
+                new_hf, _ = advance(hf, 0.0, 1e-3, True, dt, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT, 1.0)
+                assert new_hf == 1.0 - (1.0 - hf) * decay
+
+    def test_dark_step_keeps_dose(self):
+        assert advance(0.4, 0.2, 1e-3, False, 10.0, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT, 1.0)[0] == 0.4
+        assert advance(0.0, 0.2, 1e-3, False, 10.0, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT, 1.0) == (0.0, 0.2)
+
+    def test_saturated_dose_gives_exact_first_order_step(self):
+        # a concentration dose at saturation couples fully (g = 1)
+        hf, alpha = advance(95.0, 0.3, 2e-3, False, 50.0, DEFAULT_K_PHOTO, 100.0, DEFAULT_HF_SAT, 1.0)
+        assert hf == 95.0
+        assert alpha == 1.0 - 0.7 * math.exp(-2e-3 * 50.0)
 
 
 class TestTriggerCoupling:
