@@ -37,13 +37,12 @@ from .dscfit import (
 from .errors import (
     ConfigError,
     DomainError,
-    TraceParseError,
     ZeroEnthalpyError,
     UntriggeredTraceError,
 )
 # every output goes through cli._atomic_write, the write boundary that
 # perfbench/tracer.py times
-from .fileio import atomic_write as _atomic_write, parse_bool
+from .fileio import atomic_write as _atomic_write, parse_bool, read_csv
 from .kinetics import (
     ExposureSchedule,
     PhotolysisState,
@@ -105,10 +104,7 @@ def cmd_fit_dsc(args) -> int:
     rows = []
     any_failed = False
     for path in args.traces:
-        try:
-            trace = read_trace_csv(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read trace {path}: {exc}") from None
+        trace = read_trace_csv(path)
         label = trace.label or Path(path).stem
         row = {
             "label": label,
@@ -139,10 +135,14 @@ def cmd_fit_dsc(args) -> int:
 
     lines = ["label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error"]
     for row in rows:
+        # a comma in the label would add a cell, and a leading '#' make the row a comment
+        label = row["label"].replace(",", ";")
+        if label.lstrip().startswith("#"):
+            label = "\\" + label
         lines.append(
             ",".join(
                 (
-                    row["label"],
+                    label,
                     repr(row["temperature_K"]),
                     "" if row["k_per_s"] is None else repr(row["k_per_s"]),
                     "" if row["total_enthalpy_J"] is None else repr(row["total_enthalpy_J"]),
@@ -161,32 +161,7 @@ def cmd_fit_dsc(args) -> int:
 def cmd_arrhenius(args) -> int:
     cal = _load_effective_calibration(args)
     outdir = _outdir(args)
-    points = []
-    path = Path(args.fit_table)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read fit table {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty fit table")
-    header = lines[0].split(",")
-    try:
-        i_temp = header.index("temperature_K")
-        i_k = header.index("k_per_s")
-        i_conv = header.index("converged")
-    except ValueError:
-        raise ConfigError(f"{path}: fit table must carry temperature_K,k_per_s,converged columns") from None
-    for n, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) <= max(i_temp, i_k, i_conv):
-            raise ConfigError(f"{path}:{n}: too few columns")
-        if cells[i_conv].strip().lower() != "true" or not cells[i_k].strip():
-            continue
-        try:
-            points.append((float(cells[i_temp]), float(cells[i_k])))
-        except ValueError:
-            raise ConfigError(f"{path}:{n}: non-numeric fit-table row") from None
+    points = _read_fit_table(Path(args.fit_table))
     temps = {p[0] for p in points}
     if len(points) < 2 or len(temps) < 2:
         raise InsufficientDataError(
@@ -209,38 +184,55 @@ def cmd_arrhenius(args) -> int:
     return EXIT_OK
 
 
-def _read_schedule_csv(path: Path) -> ExposureSchedule:
+def _line_error(path: Path):
+    return lambda message, n: ConfigError(f"{path}:{n}: {message}")
+
+
+def _read_fit_table(path: Path) -> list[tuple[float, float]]:
+    """(temperature_K, k_per_s) of each converged row of a fit table."""
+    error = _line_error(path)
+    _, rows = read_csv(path, "fit table", error)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read schedule {path}: {exc}") from None
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: empty schedule")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:1] != ["duration_s"] or len(header) != 3 or header[2] != "uv_on":
-        raise ConfigError(f"{path}: schedule header must be duration_s,temperature_C|temperature_K,uv_on")
+        i_temp, i_k, i_conv = map(rows[0][1].index, ("temperature_K", "k_per_s", "converged"))
+    except ValueError:
+        raise error("fit table must carry temperature_K,k_per_s,converged columns", rows[0][0]) from None
+    points = []
+    for n, cells in rows[1:]:
+        try:
+            converged = parse_bool(cells[i_conv])
+        except ValueError:
+            raise error(f"bad converged value {cells[i_conv].strip()!r}", n) from None
+        if not converged or not cells[i_k].strip():
+            continue
+        try:
+            points.append((float(cells[i_temp]), float(cells[i_k])))
+        except ValueError:
+            raise error("non-numeric fit-table row", n) from None
+    return points
+
+
+def _read_schedule_csv(path: Path) -> ExposureSchedule:
+    error = _line_error(path)
+    _, rows = read_csv(path, "schedule", error)
+    header = [h.strip() for h in rows[0][1]]
+    if header not in (["duration_s", "temperature_C", "uv_on"], ["duration_s", "temperature_K", "uv_on"]):
+        raise error("schedule header must be duration_s,temperature_C|temperature_K,uv_on", rows[0][0])
     celsius = header[1] == "temperature_C"
-    if not celsius and header[1] != "temperature_K":
-        raise ConfigError(f"{path}: temperature column must be temperature_C or temperature_K")
     segments = []
-    for n, ln in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != 3:
-            raise ConfigError(f"{path}:{n}: expected 3 columns")
+    for n, cells in rows[1:]:
         try:
             duration = float(cells[0])
             temperature = float(cells[1]) + (273.15 if celsius else 0.0)
         except ValueError:
-            raise ConfigError(f"{path}:{n}: non-numeric schedule row") from None
+            raise error("non-numeric schedule row", n) from None
         try:
             uv = parse_bool(cells[2])
         except ValueError:
-            raise ConfigError(f"{path}:{n}: bad uv_on value {cells[2]!r}") from None
+            raise error(f"bad uv_on value {cells[2].strip()!r}", n) from None
         try:
             segments.append(ScheduleSegment(duration, temperature, uv))
         except DomainError as exc:
-            raise ConfigError(f"{path}:{n}: {exc}") from None
+            raise error(str(exc), n) from None
     try:
         return ExposureSchedule(tuple(segments))
     except DomainError as exc:
@@ -455,7 +447,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (TraceParseError, ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
-from .fileio import parse_bool
+from .fileio import parse_bool, read_text
 from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams
 from .mechanics import (
     DEFAULT_ACTUATOR,
@@ -220,7 +220,10 @@ def _convert(raw: str, rule, ctx: str, values: dict, cal: Calibration):
         return _parse_table(raw, ctx)
     value = as_float(raw, ctx)
     if rule is PER_KPA:
-        return value / values.get("actuator.max_pressure", cal.actuator.max_pressure)
+        max_pressure = values.get("actuator.max_pressure", cal.actuator.max_pressure)
+        if max_pressure <= 0:
+            raise ConfigError(f"{ctx}: max_pressure_kpa must be > 0, got {max_pressure:g}")
+        return value / max_pressure
     return value if rule is None else value * rule
 
 
@@ -286,11 +289,7 @@ def _apply_sections(cal: Calibration, sections, source: str) -> Calibration:
 
 def load_calibration_file(path: str | Path, base: Calibration | None = None) -> Calibration:
     base = base if base is not None else Calibration()
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    text = read_text(path, "config")
     return apply_sections(base, parse_sections(text, str(path)), str(path))
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
-from .fileio import atomic_write, parse_bool
+from .fileio import atomic_write, parse_bool, read_csv
 from .kinetics import GAS_CONSTANT, ArrheniusParams
 
 # numpy 2.0 renamed trapz
@@ -321,50 +321,27 @@ def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
 
 def read_trace_csv(path: str | Path) -> DscTrace:
     """Parse a trace CSV; parse failures report the offending line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    meta: dict[str, str] = {}
+    meta, rows = read_csv(path, "trace", TraceParseError)
+    header = ",".join(rows[0][1])
+    if header.replace(" ", "") != TRACE_HEADER:
+        raise TraceParseError(f"expected header {TRACE_HEADER!r}, got {header!r}", rows[0][0])
     times: list[float] = []
     heats: list[float] = []
-    header_seen = False
-    line_number = 0
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line.replace(" ", "") != TRACE_HEADER:
-                raise TraceParseError(
-                    f"expected header {TRACE_HEADER!r}, got {line!r}", line_number
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceParseError(f"expected 2 columns, got {len(parts)}", line_number)
+    for line_number, cells in rows[1:]:
         try:
-            times.append(float(parts[0]))
-            heats.append(float(parts[1]))
+            times.append(float(cells[0]))
+            heats.append(float(cells[1]))
         except ValueError:
-            raise TraceParseError(f"non-numeric row {line!r}", line_number) from None
-    if not header_seen:
-        raise TraceParseError("file contains no header row", max(line_number, 1))
+            raise TraceParseError(f"non-numeric row {','.join(cells)!r}", line_number) from None
     if len(times) < 2:
-        raise TraceParseError("trace needs at least 2 data rows", max(line_number, 1))
+        raise TraceParseError("trace needs at least 2 data rows", rows[-1][0])
 
-    if "temperature_K" not in meta:
-        raise TraceParseError("missing '# temperature_K=' metadata", 1)
     try:
         temperature_k = float(meta["temperature_K"])
+    except KeyError:
+        raise TraceParseError("missing '# temperature_K=' metadata", 1) from None
     except ValueError:
-        raise TraceParseError(
-            f"bad temperature_K value {meta['temperature_K']!r}", 1
-        ) from None
+        raise TraceParseError(f"bad temperature_K value {meta['temperature_K']!r}", 1) from None
     try:
         uv_on = parse_bool(meta.get("uv_on", "false"))
     except ValueError as exc:
@@ -379,4 +356,4 @@ def read_trace_csv(path: str | Path) -> DscTrace:
             label=label,
         )
     except DomainError as exc:
-        raise TraceParseError(str(exc), max(line_number, 1)) from None
+        raise TraceParseError(str(exc), rows[-1][0]) from None

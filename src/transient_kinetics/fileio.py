@@ -1,13 +1,15 @@
-"""Text I/O shared by every reader and writer: boolean words, atomic writes.
+"""Text I/O shared by every reader and writer: input files, CSV, booleans, atomic writes.
 
-Depends on nothing else in the package, so ``config``, ``dscfit`` and
-``cli`` can all import it.
+Depends only on ``errors``, so every other module of the package can import it.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Callable
+
+from .errors import ConfigError
 
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
@@ -25,6 +27,42 @@ def parse_bool(value: str) -> bool:
     if word in _FALSE_WORDS:
         return False
     raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of an input file; ConfigError names ``what`` if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]):
+    """Read a comma-separated input file into ``(metadata, rows)``.
+
+    ``rows`` lists ``(file line number, cells)`` of the stripped lines, header
+    first. Blank lines and ``#`` lines are skipped; ``# key=value`` lines fill
+    ``metadata``. A missing header, or a row whose cell count differs from the
+    header's, raises ``error(message, line number)`` of the caller's class.
+    """
+    metadata: dict[str, str] = {}
+    rows: list[tuple[int, list[str]]] = []
+    for n, raw in enumerate(read_text(path, what).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                metadata[key.strip()] = value.strip()
+            continue
+        cells = line.split(",")
+        if rows and len(cells) != len(rows[0][1]):
+            raise error(f"expected {len(rows[0][1])} columns, got {len(cells)}", n)
+        rows.append((n, cells))
+    if not rows:
+        raise error("file contains no header row", 1)
+    return metadata, rows
 
 
 def atomic_write(path: str | Path, text: str) -> None:

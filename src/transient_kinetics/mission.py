@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
 from .errors import ConfigError, SensorFailedError, SimulationFault
+from .fileio import read_text
 from .kinetics import ArrheniusParams, advance, arrhenius_rate
 from .mechanics import ActuatorSpec, GaitState, gait_advance
 from .sensors import (
@@ -505,10 +506,8 @@ def run(
                 if robot.hf_fraction >= command.value - 1e-12:
                     break
                 do_step(0.0, pending)
-            elif command.kind == "self_destruct":
+            else:  # self_destruct; _validate_script admits no other kind
                 do_step(0.0, pending)
-            else:
-                raise ConfigError(f"unknown command {command.kind!r}")
             pending = ()
     return records
 
@@ -574,12 +573,7 @@ def load_mission(
     Returns (world, script, start_position); the start defaults to the
     midpoint of the first zone.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read mission {path}: {exc}") from None
-    sections = parse_sections(text, str(path))
+    sections = parse_sections(read_text(path, "mission"), str(path))
 
     zones: list[Zone] = []
     commands: list[Command] = []
@@ -599,6 +593,9 @@ def load_mission(
                 temperature = as_float(data["temperature_c"], ctx) + 273.15
             else:
                 temperature = as_float(data["temperature_k"], ctx)
+            for key in ("x_min", "x_max"):
+                if key not in data:
+                    raise ConfigError(f"{ctx}: missing key {key!r}")
             zones.append(
                 Zone(
                     x_min=as_float(data["x_min"], ctx),
@@ -610,14 +607,10 @@ def load_mission(
             )
         elif name == "script":
             for key, value in entries:
-                if key == "move_to":
-                    commands.append(Command("move_to", as_float(value, ctx)))
-                elif key == "dwell":
-                    commands.append(Command("dwell", as_float(value, ctx)))
-                elif key == "await_uv_dose":
-                    commands.append(Command("await_uv_dose", as_float(value, ctx)))
-                elif key == "self_destruct":
+                if key == "self_destruct":
                     commands.append(Command("self_destruct"))
+                elif key in ("move_to", "dwell", "await_uv_dose"):
+                    commands.append(Command(key, as_float(value, ctx)))
                 else:
                     raise ConfigError(f"{ctx}: unknown command {key!r}")
         elif name == "robot":

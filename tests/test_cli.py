@@ -22,6 +22,12 @@ def cli(*args, cwd=None):
     return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
 
 
+def main_in_process(capsys, *args):
+    """Run the CLI in this process; an exception escaping it fails the test."""
+    code = cli_module.main([str(a) for a in args])
+    return code, capsys.readouterr().err
+
+
 def read_summary(outdir: Path) -> dict:
     return json.loads((outdir / "summary.json").read_text())
 
@@ -81,11 +87,40 @@ class TestFitDsc:
         assert fits[1]["converged"] is False
         assert "heat" in fits[1]["error"]
 
+    @pytest.mark.parametrize(
+        "names, cells",
+        [(("run,80", "run,120"), ["run;80", "run;120"]), (("#80", "#120"), ["\\#80", "\\#120"])],
+        ids=["comma", "leading-hash"],
+    )
+    def test_trace_names_keep_fit_table_rows_whole(self, tmp_path, capsys, names, cells):
+        # a comma would shift every later cell; a leading '#' would make the row a comment
+        traces = []
+        for name, t_c in zip(names, (80, 120)):
+            temp_k = t_c + 273.15
+            k = arrhenius_rate(ECOFLEX, temp_k)
+            path = tmp_path / f"{name}.csv"
+            write_trace_csv(synthesize_trace(k, 10.0, (20.0 / k / 1500, 20.0 / k), temperature_k=temp_k), path)
+            traces.append(path)
+        fits = tmp_path / "fits"
+        code, err = main_in_process(capsys, "fit-dsc", *traces, "--out", fits)
+        assert code == 0, err
+        rows = (fits / "fits.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == cells
+        assert [fit["label"] for fit in read_summary(fits)["results"]["fits"]] == list(names)
+        out = tmp_path / "arr"
+        code, err = main_in_process(capsys, "arrhenius", fits / "fits.csv", "--out", out)
+        assert code == 0, err
+        results = read_summary(out)["results"]
+        assert results["n_points"] == 2
+        assert results["activation_energy_j_per_mol"] == pytest.approx(18090.0, rel=1e-4)
+
 
 class TestArrhenius:
-    @staticmethod
-    def write_fit_table(path: Path, points, converged="true"):
-        lines = ["label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error"]
+    HEADER = "label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error"
+
+    @classmethod
+    def write_fit_table(cls, path: Path, points, converged="true"):
+        lines = [cls.HEADER]
         for i, (temp, k) in enumerate(points):
             lines.append(f"row{i},{temp!r},{k!r},10.0,0.0,3,{converged},")
         path.write_text("\n".join(lines) + "\n")
@@ -140,6 +175,34 @@ class TestArrhenius:
         proc = cli("arrhenius", table, "--out", tmp_path / "out")
         assert proc.returncode == 2
         assert "non-numeric" in proc.stderr
+
+    def test_converged_accepts_boolean_words(self, tmp_path, capsys):
+        table = tmp_path / "fits.csv"
+        table.write_text(
+            f"{self.HEADER}\n# fitted by hand\n"
+            f"row0,353.15,{arrhenius_rate(ECOFLEX, 353.15)!r},10.0,0.0,3,yes,\n"
+            f"row1,393.15,{arrhenius_rate(ECOFLEX, 393.15)!r},10.0,0.0,3,1,\n"
+        )
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 0, err
+        assert read_summary(out)["results"]["n_points"] == 2
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("row1,not-a-number,1e-3,10.0,0.0,3,true,", "non-numeric fit-table row"),
+            ("row1,393.15,1e-3,10.0,0.0,3,maybe,", "bad converged value 'maybe'"),
+            ("run,120,393.15,1e-3,10.0,0.0,3,true,", "expected 8 columns, got 9"),
+        ],
+        ids=["non-numeric", "converged-word", "comma-in-label"],
+    )
+    def test_bad_row_reports_its_file_line(self, tmp_path, capsys, bad_row, message):
+        table = tmp_path / "fits.csv"
+        table.write_text(f"{self.HEADER}\n\nrow0,353.15,1e-4,10.0,0.0,3,true,\n\n{bad_row}\n")
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"{table}:5: {message}" in err
 
     def test_missing_trace_file_exits_2(self, tmp_path):
         proc = cli("fit-dsc", tmp_path / "nope.csv", "--out", tmp_path / "out")
@@ -219,6 +282,22 @@ class TestPredict:
         assert "bad uv_on value 'maybe'" in proc.stderr
 
 
+    def test_bad_row_reports_its_file_line(self, tmp_path, capsys):
+        sched = tmp_path / "sched.csv"
+        sched.write_text(
+            "# hold, then cool\nduration_s,temperature_C,uv_on\n\n100,25,true\n# cool\n100,abc,false\n"
+        )
+        code, err = main_in_process(capsys, "predict", sched, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"{sched}:6: non-numeric schedule row" in err
+
+    def test_indented_comment_line_is_skipped(self, tmp_path, capsys):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n  # note\n100,25,false\n")
+        code, err = main_in_process(capsys, "predict", sched, "--out", tmp_path / "out")
+        assert code == 0, err
+
+
 class TestSimulate:
     def test_bundled_mission_event_narrative(self, tmp_path):
         out = tmp_path / "out"
@@ -277,6 +356,13 @@ class TestSimulate:
         proc = cli("simulate", mission, "--out", tmp_path / "out")
         assert proc.returncode == 2
         assert "expected a boolean, got 'maybe'" in proc.stderr
+
+    def test_zone_without_x_max_exits_2(self, tmp_path, capsys):
+        mission = tmp_path / "bad.mission"
+        mission.write_text("[zone.a]\nname = a\nx_min = 0\ntemperature_c = 25\n[script]\ndwell = 5\n")
+        code, err = main_in_process(capsys, "simulate", mission, "--out", tmp_path / "out")
+        assert code == 2
+        assert "missing key 'x_max'" in err
 
     def test_unknown_mission_exits_2(self, tmp_path):
         proc = cli("simulate", "missing.mission", "--out", tmp_path / "out")
@@ -350,6 +436,27 @@ class TestAtomicOutputs:
         proc = cli("synth", "--k", 1e-3, "--out", out)
         assert proc.returncode == 4
         assert list(out.glob("*.tmp")) == []
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "what, command",
+        [
+            ("trace", ["fit-dsc", "{bad}"]),
+            ("schedule", ["predict", "{bad}"]),
+            ("fit table", ["arrhenius", "{bad}"]),
+            ("config", ["synth", "--k", "1e-3", "--config", "{bad}"]),
+            ("mission", ["simulate", "{bad}"]),
+        ],
+        ids=["trace", "schedule", "fit-table", "config", "mission"],
+    )
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, what, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\x80\n")
+        args = [arg.format(bad=bad) for arg in command]
+        code, err = main_in_process(capsys, *args, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"cannot read {what} {bad}: 'utf-8' codec can't decode byte 0x80" in err
 
 
 class TestGlobalBehavior:

@@ -259,6 +259,15 @@ class TestCalibration:
             load_calibration_file(cfg, base)
         assert "fracture" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "slope", ["angle_at_max_deg = 90", "strain_at_max = 0.3"], ids=["angle", "strain"]
+    )
+    def test_zero_max_pressure_with_a_slope_rejected(self, tmp_path, slope):
+        cfg = tmp_path / "act.cfg"
+        cfg.write_text(f"[actuator]\nmax_pressure_kpa = 0\n{slope}\n")
+        with pytest.raises(ConfigError, match="max_pressure_kpa must be > 0, got 0"):
+            load_calibration_file(cfg)
+
     def test_every_key_overlay_echo(self, tmp_path):
         cfg = tmp_path / "every.cfg"
         cfg.write_text(EVERY_KEY_OVERLAY)

@@ -1,0 +1,128 @@
+"""The shared CSV reader, and the error contract of every input parser on any bytes."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from transient_kinetics.cli import _read_fit_table, _read_schedule_csv
+from transient_kinetics.config import load_calibration_file
+from transient_kinetics.dscfit import read_trace_csv
+from transient_kinetics.errors import ConfigError, TraceParseError
+from transient_kinetics.fileio import read_csv
+from transient_kinetics.mission import load_mission
+
+
+class TestReadCsv:
+    def test_rows_carry_file_lines_and_comments_fill_metadata(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# temperature_K = 300\n\n  # note\n a,b \n#uv_on=true\n1,2\n")
+        meta, rows = read_csv(path, "trace", TraceParseError)
+        assert meta == {"temperature_K": "300", "uv_on": "true"}
+        assert rows == [(4, ["a", "b"]), (6, ["1", "2"])]
+
+    def test_cell_count_differs_from_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2,3\n\n1,2\n")
+        with pytest.raises(TraceParseError) as err:
+            read_csv(path, "trace", TraceParseError)
+        assert err.value.line_number == 4
+        assert "expected 3 columns, got 2" in str(err.value)
+
+
+# Files are drawn as blocks: a head line (a header, a metadata line or a
+# [section]) followed by lines drawn from that head's own pool, valid and
+# broken, plus junk that every format must survive. Drawn files thus often
+# get past the first checks and reach the deeper ones.
+JUNK = ["", "   ", "  # note", "#", "\t", "\x00", ",", "= value", "é,ü"]
+TRACE_ROWS = ["0,1", "1,0.5", "2,0.25", "1,1", "nan,inf", "-1,1", "a,b", "0,1,2"]
+SCHEDULE_ROWS = [
+    "100,25,true", "10,120,off", "0,25,true", "inf,25,true", "1e400,25,true", "nan,nan,false",
+    "-5,25,true", "100,25,maybe", "100,-300,true", "100,25",
+]
+FIT_ROWS = [
+    "r,353.15,1e-4,10.0,0.0,3,true,", "r,393.15,6.7e-4,10.0,0.0,3,yes,", "r,393.15,,,,0,false,x",
+    "r,0,-1,10.0,0.0,3,true,", "r,393.15,1e-3,10.0,0.0,3,maybe,", "r,80,393.15,1e-3,10,0,3,true,",
+    "r,nan,inf,10.0,0.0,3,1,",
+]
+ZONE_ENTRIES = [
+    "name = a", "x_min = 0", "x_max = 1", "x_min = 1", "x_max = 2", "temperature_c = 25",
+    "temperature_k = 300", "temperature_k = -1", "uv_on = true", "uv_on = maybe",
+]
+BLOCKS = {
+    "trace": {
+        "# temperature_K=393.15": [], "# temperature_K=nan": [], "# uv_on=true": [],
+        "# uv_on=maybe": [], "# label=a,b": [],
+        "time_s,heat_flow_W": TRACE_ROWS, "time_s , heat_flow_W": TRACE_ROWS, "a,b": TRACE_ROWS,
+    },
+    "schedule": {
+        "duration_s,temperature_C,uv_on": SCHEDULE_ROWS,
+        "duration_s,temperature_K,uv_on": SCHEDULE_ROWS,
+        "duration_s,x,uv_on": SCHEDULE_ROWS, "duration_s,temperature_C": SCHEDULE_ROWS,
+    },
+    "fit-table": {
+        "label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error":
+            FIT_ROWS,
+        "label,temperature_K,k_per_s": FIT_ROWS,
+    },
+    "config": {
+        "[kinetics]": ["pre_exponential_per_s = 0.1703", "activation_energy_kj_per_mol = nan"],
+        "[actuator]": [
+            "max_pressure_kpa = 0", "max_pressure_kpa = 12", "angle_at_max_deg = 90",
+            "strain_at_max = 0.3", "angle_table = 0:0, 6:20, 12:35", "angle_table = 0:0, x",
+            "wall_material = ecoflex-20wt", "wall_material = nowhere",
+        ],
+        "[material.m]": ["modulus_pa = 5e4", "poisson = 0.5", "fracture_strain = -1"],
+        "[sensor.strain]": ["capacitance_table = 0:10, 35:11", "capacitance_table = 1:2:3"],
+        "[simulation]": ["dt_s = 0", "timeout_s = inf"],
+        "[": [], "[nowhere]": [],
+    },
+    "mission": {
+        "[zone.a]": ZONE_ENTRIES, "[zone.b]": ZONE_ENTRIES,
+        "[script]": [
+            "move_to = 0.5", "move_to = 9", "dwell = 5", "dwell = 0", "await_uv_dose = 0.5",
+            "await_uv_dose = 2", "self_destruct", "jump = 1",
+        ],
+        "[robot]": ["position = 0.5", "position = x"],
+        "[alarms]": [
+            "rule = alpha >= 0.5 -> half", "rule = abs(t) > 1e999 -> big", "rule = t ->",
+            "rule = zz > 1 -> no",
+        ],
+        "[]": [],
+    },
+}
+READERS = {
+    "trace": read_trace_csv,
+    "schedule": _read_schedule_csv,
+    "fit-table": _read_fit_table,
+    "config": load_calibration_file,
+    "mission": load_mission,
+}
+
+
+def file_bytes(blocks):
+    """Arbitrary bytes, or a file of blocks drawn from ``blocks`` (head -> body lines)."""
+    block = st.sampled_from(sorted(blocks.items())).flatmap(
+        lambda item: st.lists(st.sampled_from(item[1] + JUNK), max_size=6).map(
+            lambda body: [item[0], *body]
+        )
+    )
+    drawn = st.lists(block, min_size=1, max_size=4).map(
+        lambda blocks: "\n".join(line for lines in blocks for line in lines).encode()
+    )
+    return st.one_of(st.binary(max_size=64), drawn)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_any_bytes_give_a_value_or_a_config_error(kind, tmp_path):
+    path = tmp_path / "input"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=file_bytes(BLOCKS[kind]))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            READERS[kind](path)
+        except ConfigError:
+            pass
+
+    check()
