@@ -92,6 +92,14 @@ def _load_effective_calibration(args) -> Calibration:
     return cal
 
 
+def _step_size(args, cal: Calibration) -> float:
+    """``--dt`` if given, else the calibration's ``[simulation] dt_s``; finite and > 0."""
+    dt = args.dt if args.dt is not None else cal.simulation.dt_s
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"step size must be finite and > 0 s, got {dt!r}")
+    return dt
+
+
 def _outdir(args) -> Path:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -270,8 +278,7 @@ def cmd_predict(args) -> int:
         photolysis = PhotolysisState.saturated(cal.dpi_initial, cal.photolysis_rate)
     else:
         photolysis = PhotolysisState(dpi_initial=cal.dpi_initial, k_photo=cal.photolysis_rate)
-    dt = args.dt if args.dt is not None else cal.simulation.dt_s
-    dt = min(dt, schedule.min_duration)
+    dt = min(_step_size(args, cal), schedule.min_duration)
     series = integrate_conversion(
         schedule, params, photolysis, dt, hf_sat=cal.hf_saturation
     )
@@ -297,7 +304,7 @@ def cmd_simulate(args) -> int:
     mission_path = resolve_preset_path(args.mission)
     world, script, start = load_mission(mission_path, cal.simulation)
     specs = MissionSpecs.from_calibration(cal, alarm_rules=script.alarm_rules)
-    dt = args.dt if args.dt is not None else cal.simulation.dt_s
+    dt = _step_size(args, cal)
     records = run(world, script, specs.initial_robot(start), specs, dt=dt, seed=args.seed)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
     _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))

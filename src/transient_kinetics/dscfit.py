@@ -336,16 +336,20 @@ def read_trace_csv(path: str | Path) -> DscTrace:
     if len(times) < 2:
         raise TraceParseError("trace needs at least 2 data rows", rows[-1][0])
 
+    if "temperature_K" not in meta:
+        raise TraceParseError("missing '# temperature_K=' metadata", 1)
     try:
         temperature_k = float(meta["temperature_K"])
-    except KeyError:
-        raise TraceParseError("missing '# temperature_K=' metadata", 1) from None
     except ValueError:
-        raise TraceParseError(f"bad temperature_K value {meta['temperature_K']!r}", 1) from None
+        temperature_k = math.nan
+    if not 0.0 < temperature_k < math.inf:
+        raise TraceParseError(
+            f"bad temperature_K value {meta['temperature_K']!r}", meta.lines["temperature_K"]
+        )
     try:
         uv_on = parse_bool(meta.get("uv_on", "false"))
     except ValueError as exc:
-        raise TraceParseError(str(exc), 1) from None
+        raise TraceParseError(str(exc), meta.lines["uv_on"]) from None
     label = meta.get("label", "")
     try:
         return DscTrace(

@@ -37,15 +37,24 @@ def read_text(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
+class Metadata(dict):
+    """The ``# key=value`` metadata of a CSV file; ``lines[key]`` is its file line number."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: dict[str, int] = {}
+
+
 def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]):
     """Read a comma-separated input file into ``(metadata, rows)``.
 
     ``rows`` lists ``(file line number, cells)`` of the stripped lines, header
     first. Blank lines and ``#`` lines are skipped; ``# key=value`` lines fill
-    ``metadata``. A missing header, or a row whose cell count differs from the
-    header's, raises ``error(message, line number)`` of the caller's class.
+    ``metadata``, a ``Metadata`` that also keeps each key's line. A missing
+    header, or a row whose cell count differs from the header's, raises
+    ``error(message, line number)`` of the caller's class.
     """
-    metadata: dict[str, str] = {}
+    metadata = Metadata()
     rows: list[tuple[int, list[str]]] = []
     for n, raw in enumerate(read_text(path, what).splitlines(), start=1):
         line = raw.strip()
@@ -54,7 +63,9 @@ def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]
         if line[0] == "#":
             key, eq, value = line[1:].partition("=")
             if eq:
-                metadata[key.strip()] = value.strip()
+                key = key.strip()
+                metadata[key] = value.strip()
+                metadata.lines[key] = n
             continue
         cells = line.split(",")
         if rows and len(cells) != len(rows[0][1]):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,6 +25,8 @@ from .fileio import read_text
 from .kinetics import ArrheniusParams, advance, arrhenius_rate
 from .mechanics import ActuatorSpec, GaitState, gait_advance
 from .sensors import (
+    SENSOR_KINDS,
+    STATUS_DEGRADED,
     PhotodiodeSpec,
     SensorHealth,
     StrainSensorSpec,
@@ -50,6 +53,8 @@ RULE_FIELDS = (
 )
 
 _POSITION_EPS = 1e-9
+
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -84,21 +89,17 @@ class Condition:
     value: float
     use_abs: bool = False
 
+    def __post_init__(self):
+        if self.op not in _OPERATORS:
+            raise ConfigError(f"unknown operator {self.op!r}")
+
     def holds(self, record: "TelemetryRecord") -> bool:
         reading = getattr(record, self.field)
         if reading is None:
             return False
         if self.use_abs:
             reading = abs(reading)
-        if self.op == ">":
-            return reading > self.value
-        if self.op == ">=":
-            return reading >= self.value
-        if self.op == "<":
-            return reading < self.value
-        if self.op == "<=":
-            return reading <= self.value
-        raise ConfigError(f"unknown operator {self.op!r}")
+        return _OPERATORS[self.op](reading, self.value)
 
 
 @dataclass(frozen=True)
@@ -127,25 +128,16 @@ class Event:
 
 
 @dataclass(frozen=True)
-class SensorHealthSet:
-    strain: SensorHealth
-    temp: SensorHealth
-    photo: SensorHealth
-
-
-@dataclass(frozen=True)
 class RobotState:
-    """Full simulated state; advanced immutably one step at a time."""
+    """Full simulated state; advanced immutably one step at a time.
+
+    Sensor status is not stored: it is a function of ``alpha``.
+    """
 
     position: float
     alpha: float = 0.0
     hf_fraction: float = 0.0
     gait: GaitState = field(default_factory=GaitState)
-    sensor_health: SensorHealthSet = field(
-        default_factory=lambda: SensorHealthSet(
-            strain=SensorHealth(), temp=SensorHealth(), photo=SensorHealth()
-        )
-    )
     operational: bool = True
     clock: float = 0.0
     body_temperature_c: float | None = None
@@ -181,7 +173,7 @@ class MissionSpecs:
     photodiode: PhotodiodeSpec
     settings: SimulationSettings
     alarm_rules: tuple[AlarmRule, ...]
-    reaction_order: float = 1.0
+    # failure thresholds shared by all three sensor channels
     health_template: SensorHealth = SensorHealth()
 
     @classmethod
@@ -205,12 +197,7 @@ class MissionSpecs:
         )
 
     def initial_robot(self, position: float) -> RobotState:
-        h = self.health_template
-        return RobotState(
-            position=position,
-            gait=GaitState(position=position),
-            sensor_health=SensorHealthSet(strain=h, temp=h, photo=h),
-        )
+        return RobotState(position=position, gait=GaitState(position=position))
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -281,7 +268,8 @@ def step(
     specs: MissionSpecs,
     dt: float,
     drive: float = 0.0,
-    noise_seed: int = 0,
+    seed: int = 0,
+    step_index: int = 0,
     pending_events: tuple[Event, ...] = (),
 ) -> tuple[RobotState, TelemetryRecord]:
     """Advance one step of length dt.
@@ -290,7 +278,8 @@ def step(
     sensor readings and events are taken at the end-of-step position.
     ``drive`` in [-1, 1] is the commanded locomotion fraction (sign is
     direction); actual motion also scales with the mobility flag derived
-    from the updated conversion.
+    from the updated conversion. A degraded strain reading is jittered
+    from a generator seeded by ``(seed, step_index)``.
     """
     if dt <= 0:
         raise SimulationFault("dt must be > 0")
@@ -300,8 +289,8 @@ def step(
     env = locate_zone(world, robot.position)
     settings = specs.settings
 
-    # photolysis dose as a fraction (hf_max = 1), then conversion: exact
-    # exponential sub-steps at frozen conditions
+    # photolysis dose as a fraction (hf_max = 1), then first-order
+    # conversion: exact exponential sub-steps at frozen conditions
     hf, alpha = advance(
         robot.hf_fraction,
         robot.alpha,
@@ -311,7 +300,7 @@ def step(
         specs.photolysis_rate,
         1.0,
         specs.hf_sat,
-        specs.reaction_order,
+        1.0,
     )
 
     mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
@@ -339,23 +328,15 @@ def step(
         body_temp_c = zone_temp_c
         tracked_temp_c = None
 
-    # sensor health transitions
-    old_health = robot.sensor_health
-    new_health = SensorHealthSet(
-        strain=replace(old_health.strain, status=old_health.strain.status_at(alpha)),
-        temp=replace(old_health.temp, status=old_health.temp.status_at(alpha)),
-        photo=replace(old_health.photo, status=old_health.photo.status_at(alpha)),
-    )
+    # all three channels share one set of thresholds, so one status
+    health = specs.health_template
+    old_status = health.status_at(robot.alpha)
+    status = health.status_at(alpha)
 
     # readings through the degradation overlay
     raw_resistance = temp_resistance(specs.temp_sensor, body_temp_c)
     resistance = apply_degradation(
-        raw_resistance,
-        "temp",
-        alpha,
-        new_health.temp,
-        noise_seed=noise_seed,
-        fail_resistance=specs.temp_sensor.fail_resistance,
+        raw_resistance, "temp", alpha, health, fail_resistance=specs.temp_sensor.fail_resistance
     )
     try:
         temp_reading = read_temperature(specs.temp_sensor, resistance)
@@ -363,14 +344,12 @@ def step(
         temp_reading = None
 
     raw_capacitance = strain_capacitance(specs.strain_sensor, gait.current_angle)
-    capacitance = apply_degradation(
-        raw_capacitance, "strain", alpha, new_health.strain, noise_seed=noise_seed
-    )
+    # only the degraded strain reading draws from the seeded generator
+    noise_seed = _step_seed(seed, step_index) if status == STATUS_DEGRADED else None
+    capacitance = apply_degradation(raw_capacitance, "strain", alpha, health, noise_seed=noise_seed)
 
     raw_current = photodiode_current(specs.photodiode, settings.monitor_bias_v, here.uv_on)
-    photocurrent = apply_degradation(
-        raw_current, "photo", alpha, new_health.photo, noise_seed=noise_seed
-    )
+    photocurrent = apply_degradation(raw_current, "photo", alpha, health)
 
     clock = robot.clock + dt
     provisional = TelemetryRecord(
@@ -393,13 +372,8 @@ def step(
         events.append(Event("zone-entry", here.name))
         if temp_reading is not None:
             events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
-    for kind, old, new in (
-        ("strain", old_health.strain.status, new_health.strain.status),
-        ("temp", old_health.temp.status, new_health.temp.status),
-        ("photo", old_health.photo.status, new_health.photo.status),
-    ):
-        if new != old:
-            events.append(Event(f"sensor-{new}", kind))
+    if status != old_status:
+        events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
     if robot.operational and not operational:
         events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
     tag_by_message = {rule.message: rule.tag for rule in specs.alarm_rules}
@@ -422,7 +396,6 @@ def step(
         alpha=alpha,
         hf_fraction=hf,
         gait=gait,
-        sensor_health=new_health,
         operational=operational,
         clock=clock,
         body_temperature_c=tracked_temp_c,
@@ -462,7 +435,8 @@ def run(
             specs,
             dt,
             drive=drive,
-            noise_seed=_step_seed(seed, step_index),
+            seed=seed,
+            step_index=step_index,
             pending_events=pending,
         )
         records.append(record)

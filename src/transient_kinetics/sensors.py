@@ -100,15 +100,12 @@ class PhotodiodeSpec:
 
 @dataclass(frozen=True)
 class SensorHealth:
-    """Failure thresholds and current status of one sensor channel."""
+    """Failure thresholds of a sensor channel; its status follows from alpha."""
 
-    status: str = STATUS_OPERATIONAL
     alpha_degrade: float = 0.3
     alpha_fail: float = 0.7
 
     def __post_init__(self):
-        if self.status not in (STATUS_OPERATIONAL, STATUS_DEGRADED, STATUS_FAILED):
-            raise DomainError(f"unknown status {self.status!r}")
         if not 0.0 < self.alpha_degrade < self.alpha_fail <= 1.0:
             raise DomainError("need 0 < alpha_degrade < alpha_fail <= 1")
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +18,15 @@ from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def cli(*args, cwd=None):
+    """Run the CLI of this source tree in a child process."""
     cmd = [sys.executable, "-m", "transient_kinetics.cli", *[str(a) for a in args]]
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def main_in_process(capsys, *args):
@@ -368,6 +375,22 @@ class TestSimulate:
         proc = cli("simulate", "missing.mission", "--out", tmp_path / "out")
         assert proc.returncode == 2
 
+    def test_replay_bytes_are_pinned(self, tmp_path, capsys):
+        # SHA-256 of the bundled mission's telemetry at seed 11, dt 1 (8 534 steps)
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "simulate", "scout_demo.mission", "--seed", 11, "--dt", 1, "--out", out
+        )
+        assert code == 0, err
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("telemetry.jsonl", "telemetry.csv")
+        }
+        assert digests == {
+            "telemetry.jsonl": "26879f8076b94fe4542d64776ad87c03bac5f62868912a7f8caef9ad40d8a50e",
+            "telemetry.csv": "8a672b40e5a6b101830c6cde588f1b020e9870c3e62961a1276d1573564d8bf3",
+        }
+
     def test_stranded_mission_exits_0_with_terminal_event(self, tmp_path):
         mission = tmp_path / "strand.mission"
         mission.write_text(
@@ -457,6 +480,41 @@ class TestUndecodableInput:
         code, err = main_in_process(capsys, *args, "--out", tmp_path / "out")
         assert code == 2
         assert f"cannot read {what} {bad}: 'utf-8' codec can't decode byte 0x80" in err
+
+
+class TestStepSize:
+    @pytest.mark.parametrize(
+        "command, dt, config_dt",
+        [
+            ("simulate", "0", None),
+            ("simulate", "-1", None),
+            ("simulate", "nan", None),
+            ("simulate", "inf", None),
+            ("predict", "nan", None),
+            ("simulate", None, "0"),
+        ],
+    )
+    def test_invalid_step_exits_2(self, tmp_path, capsys, command, dt, config_dt):
+        if command == "simulate":
+            target = tmp_path / "lab.mission"
+            target.write_text(
+                "[zone.1]\nname = lab\nx_min = 0\nx_max = 1\ntemperature_c = 25\n"
+                "[script]\nmove_to = 0.9\ndwell = 5\n"
+            )
+        else:
+            target = tmp_path / "sched.csv"
+            target.write_text("duration_s,temperature_C,uv_on\n100,25,true\n")
+        args = [command, target, "--out", tmp_path / "out"]
+        if dt is not None:
+            args += ["--dt", dt]
+        if config_dt is not None:
+            cfg = tmp_path / "step.cfg"
+            cfg.write_text(f"[simulation]\ndt_s = {config_dt}\n")
+            args += ["--config", cfg]
+        code, err = main_in_process(capsys, *args)
+        assert code == 2
+        assert "step size must be finite and > 0 s" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestGlobalBehavior:

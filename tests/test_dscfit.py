@@ -276,13 +276,21 @@ class TestTraceCsv:
             read_trace_csv(path)
         assert err.value.line_number == 5
 
-    def test_bad_uv_on_word_reports_line_1(self, tmp_path):
+    def test_bad_uv_on_word_reports_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# temperature_K=300\n# uv_on=maybe\ntime_s,heat_flow_W\n0,1\n1,0.5\n")
         with pytest.raises(TraceParseError) as err:
             read_trace_csv(path)
-        assert err.value.line_number == 1
+        assert err.value.line_number == 2
         assert "expected a boolean, got 'maybe'" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5", "0"])
+    def test_bad_temperature_reports_its_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# uv_on=true\n# temperature_K={value}\ntime_s,heat_flow_W\n0,1\n1,0.5\n")
+        with pytest.raises(TraceParseError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == f"line 2: bad temperature_K value {value!r}"
 
     def test_failed_rename_keeps_old_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
@@ -306,5 +314,6 @@ class TestTraceCsv:
     def test_missing_temperature_metadata(self, tmp_path):
         path = tmp_path / "nometa.csv"
         path.write_text("time_s,heat_flow_W\n0,1\n1,0.5\n")
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceParseError) as err:
             read_trace_csv(path)
+        assert err.value.line_number == 1

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from transient_kinetics import mission
 from transient_kinetics.config import default_calibration, presets_dir
 from transient_kinetics.errors import ConfigError, SimulationFault
 from transient_kinetics.kinetics import arrhenius_rate
@@ -19,6 +20,7 @@ from transient_kinetics.mission import (
     MissionSpecs,
     TelemetryRecord,
     Zone,
+    _step_seed,
     default_alarm_rules,
     evaluate_alarms,
     load_mission,
@@ -30,6 +32,12 @@ from transient_kinetics.mission import (
     telemetry_to_jsonl,
     validate_world,
 )
+from transient_kinetics.sensors import (
+    SENSOR_KINDS,
+    STATUS_DEGRADED,
+    apply_degradation,
+    strain_capacitance,
+)
 
 CAL = default_calibration()
 
@@ -39,6 +47,13 @@ def make_specs(**settings_overrides):
     if settings_overrides:
         cal = replace(cal, simulation=replace(cal.simulation, **settings_overrides))
     return MissionSpecs.from_calibration(cal)
+
+
+def scout_run():
+    """The bundled mission at seed 11, dt 1: (specs, records)."""
+    world, script, start = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
+    specs = MissionSpecs.from_calibration(CAL, alarm_rules=script.alarm_rules)
+    return specs, run(world, script, specs.initial_robot(start), specs, dt=1.0, seed=11)
 
 
 def benign_world():
@@ -185,6 +200,10 @@ class TestAlarms:
         with pytest.raises(ConfigError):
             parse_alarm_rule("temp_c >> 1 -> boom")
 
+    def test_unknown_operator_refused_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown operator '=='"):
+            Condition("alpha", "==", 0.5)
+
 
 class TestRun:
     def test_benign_dwell_changes_nothing_but_clock(self):
@@ -317,6 +336,55 @@ class TestRun:
             return robot.alpha
 
         assert abs(final_alpha(1.0) - final_alpha(0.5)) < 1e-6
+
+
+class TestSensorStatus:
+    def test_sensor_events_follow_status_of_alpha(self):
+        specs, records = scout_run()
+        status_at = specs.health_template.status_at
+        previous = status_at(0.0)
+        changes = []
+        for i, record in enumerate(records):
+            status = status_at(record.alpha)
+            sensor_events = [e for e in record.events if e.tag.startswith("sensor-")]
+            if status != previous:
+                changes.append(status)
+                assert sensor_events == [Event(f"sensor-{status}", k) for k in SENSOR_KINDS], i
+            else:
+                assert sensor_events == [], i
+            previous = status
+        assert changes == ["degraded", "failed"]
+
+    def test_degraded_strain_jitter_seeded_by_seed_and_step_index(self):
+        world = benign_world()
+        specs = make_specs(mobility_loss_alpha=1.0)
+        robot = replace(specs.initial_robot(0.5), alpha=0.5)
+        raw = strain_capacitance(specs.strain_sensor, robot.gait.current_angle)
+        readings = set()
+        for i in (0, 1, 7, 4096):
+            _, record = step(world, robot, specs, dt=1.0, seed=11, step_index=i)
+            expected = apply_degradation(
+                raw, "strain", 0.5, specs.health_template, noise_seed=_step_seed(11, i)
+            )
+            assert record.capacitance_pf == expected
+            readings.add(record.capacitance_pf)
+        assert len(readings) == 4
+
+    def test_step_seed_made_only_for_degraded_strain(self, monkeypatch):
+        calls = []
+
+        def counting_seed(seed, step_index):
+            calls.append(step_index)
+            return _step_seed(seed, step_index)
+
+        monkeypatch.setattr(mission, "_step_seed", counting_seed)
+        specs, records = scout_run()
+        degraded = [
+            i for i, r in enumerate(records)
+            if specs.health_template.status_at(r.alpha) == STATUS_DEGRADED
+        ]
+        assert degraded
+        assert calls == degraded
 
 
 class TestMissionFile:

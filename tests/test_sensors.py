@@ -175,8 +175,6 @@ class TestApplyDegradation:
     def test_health_thresholds_validation(self):
         with pytest.raises(DomainError):
             SensorHealth(alpha_degrade=0.7, alpha_fail=0.3)
-        with pytest.raises(DomainError):
-            SensorHealth(status="broken")
 
     def test_status_bands(self):
         assert HEALTH.status_at(0.0) == "operational"
