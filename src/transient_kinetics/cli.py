@@ -28,6 +28,7 @@ from .config import (
     resolve_preset_path,
 )
 from .dscfit import (
+    check_synthesis,
     fit_arrhenius,
     fit_rate_constant,
     read_trace_csv,
@@ -108,7 +109,6 @@ def _outdir(args) -> Path:
 
 def cmd_fit_dsc(args) -> int:
     cal = _load_effective_calibration(args)
-    outdir = _outdir(args)
     rows = []
     any_failed = False
     for path in args.traces:
@@ -161,6 +161,7 @@ def cmd_fit_dsc(args) -> int:
                 )
             )
         )
+    outdir = _outdir(args)
     _atomic_write(outdir / "fits.csv", "\n".join(lines) + "\n")
     _write_summary(outdir, "fit-dsc", cal, {"fits": rows})
     return EXIT_FAILED if any_failed else EXIT_OK
@@ -168,7 +169,6 @@ def cmd_fit_dsc(args) -> int:
 
 def cmd_arrhenius(args) -> int:
     cal = _load_effective_calibration(args)
-    outdir = _outdir(args)
     points = _read_fit_table(Path(args.fit_table))
     temps = {p[0] for p in points}
     if len(points) < 2 or len(temps) < 2:
@@ -180,6 +180,7 @@ def cmd_arrhenius(args) -> int:
     plot_lines = ["inv_temperature_per_K,ln_k"]
     for temp, k in fit.points:
         plot_lines.append(f"{1.0 / temp!r},{math.log(k)!r}")
+    outdir = _outdir(args)
     _atomic_write(outdir / "arrhenius_points.csv", "\n".join(plot_lines) + "\n")
     results = {
         "pre_exponential_per_s": fit.params.pre_exponential,
@@ -266,7 +267,6 @@ def _times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict[str, float | Non
 
 def cmd_predict(args) -> int:
     cal = _load_effective_calibration(args)
-    outdir = _outdir(args)
     overrides = {}
     if args.pre_exponential is not None:
         overrides["pre_exponential"] = args.pre_exponential
@@ -285,6 +285,7 @@ def cmd_predict(args) -> int:
     lines = ["t_s,alpha,hf_fraction"]
     for t, alpha, hf in zip(series.t, series.alpha, series.hf_fraction):
         lines.append(f"{float(t)!r},{float(alpha)!r},{float(hf)!r}")
+    outdir = _outdir(args)
     _atomic_write(outdir / "conversion_profile.csv", "\n".join(lines) + "\n")
     results = {
         "final_alpha": float(series.alpha[-1]),
@@ -300,12 +301,12 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     cal = _load_effective_calibration(args)
-    outdir = _outdir(args)
     mission_path = resolve_preset_path(args.mission)
     world, script, start = load_mission(mission_path, cal.simulation)
     specs = MissionSpecs.from_calibration(cal, alarm_rules=script.alarm_rules)
     dt = _step_size(args, cal)
     records = run(world, script, specs.initial_robot(start), specs, dt=dt, seed=args.seed)
+    outdir = _outdir(args)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
     _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))
     final = records[-1]
@@ -328,26 +329,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_synth(args) -> int:
     cal = _load_effective_calibration(args)
-    outdir = _outdir(args)
-    jobs = []
     if args.temperature_c:
-        for t_c in args.temperature_c:
-            temp_k = t_c + 273.15
-            k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
-            jobs.append((k, temp_k, f"synth-{t_c:g}C"))
+        holds = [(t_c + 273.15, f"synth-{t_c:g}C") for t_c in args.temperature_c]
+    elif args.k is not None:
+        holds = [(298.15, "synth")]
     else:
-        if args.k is None:
-            raise ConfigError("give --k or at least one --temperature-c")
-        jobs.append((args.k, 298.15, "synth"))
-
-    written = []
-    for index, (k, temp_k, label) in enumerate(jobs):
+        raise ConfigError("give --k or at least one --temperature-c")
+    jobs = []
+    for temp_k, label in holds:
+        k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
         t_end = args.t_end if args.t_end is not None else 20.0 / k
         dt = args.dt_sample if args.dt_sample is not None else t_end / 1500.0
+        check_synthesis(k, args.enthalpy, (dt, t_end), args.noise)
+        jobs.append((k, temp_k, label, (dt, t_end)))
+
+    outdir = _outdir(args)
+    written = []
+    for index, (k, temp_k, label, sampling) in enumerate(jobs):
         trace = synthesize_trace(
             k,
             args.enthalpy,
-            (dt, t_end),
+            sampling,
             noise_fraction=args.noise,
             seed=args.seed + index,
             temperature_k=temp_k,

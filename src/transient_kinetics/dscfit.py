@@ -267,6 +267,21 @@ def fit_arrhenius(points) -> ArrheniusFit:
     return ArrheniusFit(params=params, r_squared=r_squared, points=pts)
 
 
+def check_synthesis(
+    k: float, total_enthalpy: float, sampling: tuple[float, float], noise_fraction: float = 0.0
+) -> None:
+    """Refuse what ``synthesize_trace`` cannot sample: every value finite,
+    k, dH, t_end and dt > 0, and t_end at least 10 * dt."""
+    dt, t_end = sampling
+    for name, value in (("k", k), ("total_enthalpy", total_enthalpy), ("t_end", t_end), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    if t_end < 10 * dt:
+        raise DomainError("t_end must be at least 10 * dt")
+    if not math.isfinite(noise_fraction):
+        raise DomainError(f"noise_fraction must be finite, got {noise_fraction!r}")
+
+
 def synthesize_trace(
     k: float,
     total_enthalpy: float,
@@ -282,15 +297,8 @@ def synthesize_trace(
     Noise is scaled by the peak amplitude k * dH (the t = 0 heat flow)
     and is reproducible for a fixed seed.
     """
+    check_synthesis(k, total_enthalpy, sampling, noise_fraction)
     dt, t_end = sampling
-    if k <= 0:
-        raise DomainError("k must be > 0")
-    if total_enthalpy <= 0:
-        raise DomainError("total_enthalpy must be > 0")
-    if dt <= 0:
-        raise DomainError("dt must be > 0")
-    if t_end < 10 * dt:
-        raise DomainError("t_end must be at least 10 * dt")
     n = int(math.floor(t_end / dt)) + 1
     t = np.arange(n) * dt
     q = k * total_enthalpy * np.exp(-k * t)

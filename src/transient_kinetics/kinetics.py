@@ -5,7 +5,8 @@ Pure functions built around three laws:
   * first-order photolysis of the fluoride generator,
     [HF](t) = [DPI-HFP]0 * (1 - exp(-k_photo * t))
   * first-order phase conversion, alpha(t) = 1 - exp(-k * t), with the
-    rate form d(alpha)/dt = k(T) * (1 - alpha)^n
+    rate form d(alpha)/dt = k(T) * (1 - alpha) (``conversion_rate`` also
+    evaluates other orders n, which no integrator uses)
   * the Arrhenius temperature dependence k(T) = A * exp(-Ea / (R * T))
 
 All quantities are SI (s, K, J, mol, W). Activation energy is stored in
@@ -37,10 +38,10 @@ class ArrheniusParams:
     activation_energy: float
 
     def __post_init__(self):
-        if self.pre_exponential <= 0:
-            raise DomainError("pre_exponential must be > 0")
-        if self.activation_energy < 0:
-            raise DomainError("activation_energy must be >= 0")
+        if not 0 < self.pre_exponential < math.inf:
+            raise DomainError(f"pre_exponential must be finite and > 0, got {self.pre_exponential!r}")
+        if not 0 <= self.activation_energy < math.inf:
+            raise DomainError(f"activation_energy must be finite and >= 0, got {self.activation_energy!r}")
 
     @classmethod
     def from_kj_per_mol(cls, pre_exponential: float, activation_energy_kj: float) -> "ArrheniusParams":
@@ -86,10 +87,10 @@ class ScheduleSegment:
     uv_on: bool
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise DomainError("segment duration must be > 0")
-        if self.temperature <= 0:
-            raise DomainError("segment temperature must be > 0 K")
+        if not 0 < self.duration < math.inf:
+            raise DomainError(f"segment duration must be finite and > 0 s, got {self.duration!r}")
+        if not 0 < self.temperature < math.inf:
+            raise DomainError(f"segment temperature must be finite and > 0 K, got {self.temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -206,22 +207,14 @@ def trigger_coupling(hf_fraction: float, hf_sat: float = DEFAULT_HF_SAT) -> floa
     return min(1.0, hf_fraction / hf_sat)
 
 
-def _advance_alpha(alpha: float, k_eff: float, dt: float, order: float) -> float:
-    """Exact constant-rate update of d(alpha)/dt = k_eff * (1-alpha)^n over dt."""
+def _advance_alpha(alpha: float, k_eff: float, dt: float) -> float:
+    """Exact constant-rate update of d(alpha)/dt = k_eff * (1 - alpha) over dt."""
     if k_eff <= 0.0:
         return alpha
     u = 1.0 - alpha
     if u <= 0.0:
         return 1.0
-    if order == 1.0:
-        return 1.0 - u * math.exp(-k_eff * dt)
-    if order == 0.0:
-        return min(1.0, alpha + k_eff * dt)
-    base = u ** (1.0 - order) - (1.0 - order) * k_eff * dt
-    if base <= 0.0:
-        # reaction completes within the step (possible for order < 1)
-        return 1.0
-    return 1.0 - base ** (1.0 / (1.0 - order))
+    return 1.0 - u * math.exp(-k_eff * dt)
 
 
 def advance(
@@ -233,7 +226,6 @@ def advance(
     k_photo: float,
     hf_max: float,
     hf_sat: float,
-    order: float,
 ) -> tuple[float, float]:
     """One exact step of the coupled dose and conversion laws at frozen conditions.
 
@@ -245,7 +237,7 @@ def advance(
     if uv_on:
         hf = hf_max + (hf - hf_max) * math.exp(-k_photo * dt)
     g = trigger_coupling(hf / hf_max, hf_sat)
-    return hf, _advance_alpha(alpha, k_thermal * g, dt, order)
+    return hf, _advance_alpha(alpha, k_thermal * g, dt)
 
 
 def integrate_conversion(
@@ -253,7 +245,6 @@ def integrate_conversion(
     params: ArrheniusParams,
     photolysis: PhotolysisState,
     dt: float,
-    reaction_order: float = 1.0,
     hf_sat: float = DEFAULT_HF_SAT,
 ) -> ConversionSeries:
     """March the coupled photolysis/conversion laws through a schedule.
@@ -289,7 +280,6 @@ def integrate_conversion(
                 photolysis.k_photo,
                 photolysis.dpi_initial,
                 hf_sat,
-                reaction_order,
             )
             t += step
             remaining -= step

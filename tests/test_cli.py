@@ -21,12 +21,17 @@ ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli(*args, cwd=None):
-    """Run the CLI of this source tree in a child process."""
-    cmd = [sys.executable, "-m", "transient_kinetics.cli", *[str(a) for a in args]]
+def run_python(*args, cwd=None, timeout=None):
+    """Run this interpreter on ``args`` with this source tree importable."""
+    cmd = [sys.executable, *[str(a) for a in args]]
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout)
+
+
+def cli(*args, cwd=None, timeout=None):
+    """Run the CLI of this source tree in a child process."""
+    return run_python("-m", "transient_kinetics.cli", *args, cwd=cwd, timeout=timeout)
 
 
 def main_in_process(capsys, *args):
@@ -515,6 +520,85 @@ class TestStepSize:
         assert code == 2
         assert "step size must be finite and > 0 s" in err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+
+class TestNonFiniteInput:
+    def test_infinite_segment_duration_exits_2(self, tmp_path):
+        # a hang here is a regression: the step loop never ends
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\ninf,120,true\n")
+        out = tmp_path / "out"
+        proc = cli("predict", sched, "--out", out, timeout=20)
+        assert proc.returncode == 2
+        assert f"{sched}:2: segment duration must be finite and > 0 s, got inf" in proc.stderr
+        assert not out.exists()
+
+    def test_nan_pre_exponential_exits_2(self, tmp_path, capsys):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n1000,120,true\n")
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("[kinetics]\npre_exponential_per_s = nan\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--config", cfg, "--out", out)
+        assert code == 2
+        assert "pre_exponential must be finite and > 0, got nan" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--k", "nan"], "k must be finite and > 0, got nan"),
+            (["--k", "1e-3", "--dt-sample", "nan"], "dt must be finite and > 0, got nan"),
+            (["--k", "1e-3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
+            (["--k", "1e-3", "--enthalpy", "nan"], "total_enthalpy must be finite and > 0, got nan"),
+            (["--k", "1e-3", "--noise", "nan"], "noise_fraction must be finite, got nan"),
+        ],
+        ids=["k", "dt-sample", "t-end", "enthalpy", "noise"],
+    )
+    def test_synth_refuses_non_finite_values(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "synth", *args, "--out", out)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+
+class TestRefusedRunLeavesNoOutput:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["fit-dsc", "{input}"], "# temperature_K=abc\ntime_s,heat_flow_W\n0,1\n1,0.5\n"),
+            (["arrhenius", "{input}"], "temperature_K,k_per_s,converged\n300,abc,true\n"),
+            (["predict", "{input}"], "duration_s,temperature_C,uv_on\n0,120,true\n"),
+            (["simulate", "scout_demo.mission", "--dt", "0"], None),
+            (["synth", "--k", "1e-3", "--enthalpy", "-1"], None),
+        ],
+        ids=["fit-dsc", "arrhenius", "predict", "simulate", "synth"],
+    )
+    def test_refused_run_creates_no_out_directory(self, tmp_path, capsys, command, text):
+        source = tmp_path / "input.csv"
+        if text is not None:
+            source.write_text(text)
+        args = [arg.format(input=source) for arg in command]
+        code, err = main_in_process(capsys, *args, "--out", tmp_path / "out" / "nested")
+        assert code == 2, err
+        assert not (tmp_path / "out").exists()
+
+
+class TestTracedBoundaries:
+    def test_tracer_finds_every_boundary(self, tmp_path):
+        # perfbench/tracer.py wraps the CLI's layer functions by name; a
+        # boundary that is renamed or re-signed shows up in its metadata
+        tracer = SRC.parent / "perfbench" / "tracer.py"
+        spans = tmp_path / "spans.npz"
+        proc = run_python(
+            tracer, spans, "simulate", "scout_demo.mission", "--dt", 10, "--out", tmp_path / "o"
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads(str(np.load(spans)["meta"]))
+        assert meta["missing"] == []
+        assert meta["hook_errors"] == []
+        assert meta["exit_code"] == 0
 
 
 class TestGlobalBehavior:
