@@ -28,6 +28,7 @@ from .config import (
     resolve_preset_path,
 )
 from .dscfit import (
+    check_positive,
     check_synthesis,
     fit_arrhenius,
     fit_rate_constant,
@@ -45,6 +46,7 @@ from .errors import (
 # perfbench/tracer.py times
 from .fileio import atomic_write as _atomic_write, parse_bool, read_csv
 from .kinetics import (
+    ZERO_CELSIUS_K,
     ExposureSchedule,
     PhotolysisState,
     ScheduleSegment,
@@ -52,7 +54,6 @@ from .kinetics import (
     integrate_conversion,
 )
 from .mission import (
-    MissionSpecs,
     load_mission,
     run,
     telemetry_to_csv,
@@ -214,9 +215,12 @@ def _read_fit_table(path: Path) -> list[tuple[float, float]]:
         if not converged or not cells[i_k].strip():
             continue
         try:
-            points.append((float(cells[i_temp]), float(cells[i_k])))
+            point = (float(cells[i_temp]), float(cells[i_k]))
         except ValueError:
             raise error("non-numeric fit-table row", n) from None
+        if not all(map(math.isfinite, point)):
+            raise error("non-finite number in fit-table row", n)
+        points.append(point)
     return points
 
 
@@ -231,7 +235,7 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
     for n, cells in rows[1:]:
         try:
             duration = float(cells[0])
-            temperature = float(cells[1]) + (273.15 if celsius else 0.0)
+            temperature = float(cells[1]) + (ZERO_CELSIUS_K if celsius else 0.0)
         except ValueError:
             raise error("non-numeric schedule row", n) from None
         try:
@@ -302,10 +306,9 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     cal = _load_effective_calibration(args)
     mission_path = resolve_preset_path(args.mission)
-    world, script, start = load_mission(mission_path, cal.simulation)
-    specs = MissionSpecs.from_calibration(cal, alarm_rules=script.alarm_rules)
+    mission = load_mission(mission_path, cal.simulation)
     dt = _step_size(args, cal)
-    records = run(world, script, specs.initial_robot(start), specs, dt=dt, seed=args.seed)
+    records = run(mission, cal, dt=dt, seed=args.seed)
     outdir = _outdir(args)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
     _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))
@@ -330,7 +333,7 @@ def cmd_simulate(args) -> int:
 def cmd_synth(args) -> int:
     cal = _load_effective_calibration(args)
     if args.temperature_c:
-        holds = [(t_c + 273.15, f"synth-{t_c:g}C") for t_c in args.temperature_c]
+        holds = [(t_c + ZERO_CELSIUS_K, f"synth-{t_c:g}C") for t_c in args.temperature_c]
     elif args.k is not None:
         holds = [(298.15, "synth")]
     else:
@@ -338,6 +341,7 @@ def cmd_synth(args) -> int:
     jobs = []
     for temp_k, label in holds:
         k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
+        check_positive("k", k)  # before the default t_end divides by it
         t_end = args.t_end if args.t_end is not None else 20.0 / k
         dt = args.dt_sample if args.dt_sample is not None else t_end / 1500.0
         check_synthesis(k, args.enthalpy, (dt, t_end), args.noise)

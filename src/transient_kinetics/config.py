@@ -12,6 +12,7 @@ drives parsing, unknown-key rejection and the summary echo.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -62,10 +63,14 @@ def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, Secti
 
 
 def as_float(value: str, context: str) -> float:
+    """The finite number ``value`` spells; NaN and +-inf are refused too."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def as_bool(value: str, context: str) -> bool:

@@ -267,6 +267,12 @@ def fit_arrhenius(points) -> ArrheniusFit:
     return ArrheniusFit(params=params, r_squared=r_squared, points=pts)
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not finite and > 0."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def check_synthesis(
     k: float, total_enthalpy: float, sampling: tuple[float, float], noise_fraction: float = 0.0
 ) -> None:
@@ -274,8 +280,7 @@ def check_synthesis(
     k, dH, t_end and dt > 0, and t_end at least 10 * dt."""
     dt, t_end = sampling
     for name, value in (("k", k), ("total_enthalpy", total_enthalpy), ("t_end", t_end), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        check_positive(name, value)
     if t_end < 10 * dt:
         raise DomainError("t_end must be at least 10 * dt")
     if not math.isfinite(noise_fraction):
@@ -343,6 +348,11 @@ def read_trace_csv(path: str | Path) -> DscTrace:
             raise TraceParseError(f"non-numeric row {','.join(cells)!r}", line_number) from None
     if len(times) < 2:
         raise TraceParseError("trace needs at least 2 data rows", rows[-1][0])
+    time_s, heat_flow_w = np.array(times), np.array(heats)
+    finite = np.isfinite(time_s) & np.isfinite(heat_flow_w)
+    if not finite.all():
+        line_number, cells = rows[1 + int(np.argmin(finite))]
+        raise TraceParseError(f"non-finite row {','.join(cells)!r}", line_number)
 
     if "temperature_K" not in meta:
         raise TraceParseError("missing '# temperature_K=' metadata", 1)
@@ -361,8 +371,8 @@ def read_trace_csv(path: str | Path) -> DscTrace:
     label = meta.get("label", "")
     try:
         return DscTrace(
-            time_s=np.array(times),
-            heat_flow_w=np.array(heats),
+            time_s=time_s,
+            heat_flow_w=heat_flow_w,
             temperature_k=temperature_k,
             uv_on=uv_on,
             label=label,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, UnreachableTargetError
 
 GAS_CONSTANT = 8.314  # J/(mol K)
+ZERO_CELSIUS_K = 273.15  # 0 C in K
 
 # Photolysis rate chosen so 95% of the fluoride generator is consumed by a
 # 30 min UV dose; the saturation fraction used for trigger coupling is that
@@ -106,10 +107,6 @@ class ExposureSchedule:
     @classmethod
     def from_tuples(cls, rows) -> "ExposureSchedule":
         return cls(tuple(ScheduleSegment(*row) for row in rows))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
 
     @property
     def min_duration(self) -> float:

@@ -22,15 +22,11 @@ import numpy as np
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
 from .errors import ConfigError, SensorFailedError, SimulationFault
 from .fileio import read_text
-from .kinetics import ArrheniusParams, advance, arrhenius_rate
-from .mechanics import ActuatorSpec, GaitState, gait_advance
+from .kinetics import ZERO_CELSIUS_K, advance, arrhenius_rate
+from .mechanics import GaitState, gait_advance
 from .sensors import (
     SENSOR_KINDS,
     STATUS_DEGRADED,
-    PhotodiodeSpec,
-    SensorHealth,
-    StrainSensorSpec,
-    TempSensorSpec,
     apply_degradation,
     photodiode_current,
     read_temperature,
@@ -98,13 +94,44 @@ class AlarmRule:
 
 
 @dataclass(frozen=True)
-class MissionScript:
+class Mission:
+    """A world of contiguous zones, a command script, its alarm rules and a start.
+
+    Every check runs when the mission is built, so a ``Mission`` that exists
+    is valid. ``start`` defaults to the midpoint of the first zone.
+    """
+
+    zones: tuple[Zone, ...]
     commands: tuple[Command, ...]
     alarm_rules: tuple[AlarmRule, ...]
+    start: float | None = None
 
     def __post_init__(self):
+        zones = validate_world(self.zones)
         if not self.commands:
             raise ConfigError("mission script must contain at least one command")
+        x_lo, x_hi = zones[0].x_min, zones[-1].x_max
+        for command in self.commands:
+            if command.kind != "self_destruct" and command.value is None:
+                raise ConfigError(f"command {command.kind!r} needs a value")
+            if command.kind == "move_to":
+                if not x_lo <= command.value <= x_hi:
+                    raise ConfigError(
+                        f"move_to target {command.value:g} outside world [{x_lo:g}, {x_hi:g}]"
+                    )
+            elif command.kind == "dwell":
+                if not 0.0 < command.value < math.inf:
+                    raise ConfigError("dwell duration must be finite and > 0")
+            elif command.kind == "await_uv_dose":
+                if not 0.0 <= command.value < 1.0:
+                    raise ConfigError("await_uv_dose fraction must lie in [0, 1)")
+            elif command.kind != "self_destruct":
+                raise ConfigError(f"unknown command {command.kind!r}")
+        start = 0.5 * (zones[0].x_min + zones[0].x_max) if self.start is None else self.start
+        if not x_lo <= start <= x_hi:
+            raise ConfigError(f"robot start position {start:g} outside world")
+        object.__setattr__(self, "zones", zones)
+        object.__setattr__(self, "start", start)
 
 
 @dataclass(frozen=True)
@@ -128,6 +155,11 @@ class RobotState:
     clock: float = 0.0
     body_temperature_c: float | None = None
     active_alarms: tuple[str, ...] = ()
+
+    @classmethod
+    def at(cls, position: float) -> "RobotState":
+        """A pristine robot standing at ``position``."""
+        return cls(position=position, gait=GaitState(position=position))
 
 
 @dataclass(frozen=True)
@@ -157,46 +189,6 @@ _CSV_FIELDS = tuple(f for f in fields(TelemetryRecord) if "csv" in f.metadata)
 TELEMETRY_CSV_HEADER = ",".join(f.metadata["csv"] for f in _CSV_FIELDS)
 _csv_values = operator.attrgetter(*(f.name for f in _CSV_FIELDS))
 RULE_FIELDS = tuple(name for name in _FIELD_NAMES if name not in ("zone", "events"))
-
-
-@dataclass(frozen=True)
-class MissionSpecs:
-    """Everything the stepper needs besides the world and the robot."""
-
-    kinetics: ArrheniusParams
-    photolysis_rate: float
-    hf_sat: float
-    actuator: ActuatorSpec
-    temp_sensor: TempSensorSpec
-    strain_sensor: StrainSensorSpec
-    photodiode: PhotodiodeSpec
-    settings: SimulationSettings
-    alarm_rules: tuple[AlarmRule, ...]
-    # failure thresholds shared by all three sensor channels
-    health_template: SensorHealth = SensorHealth()
-
-    @classmethod
-    def from_calibration(
-        cls,
-        cal: Calibration,
-        alarm_rules: tuple[AlarmRule, ...] | None = None,
-    ) -> "MissionSpecs":
-        rules = alarm_rules if alarm_rules is not None else default_alarm_rules(cal.simulation)
-        return cls(
-            kinetics=cal.kinetics,
-            photolysis_rate=cal.photolysis_rate,
-            hf_sat=cal.hf_saturation,
-            actuator=cal.actuator,
-            temp_sensor=cal.temp_sensor,
-            strain_sensor=cal.strain_sensor,
-            photodiode=cal.photodiode,
-            settings=cal.simulation,
-            alarm_rules=rules,
-            health_template=cal.health,
-        )
-
-    def initial_robot(self, position: float) -> RobotState:
-        return RobotState(position=position, gait=GaitState(position=position))
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -262,9 +254,9 @@ def _step_seed(seed: int, step_index: int) -> int:
 
 
 def step(
-    world,
+    mission: Mission,
     robot: RobotState,
-    specs: MissionSpecs,
+    cal: Calibration,
     dt: float,
     drive: float = 0.0,
     seed: int = 0,
@@ -285,20 +277,20 @@ def step(
     if not -1.0 <= drive <= 1.0:
         raise SimulationFault("drive must lie in [-1, 1]")
 
-    env = locate_zone(world, robot.position)
-    settings = specs.settings
+    env = locate_zone(mission.zones, robot.position)
+    settings = cal.simulation
 
     # photolysis dose as a fraction (hf_max = 1), then first-order
     # conversion: exact exponential sub-steps at frozen conditions
     hf, alpha = advance(
         robot.hf_fraction,
         robot.alpha,
-        arrhenius_rate(specs.kinetics, env.temperature),
+        arrhenius_rate(cal.kinetics, env.temperature),
         env.uv_on,
         dt,
-        specs.photolysis_rate,
+        cal.photolysis_rate,
         1.0,
-        specs.hf_sat,
+        cal.hf_saturation,
     )
 
     mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
@@ -308,15 +300,15 @@ def step(
     gait = robot.gait
     position = robot.position
     if drive != 0.0:
-        advanced = gait_advance(gait, specs.actuator, dt, mobility * abs(drive))
+        advanced = gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
         delta = advanced.position - gait.position
         position = robot.position + math.copysign(delta, drive)
         gait = replace(advanced, position=position)
-    here = locate_zone(world, position)
+    here = locate_zone(mission.zones, position)
 
     # body temperature tracks the local zone; with zero lag it is not
     # carried as state, so an inert step leaves the robot unchanged
-    zone_temp_c = here.temperature - 273.15
+    zone_temp_c = here.temperature - ZERO_CELSIUS_K
     if settings.body_thermal_lag_s > 0.0:
         previous = robot.body_temperature_c if robot.body_temperature_c is not None else zone_temp_c
         relax = math.exp(-dt / settings.body_thermal_lag_s)
@@ -327,26 +319,26 @@ def step(
         tracked_temp_c = None
 
     # all three channels share one set of thresholds, so one status
-    health = specs.health_template
+    health = cal.health
     old_status = health.status_at(robot.alpha)
     status = health.status_at(alpha)
 
     # readings through the degradation overlay
-    raw_resistance = temp_resistance(specs.temp_sensor, body_temp_c)
+    raw_resistance = temp_resistance(cal.temp_sensor, body_temp_c)
     resistance = apply_degradation(
-        raw_resistance, "temp", alpha, health, fail_resistance=specs.temp_sensor.fail_resistance
+        raw_resistance, "temp", alpha, health, fail_resistance=cal.temp_sensor.fail_resistance
     )
     try:
-        temp_reading = read_temperature(specs.temp_sensor, resistance)
+        temp_reading = read_temperature(cal.temp_sensor, resistance)
     except SensorFailedError:
         temp_reading = None
 
-    raw_capacitance = strain_capacitance(specs.strain_sensor, gait.current_angle)
+    raw_capacitance = strain_capacitance(cal.strain_sensor, gait.current_angle)
     # only the degraded strain reading draws from the seeded generator
     noise_seed = _step_seed(seed, step_index) if status == STATUS_DEGRADED else None
     capacitance = apply_degradation(raw_capacitance, "strain", alpha, health, noise_seed=noise_seed)
 
-    raw_current = photodiode_current(specs.photodiode, settings.monitor_bias_v, here.uv_on)
+    raw_current = photodiode_current(cal.photodiode, settings.monitor_bias_v, here.uv_on)
     photocurrent = apply_degradation(raw_current, "photo", alpha, health)
 
     clock = robot.clock + dt
@@ -362,7 +354,7 @@ def step(
         photocurrent_a=photocurrent,
         events=(),
     )
-    firing = evaluate_alarms(specs.alarm_rules, provisional)
+    firing = evaluate_alarms(mission.alarm_rules, provisional)
 
     events: list[Event] = list(pending_events)
     if here.name != env.name:
@@ -374,7 +366,7 @@ def step(
         events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
     if robot.operational and not operational:
         events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
-    tag_by_message = {rule.message: rule.tag for rule in specs.alarm_rules}
+    tag_by_message = {rule.message: rule.tag for rule in mission.alarm_rules}
     for message in firing:
         if message not in robot.active_alarms:
             events.append(Event(tag_by_message.get(message, "alarm"), message))
@@ -402,35 +394,26 @@ def step(
     return new_robot, record
 
 
-def run(
-    world,
-    script: MissionScript,
-    robot0: RobotState,
-    specs: MissionSpecs,
-    dt: float = 1.0,
-    seed: int = 0,
-) -> list[TelemetryRecord]:
-    """Execute the script, stepping until it completes or the robot is done.
+def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> list[TelemetryRecord]:
+    """Execute the mission's script from its start, stepping until it completes or the robot is done.
 
     Terminates when the command list is exhausted, conversion reaches
     the decomposed threshold, a move target becomes unreachable after
     mobility loss (logged as a "stranded" terminal event), or the
     simulation timeout expires ("timeout" event).
     """
-    zones = validate_world(world)
-    _validate_script(zones, script)
-    settings = specs.settings
+    settings = cal.simulation
     records: list[TelemetryRecord] = []
-    robot = robot0
+    robot = RobotState.at(mission.start)
     step_index = 0
-    speed = specs.actuator.speed
+    speed = cal.actuator.speed
 
     def do_step(drive: float, pending: tuple[Event, ...] = ()) -> None:
         nonlocal robot, step_index
         robot, record = step(
-            zones,
+            mission,
             robot,
-            specs,
+            cal,
             dt,
             drive=drive,
             seed=seed,
@@ -446,7 +429,7 @@ def run(
     def timed_out() -> bool:
         return robot.clock >= settings.timeout_s
 
-    for command in script.commands:
+    for command in mission.commands:
         if finished():
             break
         pending: tuple[Event, ...] = ()
@@ -478,30 +461,10 @@ def run(
                 if robot.hf_fraction >= command.value - 1e-12:
                     break
                 do_step(0.0, pending)
-            else:  # self_destruct; _validate_script admits no other kind
+            else:  # self_destruct; a Mission admits no other kind
                 do_step(0.0, pending)
             pending = ()
     return records
-
-
-def _validate_script(zones, script: MissionScript) -> None:
-    x_lo, x_hi = zones[0].x_min, zones[-1].x_max
-    for command in script.commands:
-        if command.kind != "self_destruct" and command.value is None:
-            raise ConfigError(f"command {command.kind!r} needs a value")
-        if command.kind == "move_to":
-            if not x_lo <= command.value <= x_hi:
-                raise ConfigError(
-                    f"move_to target {command.value:g} outside world [{x_lo:g}, {x_hi:g}]"
-                )
-        elif command.kind == "dwell":
-            if command.value <= 0:
-                raise ConfigError("dwell duration must be > 0")
-        elif command.kind == "await_uv_dose":
-            if not 0.0 <= command.value < 1.0:
-                raise ConfigError("await_uv_dose fraction must lie in [0, 1)")
-        elif command.kind != "self_destruct":
-            raise ConfigError(f"unknown command {command.kind!r}")
 
 
 _RULE_RE = re.compile(
@@ -528,26 +491,20 @@ def parse_alarm_rule(text: str, context: str = "<rule>") -> AlarmRule:
             raise ConfigError(
                 f"{context}: unknown telemetry field {fld!r} (valid: {', '.join(RULE_FIELDS)})"
             )
-        try:
-            value = float(m.group("value"))
-        except ValueError:
-            raise ConfigError(f"{context}: bad number in condition {chunk.strip()!r}") from None
+        value = as_float(m.group("value"), f"{context}: condition {chunk.strip()!r}")
         conditions.append(Condition(fld, m.group("op"), value, use_abs=bool(m.group("abs"))))
     return AlarmRule(message=message, conditions=tuple(conditions))
 
 
-def load_mission(
-    path: str | Path,
-    settings: SimulationSettings | None = None,
-) -> tuple[tuple[Zone, ...], MissionScript, float]:
-    """Load a world + script file ([zone.*], [script], [robot], [alarms]).
+def load_mission(path: str | Path, settings: SimulationSettings | None = None) -> Mission:
+    """Load a world + script file ([zone.*], [script], [robot], [alarms]) as a ``Mission``.
 
-    Returns (world, script, start_position); the start defaults to the
-    midpoint of the first zone.
+    A file without an [alarms] section gets ``default_alarm_rules(settings)``.
+    Every error names the file.
     """
     sections = parse_sections(read_text(path, "mission"), str(path))
 
-    zones: list[Zone] = []
+    zones: list[dict] = []  # Zone fields, built below with the Mission so their errors name the file
     commands: list[Command] = []
     rules: list[AlarmRule] = []
     start_position: float | None = None
@@ -562,14 +519,14 @@ def load_mission(
             if ("temperature_c" in data) == ("temperature_k" in data):
                 raise ConfigError(f"{ctx}: give exactly one of temperature_c / temperature_k")
             if "temperature_c" in data:
-                temperature = as_float(data["temperature_c"], ctx) + 273.15
+                temperature = as_float(data["temperature_c"], ctx) + ZERO_CELSIUS_K
             else:
                 temperature = as_float(data["temperature_k"], ctx)
             for key in ("x_min", "x_max"):
                 if key not in data:
                     raise ConfigError(f"{ctx}: missing key {key!r}")
             zones.append(
-                Zone(
+                dict(
                     x_min=as_float(data["x_min"], ctx),
                     x_max=as_float(data["x_max"], ctx),
                     temperature=temperature,
@@ -601,18 +558,11 @@ def load_mission(
         else:
             raise ConfigError(f"{path}: unknown section [{name}]")
 
-    world = validate_world(zones)
-    if saw_alarms:
-        alarm_rules = tuple(rules)
-    else:
-        alarm_rules = default_alarm_rules(settings if settings is not None else SimulationSettings())
-    script = MissionScript(commands=tuple(commands), alarm_rules=alarm_rules)
-    _validate_script(world, script)
-    if start_position is None:
-        start_position = 0.5 * (world[0].x_min + world[0].x_max)
-    if not world[0].x_min <= start_position <= world[-1].x_max:
-        raise ConfigError(f"{path}: robot start position {start_position:g} outside world")
-    return world, script, start_position
+    alarm_rules = tuple(rules) if saw_alarms else default_alarm_rules(settings or SimulationSettings())
+    try:
+        return Mission(tuple(Zone(**z) for z in zones), tuple(commands), alarm_rules, start_position)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def telemetry_to_jsonl(records) -> str:

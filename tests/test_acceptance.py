@@ -35,7 +35,7 @@ from transient_kinetics.mechanics import (
     gait_advance,
     max_channel_strain,
 )
-from transient_kinetics.mission import MissionSpecs, load_mission, run, telemetry_to_jsonl
+from transient_kinetics.mission import load_mission, run, telemetry_to_jsonl
 from transient_kinetics.sensors import (
     PhotodiodeSpec,
     SensorHealth,
@@ -200,14 +200,11 @@ MISSION_DT = 1.0
 @pytest.fixture(scope="module")
 def mission_replay():
     cal = default_calibration()
-    world, script, start = load_mission(
-        presets_dir() / "scout_demo.mission", cal.simulation
-    )
-    specs = MissionSpecs.from_calibration(cal, alarm_rules=script.alarm_rules)
+    mission = load_mission(presets_dir() / "scout_demo.mission", cal.simulation)
     started = time.perf_counter()
-    records = run(world, script, specs.initial_robot(start), specs, dt=MISSION_DT, seed=11)
+    records = run(mission, cal, dt=MISSION_DT, seed=11)
     runtime = time.perf_counter() - started
-    repeat = run(world, script, specs.initial_robot(start), specs, dt=MISSION_DT, seed=11)
+    repeat = run(mission, cal, dt=MISSION_DT, seed=11)
     return records, repeat, runtime
 
 
@@ -237,7 +234,7 @@ def test_c9b_mission_final_zone_decomposition_deadline(mission_replay):
     records, _, _ = mission_replay
     cal = default_calibration()
     settings = cal.simulation
-    world, _, _ = load_mission(presets_dir() / "scout_demo.mission", settings)
+    world = load_mission(presets_dir() / "scout_demo.mission", settings).zones
     terminal = [zone for zone in world if zone.name == "terminal-heat"]
     assert len(terminal) == 1, "the mission must define one terminal-heat zone"
     k = arrhenius_rate(cal.kinetics, terminal[0].temperature)

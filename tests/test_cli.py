@@ -541,19 +541,52 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "predict", sched, "--config", cfg, "--out", out)
         assert code == 2
-        assert "pre_exponential must be finite and > 0, got nan" in err
+        assert f"{cfg} [kinetics]: expected a finite number, got 'nan'" in err
+        assert not out.exists()
+
+    def test_nan_heat_flow_row_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        rows = [f"{t},{0.01 * 0.99 ** t!r}" for t in range(20)]
+        rows[7] = "7,nan"  # file line 11
+        trace.write_text("# temperature_K=393.15\n# uv_on=true\ntime_s,heat_flow_W\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "fit-dsc", trace, "--out", out)
+        assert code == 2
+        assert "line 11: non-finite row '7,nan'" in err
+        assert not out.exists()
+
+    def test_nan_fit_table_temperature_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "fits.csv"
+        table.write_text(
+            f"{TestArrhenius.HEADER}\nrow0,nan,1e-4,10.0,0.0,3,true,\n"
+            "row1,373.15,3e-4,10.0,0.0,3,true,\nrow2,393.15,6.7e-4,10.0,0.0,3,true,\n"
+        )
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 2
+        assert f"{table}:2: non-finite number in fit-table row" in err
+        assert not out.exists()
+
+    def test_nan_sensor_overlay_on_simulate_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("[sensor.temp]\nr0_ohm = nan\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--config", cfg, "--out", out)
+        assert code == 2
+        assert f"{cfg} [sensor.temp]: expected a finite number, got 'nan'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "args, message",
         [
             (["--k", "nan"], "k must be finite and > 0, got nan"),
+            (["--k", "0"], "k must be finite and > 0, got 0.0"),
             (["--k", "1e-3", "--dt-sample", "nan"], "dt must be finite and > 0, got nan"),
             (["--k", "1e-3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
             (["--k", "1e-3", "--enthalpy", "nan"], "total_enthalpy must be finite and > 0, got nan"),
             (["--k", "1e-3", "--noise", "nan"], "noise_fraction must be finite, got nan"),
         ],
-        ids=["k", "dt-sample", "t-end", "enthalpy", "noise"],
+        ids=["k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise"],
     )
     def test_synth_refuses_non_finite_values(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"
@@ -595,10 +628,21 @@ class TestTracedBoundaries:
             tracer, spans, "simulate", "scout_demo.mission", "--dt", 10, "--out", tmp_path / "o"
         )
         assert proc.returncode == 0, proc.stderr
-        meta = json.loads(str(np.load(spans)["meta"]))
+        with np.load(spans) as data:
+            meta = json.loads(str(data["meta"]))
+            name_id = data["name_id"]
         assert meta["missing"] == []
         assert meta["hook_errors"] == []
         assert meta["exit_code"] == 0
+        # a layer called through a local name, not the module attribute,
+        # escapes its wrapper: it would record no span without being missing
+        spans_of = {name: int(np.sum(name_id == i)) for i, name in enumerate(meta["names"])}
+        assert spans_of["mission.step"] == read_summary(tmp_path / "o")["results"]["steps"]
+        for layer in (
+            "mission.load", "mission.run", "mission.alarm", "kinetics.arrhenius", "sensors.degrade",
+            "mechanics.gait", "mission.jsonl", "mission.csv", "cli.write",
+        ):
+            assert spans_of[layer] >= 1, layer
 
 
 class TestGlobalBehavior:

@@ -1,7 +1,11 @@
 """The shared CSV reader, and the error contract of every input parser on any bytes."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from transient_kinetics.cli import _read_fit_table, _read_schedule_csv
@@ -90,6 +94,16 @@ BLOCKS = {
         "[]": [],
     },
 }
+# One input per format that holds a NaN or infinite number. The drawn files
+# reach such a case only now and then, so each is also tried on every run.
+NON_FINITE = {
+    "trace": b"# temperature_K=393.15\ntime_s,heat_flow_W\n0,1\nnan,inf\n",
+    "schedule": b"duration_s,temperature_C,uv_on\ninf,25,true\n",
+    "fit-table": b"label,temperature_K,k_per_s,converged\nr,nan,inf,1\nq,393.15,1e-3,1\n",
+    "config": b"[simulation]\ntimeout_s = inf\n",
+    "mission": b"[zone.a]\nx_max = 1\nx_min = 0\ntemperature_c = 25\n[script]\ndwell = 5\n"
+    b"[alarms]\nrule = abs(t) > 1e999 -> big\n",
+}
 READERS = {
     "trace": read_trace_csv,
     "schedule": _read_schedule_csv,
@@ -112,17 +126,35 @@ def file_bytes(blocks):
     return st.one_of(st.binary(max_size=64), drawn)
 
 
+def non_finite_numbers(value) -> list:
+    """Every NaN or infinite number held in ``value``, through dataclass fields,
+    tuples, lists, dict values and numpy arrays."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [value]
+    if isinstance(value, np.ndarray):
+        return value[~np.isfinite(value)].tolist()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in non_finite_numbers(item)]
+    return []
+
+
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_any_bytes_give_a_value_or_a_config_error(kind, tmp_path):
     path = tmp_path / "input"
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=file_bytes(BLOCKS[kind]))
+    @example(data=NON_FINITE[kind])
     def check(data):
         path.write_bytes(data)
         try:
-            READERS[kind](path)
+            value = READERS[kind](path)
         except ConfigError:
-            pass
+            return
+        assert non_finite_numbers(value) == []
 
     check()

@@ -16,8 +16,8 @@ from transient_kinetics.mission import (
     Command,
     Condition,
     Event,
-    MissionScript,
-    MissionSpecs,
+    Mission,
+    RobotState,
     TelemetryRecord,
     Zone,
     _step_seed,
@@ -42,18 +42,20 @@ from transient_kinetics.sensors import (
 CAL = default_calibration()
 
 
-def make_specs(**settings_overrides):
-    cal = CAL
-    if settings_overrides:
-        cal = replace(cal, simulation=replace(cal.simulation, **settings_overrides))
-    return MissionSpecs.from_calibration(cal)
+def make_cal(**settings_overrides):
+    return replace(CAL, simulation=replace(CAL.simulation, **settings_overrides))
+
+
+def make_mission(world, commands=(Command("dwell", 1.0),), start=None, rules=None):
+    """A Mission over ``world``, with the default alarm rules unless ``rules`` is given."""
+    if rules is None:
+        rules = default_alarm_rules(CAL.simulation)
+    return Mission(tuple(world), tuple(commands), rules, start)
 
 
 def scout_run():
-    """The bundled mission at seed 11, dt 1: (specs, records)."""
-    world, script, start = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
-    specs = MissionSpecs.from_calibration(CAL, alarm_rules=script.alarm_rules)
-    return specs, run(world, script, specs.initial_robot(start), specs, dt=1.0, seed=11)
+    """The records of the bundled mission at seed 11, dt 1."""
+    return run(load_mission(presets_dir() / "scout_demo.mission", CAL.simulation), CAL, dt=1.0, seed=11)
 
 
 def benign_world():
@@ -104,59 +106,59 @@ class TestWorldGeometry:
 
 class TestStep:
     def test_uv_off_zone_keeps_alpha_zero(self):
-        world = (Zone(0.0, 1.0, 393.15, False, "hot-dark"),)
-        specs = make_specs()
-        robot = specs.initial_robot(0.5)
+        mission = make_mission((Zone(0.0, 1.0, 393.15, False, "hot-dark"),))
+        cal = make_cal()
+        robot = RobotState.at(0.5)
         for _ in range(500):
-            robot, record = step(world, robot, specs, dt=10.0)
+            robot, record = step(mission, robot, cal, dt=10.0)
         assert robot.alpha == 0.0
         assert robot.hf_fraction == 0.0
 
     def test_parked_saturated_matches_analytic(self):
-        world = (Zone(0.0, 1.0, 393.15, True, "hot-uv"),)
-        specs = make_specs(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
-        robot = replace(specs.initial_robot(0.5), hf_fraction=1.0)
-        k = arrhenius_rate(specs.kinetics, 393.15)
+        mission = make_mission((Zone(0.0, 1.0, 393.15, True, "hot-uv"),))
+        cal = make_cal(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
+        robot = replace(RobotState.at(0.5), hf_fraction=1.0)
+        k = arrhenius_rate(cal.kinetics, 393.15)
         for i in range(4454):
-            robot, record = step(world, robot, specs, dt=1.0)
+            robot, record = step(mission, robot, cal, dt=1.0)
         assert robot.alpha == pytest.approx(1.0 - math.exp(-k * 4454.0), abs=1e-6)
 
     def test_failed_sensors_in_telemetry(self):
-        world = benign_world()
-        specs = make_specs(mobility_loss_alpha=1.0)
-        robot = replace(specs.initial_robot(0.5), alpha=0.95)
-        robot, record = step(world, robot, specs, dt=1.0)
+        mission = make_mission(benign_world())
+        cal = make_cal(mobility_loss_alpha=1.0)
+        robot = replace(RobotState.at(0.5), alpha=0.95)
+        robot, record = step(mission, robot, cal, dt=1.0)
         assert record.temp_resistance_ohm == 1e6
         assert record.temp_c is None
         assert record.capacitance_pf is None
         assert record.photocurrent_a == 0.0
 
     def test_benign_step_preserves_state_except_clock(self):
-        world = benign_world()
-        specs = make_specs()
-        robot0 = specs.initial_robot(0.5)
+        mission = make_mission(benign_world())
+        cal = make_cal()
+        robot0 = RobotState.at(0.5)
         robot = robot0
         for _ in range(50):
-            robot, _ = step(world, robot, specs, dt=1.0)
+            robot, _ = step(mission, robot, cal, dt=1.0)
         assert replace(robot, clock=0.0) == replace(robot0, clock=0.0)
         assert robot.clock == 50.0
 
     def test_photolysis_accumulates_under_uv(self):
-        world = (Zone(0.0, 1.0, 298.15, True, "uv"),)
-        specs = make_specs()
-        robot = specs.initial_robot(0.5)
+        mission = make_mission((Zone(0.0, 1.0, 298.15, True, "uv"),))
+        cal = make_cal()
+        robot = RobotState.at(0.5)
         for _ in range(1800):
-            robot, _ = step(world, robot, specs, dt=1.0)
+            robot, _ = step(mission, robot, cal, dt=1.0)
         assert robot.hf_fraction == pytest.approx(0.95, abs=1e-9)
 
     def test_mobility_loss_freezes_position(self):
-        world = (Zone(0.0, 50.0, 393.15, True, "hot-uv"),)
-        specs = make_specs()
-        robot = replace(specs.initial_robot(0.1), hf_fraction=1.0)
+        mission = make_mission((Zone(0.0, 50.0, 393.15, True, "hot-uv"),))
+        cal = make_cal()
+        robot = replace(RobotState.at(0.1), hf_fraction=1.0)
         positions = []
         lost_at = None
         for i in range(1200):
-            robot, record = step(world, robot, specs, dt=1.0, drive=1.0)
+            robot, record = step(mission, robot, cal, dt=1.0, drive=1.0)
             positions.append(record.position)
             if lost_at is None and any(e.tag == "mobility-lost" for e in record.events):
                 lost_at = i
@@ -207,11 +209,8 @@ class TestAlarms:
 
 class TestRun:
     def test_benign_dwell_changes_nothing_but_clock(self):
-        specs = make_specs()
-        script = MissionScript(
-            commands=(Command("dwell", 30.0),), alarm_rules=specs.alarm_rules
-        )
-        records = run(benign_world(), script, specs.initial_robot(0.5), specs, dt=1.0, seed=1)
+        mission = make_mission(benign_world(), (Command("dwell", 30.0),), start=0.5)
+        records = run(mission, make_cal(), dt=1.0, seed=1)
         assert len(records) == 30
         final = records[-1]
         assert final.alpha == 0.0
@@ -220,21 +219,15 @@ class TestRun:
         assert [r.t for r in records] == [float(i + 1) for i in range(30)]
 
     def test_deterministic_replay(self):
-        world, script, start = load_mission(
-            presets_dir() / "scout_demo.mission", CAL.simulation
-        )
-        specs = MissionSpecs.from_calibration(CAL, alarm_rules=script.alarm_rules)
-        a = run(world, script, specs.initial_robot(start), specs, dt=1.0, seed=9)
-        b = run(world, script, specs.initial_robot(start), specs, dt=1.0, seed=9)
+        mission = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
+        a = run(mission, CAL, dt=1.0, seed=9)
+        b = run(mission, CAL, dt=1.0, seed=9)
         assert a == b
         assert telemetry_to_jsonl(a) == telemetry_to_jsonl(b)
 
     def test_alpha_and_hf_nondecreasing_and_clock_exact(self):
-        world, script, start = load_mission(
-            presets_dir() / "scout_demo.mission", CAL.simulation
-        )
-        specs = MissionSpecs.from_calibration(CAL, alarm_rules=script.alarm_rules)
-        records = run(world, script, specs.initial_robot(start), specs, dt=1.0, seed=9)
+        mission = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
+        records = run(mission, CAL, dt=1.0, seed=9)
         alphas = [r.alpha for r in records]
         doses = [r.hf_fraction for r in records]
         assert all(b >= a for a, b in zip(alphas, alphas[1:]))
@@ -246,12 +239,12 @@ class TestRun:
             Zone(0.0, 1.0, 298.15, False, "cool"),
             Zone(1.0, 2.0, 393.15, False, "hot"),
         )
-        specs = make_specs()
-        script = MissionScript(
-            commands=(Command("move_to", 1.5), Command("dwell", 120.0), Command("move_to", 0.2)),
-            alarm_rules=specs.alarm_rules,
+        mission = make_mission(
+            world,
+            (Command("move_to", 1.5), Command("dwell", 120.0), Command("move_to", 0.2)),
+            start=0.3,
         )
-        records = run(world, script, specs.initial_robot(0.3), specs, dt=1.0, seed=3)
+        records = run(mission, make_cal(), dt=1.0, seed=3)
         assert records[-1].alpha == 0.0
         assert all(r.alpha == 0.0 for r in records)
         assert records[-1].position == pytest.approx(0.2, abs=1e-9)
@@ -261,12 +254,10 @@ class TestRun:
             Zone(0.0, 1.0, 298.15, True, "uv"),
             Zone(1.0, 40.0, 393.15, False, "long-hot"),
         )
-        specs = make_specs()
-        script = MissionScript(
-            commands=(Command("await_uv_dose", 0.94), Command("move_to", 39.0)),
-            alarm_rules=specs.alarm_rules,
+        mission = make_mission(
+            world, (Command("await_uv_dose", 0.94), Command("move_to", 39.0)), start=0.5
         )
-        records = run(world, script, specs.initial_robot(0.5), specs, dt=1.0, seed=2)
+        records = run(mission, make_cal(), dt=1.0, seed=2)
         tags = [e.tag for r in records for e in r.events]
         assert "mobility-lost" in tags
         assert tags.count("stranded") == 1
@@ -279,26 +270,30 @@ class TestRun:
         assert all(r.position == frozen for r in records[lost_index:])
 
     def test_timeout_event(self):
-        world = benign_world()
-        specs = make_specs(timeout_s=25.0)
-        script = MissionScript(
-            commands=(Command("await_uv_dose", 0.5),), alarm_rules=specs.alarm_rules
-        )
-        records = run(world, script, specs.initial_robot(0.5), specs, dt=1.0, seed=0)
+        mission = make_mission(benign_world(), (Command("await_uv_dose", 0.5),), start=0.5)
+        records = run(mission, make_cal(timeout_s=25.0), dt=1.0, seed=0)
         assert any(e.tag == "timeout" for e in records[-1].events)
         assert records[-1].t == 26.0
 
     def test_move_lands_exactly(self):
-        specs = make_specs()
-        script = MissionScript(commands=(Command("move_to", 0.777),), alarm_rules=())
-        records = run(benign_world(), script, specs.initial_robot(0.5), specs, dt=1.0, seed=0)
+        mission = make_mission(benign_world(), (Command("move_to", 0.777),), start=0.5, rules=())
+        records = run(mission, make_cal(), dt=1.0, seed=0)
         assert records[-1].position == pytest.approx(0.777, abs=1e-9)
 
     def test_script_target_outside_world_rejected(self):
-        specs = make_specs()
-        script = MissionScript(commands=(Command("move_to", 5.0),), alarm_rules=())
         with pytest.raises(ConfigError):
-            run(benign_world(), script, specs.initial_robot(0.5), specs)
+            make_mission(benign_world(), (Command("move_to", 5.0),), start=0.5, rules=())
+
+    def test_run_evaluates_the_missions_own_rules(self):
+        # in a UV zone the default "UV detected" rule would fire on the first step
+        mission = Mission(
+            (Zone(0.0, 1.0, 298.15, True, "uv"),),
+            (Command("dwell", 3.0),),
+            (parse_alarm_rule("alpha >= 0 -> always on"),),
+        )
+        records = run(mission, default_calibration(), dt=1.0, seed=0)
+        assert len(records) == 3
+        assert [e for r in records for e in r.events] == [Event("alarm", "always on")]
 
     def test_parked_stepper_matches_schedule_integrator(self):
         # the stepper and the schedule integrator implement the same dose
@@ -309,30 +304,30 @@ class TestRun:
             integrate_conversion,
         )
 
-        world = (Zone(0.0, 1.0, 298.15, True, "uv"),)
-        specs = make_specs()
-        robot = specs.initial_robot(0.5)
+        mission = make_mission((Zone(0.0, 1.0, 298.15, True, "uv"),))
+        cal = make_cal()
+        robot = RobotState.at(0.5)
         for _ in range(1800):
-            robot, _ = step(world, robot, specs, dt=1.0)
+            robot, _ = step(mission, robot, cal, dt=1.0)
         schedule = ExposureSchedule.from_tuples([(1800.0, 298.15, True)])
         photolysis = PhotolysisState(
             dpi_initial=CAL.dpi_initial, k_photo=CAL.photolysis_rate
         )
         series = integrate_conversion(
-            schedule, specs.kinetics, photolysis, dt=1.0, hf_sat=specs.hf_sat
+            schedule, cal.kinetics, photolysis, dt=1.0, hf_sat=cal.hf_saturation
         )
         assert robot.alpha == pytest.approx(float(series.alpha[-1]), abs=1e-9)
         assert robot.hf_fraction == pytest.approx(float(series.hf_fraction[-1]), abs=1e-9)
 
     def test_dt_halving_parked_alpha_stable(self):
-        world = (Zone(0.0, 1.0, 393.15, True, "hot-uv"),)
-        specs = make_specs(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
+        mission = make_mission((Zone(0.0, 1.0, 393.15, True, "hot-uv"),))
+        cal = make_cal(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
 
         def final_alpha(dt):
-            robot = replace(specs.initial_robot(0.5), hf_fraction=1.0)
+            robot = replace(RobotState.at(0.5), hf_fraction=1.0)
             steps = int(600.0 / dt)
             for _ in range(steps):
-                robot, _ = step(world, robot, specs, dt=dt)
+                robot, _ = step(mission, robot, cal, dt=dt)
             return robot.alpha
 
         assert abs(final_alpha(1.0) - final_alpha(0.5)) < 1e-6
@@ -340,8 +335,8 @@ class TestRun:
 
 class TestSensorStatus:
     def test_sensor_events_follow_status_of_alpha(self):
-        specs, records = scout_run()
-        status_at = specs.health_template.status_at
+        records = scout_run()
+        status_at = CAL.health.status_at
         previous = status_at(0.0)
         changes = []
         for i, record in enumerate(records):
@@ -356,15 +351,15 @@ class TestSensorStatus:
         assert changes == ["degraded", "failed"]
 
     def test_degraded_strain_jitter_seeded_by_seed_and_step_index(self):
-        world = benign_world()
-        specs = make_specs(mobility_loss_alpha=1.0)
-        robot = replace(specs.initial_robot(0.5), alpha=0.5)
-        raw = strain_capacitance(specs.strain_sensor, robot.gait.current_angle)
+        mission = make_mission(benign_world())
+        cal = make_cal(mobility_loss_alpha=1.0)
+        robot = replace(RobotState.at(0.5), alpha=0.5)
+        raw = strain_capacitance(cal.strain_sensor, robot.gait.current_angle)
         readings = set()
         for i in (0, 1, 7, 4096):
-            _, record = step(world, robot, specs, dt=1.0, seed=11, step_index=i)
+            _, record = step(mission, robot, cal, dt=1.0, seed=11, step_index=i)
             expected = apply_degradation(
-                raw, "strain", 0.5, specs.health_template, noise_seed=_step_seed(11, i)
+                raw, "strain", 0.5, cal.health, noise_seed=_step_seed(11, i)
             )
             assert record.capacitance_pf == expected
             readings.add(record.capacitance_pf)
@@ -378,10 +373,10 @@ class TestSensorStatus:
             return _step_seed(seed, step_index)
 
         monkeypatch.setattr(mission, "_step_seed", counting_seed)
-        specs, records = scout_run()
+        records = scout_run()
         degraded = [
             i for i, r in enumerate(records)
-            if specs.health_template.status_at(r.alpha) == STATUS_DEGRADED
+            if CAL.health.status_at(r.alpha) == STATUS_DEGRADED
         ]
         assert degraded
         assert calls == degraded
@@ -389,17 +384,16 @@ class TestSensorStatus:
 
 class TestMissionFile:
     def test_bundled_mission_loads(self):
-        world, script, start = load_mission(
-            presets_dir() / "scout_demo.mission", CAL.simulation
-        )
+        mission = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
+        world = mission.zones
         assert [z.name for z in world] == [
             "staging", "heat-survey", "uv-trigger", "hot-hazard", "terminal-heat",
         ]
         assert world[1].temperature == pytest.approx(333.15)
         assert world[2].uv_on is True
-        assert script.commands[0] == Command("move_to", 0.75)
-        assert script.commands[-1] == Command("self_destruct")
-        assert start == 0.25
+        assert mission.commands[0] == Command("move_to", 0.75)
+        assert mission.commands[-1] == Command("self_destruct")
+        assert mission.start == 0.25
 
     def test_zone_requires_one_temperature_key(self, tmp_path):
         bad = tmp_path / "bad.mission"
@@ -417,10 +411,38 @@ class TestMissionFile:
             "[script]\ndwell = 5\n"
             "[alarms]\nrule = alpha >= 0.5 -> halfway gone\n"
         )
-        _, script, _ = load_mission(mission)
-        assert script.alarm_rules == (
+        assert load_mission(mission).alarm_rules == (
             AlarmRule("halfway gone", (Condition("alpha", ">=", 0.5),)),
         )
+
+    def test_start_defaults_to_first_zone_midpoint(self):
+        mission = make_mission((Zone(0.0, 1.0, 298.15, False, "a"), Zone(1.0, 3.0, 298.15, False, "b")))
+        assert mission.start == 0.5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[script]\ndwell = 5\n", "world must contain at least one zone"),
+            ("[zone.1]\nx_min = 1\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n",
+             "zone '1': need x_min < x_max"),
+            ("[zone.a]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n"
+             "[zone.b]\nx_min = 2\nx_max = 3\ntemperature_c = 25\n[script]\ndwell = 5\n",
+             "gap between zones 'a' and 'b'; spans must be contiguous"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\n",
+             "mission script must contain at least one command"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\nmove_to = 9\n",
+             "move_to target 9 outside world [0, 1]"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
+             "[robot]\nposition = 5\n", "robot start position 5 outside world"),
+        ],
+        ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start"],
+    )
+    def test_every_load_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "m.mission"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_mission(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_empty_script_rejected(self, tmp_path):
         mission = tmp_path / "m.mission"
