@@ -312,15 +312,18 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
     _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))
-    final = records[-1]
     terminal_tags = ("decomposed", "stranded", "timeout")
     terminal = [e.tag for r in records for e in r.events if e.tag in terminal_tags]
+    if records:
+        final_alpha, final_position = records[-1].alpha, records[-1].position
+    else:  # a script that needs no step leaves the robot pristine at its start
+        final_alpha, final_position = 0.0, mission.start
     results = {
         "mission": str(mission_path),
         "steps": len(records),
         "simulated_time_s": len(records) * dt,
-        "final_alpha": final.alpha,
-        "final_position_m": final.position,
+        "final_alpha": final_alpha,
+        "final_position_m": final_position,
         "terminal_events": terminal or ["script-complete"],
         "events": [
             {"t": r.t, "tag": e.tag, "message": e.message} for r in records for e in r.events

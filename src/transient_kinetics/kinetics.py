@@ -124,8 +124,8 @@ class ConversionSeries:
 
 def arrhenius_rate(params: ArrheniusParams, temperature: float) -> float:
     """Rate constant k = A * exp(-Ea / (R * T)) in 1/s."""
-    if temperature <= 0:
-        raise DomainError(f"temperature must be > 0 K, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise DomainError(f"temperature must be finite and > 0 K, got {temperature!r}")
     return params.pre_exponential * math.exp(
         -params.activation_energy / (GAS_CONSTANT * temperature)
     )

@@ -10,12 +10,14 @@ record. Runs are bit-reproducible for a given (inputs, seed) pair.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +54,8 @@ class Zone:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigError(f"zone {self.name!r}: need x_min < x_max")
-        if self.temperature <= 0:
-            raise ConfigError(f"zone {self.name!r}: temperature must be > 0 K")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"zone {self.name!r}: temperature must be finite and > 0 K")
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,18 @@ class Condition:
     def __post_init__(self):
         if self.op not in _OPERATORS:
             raise ConfigError(f"unknown operator {self.op!r}")
+        if self.field not in RULE_FIELDS:
+            raise ConfigError(f"unknown telemetry field {self.field!r}")
 
-    def holds(self, record: "TelemetryRecord") -> bool:
-        reading = getattr(record, self.field)
-        if reading is None:
-            return False
+    def compile(self) -> Callable[[tuple], bool]:
+        """A test over a step's field values in ``RULE_FIELDS`` order.
+
+        An unavailable (None) reading satisfies no condition.
+        """
+        index, compare, threshold = RULE_FIELDS.index(self.field), _OPERATORS[self.op], self.value
         if self.use_abs:
-            reading = abs(reading)
-        return _OPERATORS[self.op](reading, self.value)
+            return lambda values: (v := values[index]) is not None and compare(abs(v), threshold)
+        return lambda values: (v := values[index]) is not None and compare(v, threshold)
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,15 @@ class AlarmRule:
     message: str
     conditions: tuple[Condition, ...]
     tag: str = "alarm"
+
+    def compile(self) -> Callable[[tuple], bool]:
+        """A test over a step's field values: every condition holds."""
+        tests = [c.compile() for c in self.conditions]
+        return functools.reduce(_both, tests) if tests else lambda values: True
+
+
+def _both(first: Callable[[tuple], bool], second: Callable[[tuple], bool]) -> Callable[[tuple], bool]:
+    return lambda values: first(values) and second(values)
 
 
 @dataclass(frozen=True)
@@ -144,10 +159,12 @@ class Event:
 class RobotState:
     """Full simulated state; advanced immutably one step at a time.
 
+    ``zone_index`` is the index in the world of the zone at ``position``.
     Sensor status is not stored: it is a function of ``alpha``.
     """
 
     position: float
+    zone_index: int
     alpha: float = 0.0
     hf_fraction: float = 0.0
     gait: GaitState = field(default_factory=GaitState)
@@ -157,9 +174,13 @@ class RobotState:
     active_alarms: tuple[str, ...] = ()
 
     @classmethod
-    def at(cls, position: float) -> "RobotState":
-        """A pristine robot standing at ``position``."""
-        return cls(position=position, gait=GaitState(position=position))
+    def at(cls, position: float, world) -> "RobotState":
+        """A pristine robot standing at ``position`` in a world of zones."""
+        return cls(
+            position=position,
+            zone_index=locate_zone_index(world, position),
+            gait=GaitState(position=position),
+        )
 
 
 @dataclass(frozen=True)
@@ -189,6 +210,8 @@ _CSV_FIELDS = tuple(f for f in fields(TelemetryRecord) if "csv" in f.metadata)
 TELEMETRY_CSV_HEADER = ",".join(f.metadata["csv"] for f in _CSV_FIELDS)
 _csv_values = operator.attrgetter(*(f.name for f in _CSV_FIELDS))
 RULE_FIELDS = tuple(name for name in _FIELD_NAMES if name not in ("zone", "events"))
+# a record's field values in RULE_FIELDS order, the input of compiled alarm rules
+rule_values = operator.attrgetter(*RULE_FIELDS)
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -212,9 +235,18 @@ def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
     )
 
 
-def evaluate_alarms(rules, record: TelemetryRecord) -> list[str]:
-    """Messages of every rule whose conditions all hold on the record."""
-    return [rule.message for rule in rules if all(c.holds(record) for c in rule.conditions)]
+def compile_alarms(rules) -> tuple[tuple[str, Callable[[tuple], bool]], ...]:
+    """(message, test) of each rule, for ``evaluate_alarms``."""
+    return tuple((rule.message, rule.compile()) for rule in rules)
+
+
+def evaluate_alarms(alarms, values: tuple) -> list[str]:
+    """Messages of every compiled rule that holds on a step's field values.
+
+    ``alarms`` comes from ``compile_alarms``; ``values`` are in
+    ``RULE_FIELDS`` order, as ``rule_values(record)`` gives them.
+    """
+    return [message for message, test in alarms if test(values)]
 
 
 def validate_world(world) -> tuple[Zone, ...]:
@@ -236,34 +268,101 @@ def validate_world(world) -> tuple[Zone, ...]:
     return zones
 
 
-def locate_zone(world, position: float) -> Zone:
-    """Zone containing the point; shared boundaries belong to the left zone."""
+def locate_zone_index(world, position: float) -> int:
+    """Index of the zone containing the point; shared boundaries belong to the left zone."""
     if position < world[0].x_min or position > world[-1].x_max:
         raise SimulationFault(
             f"position {position:.6g} m escapes world bounds "
             f"[{world[0].x_min:.6g}, {world[-1].x_max:.6g}]"
         )
-    for zone in world:
+    for index, zone in enumerate(world):
         if position <= zone.x_max:
-            return zone
-    return world[-1]
+            return index
+    return len(world) - 1
+
+
+def locate_zone(world, position: float) -> Zone:
+    """Zone containing the point; shared boundaries belong to the left zone."""
+    return world[locate_zone_index(world, position)]
 
 
 def _step_seed(seed: int, step_index: int) -> int:
     return int(np.random.SeedSequence([seed, step_index]).generate_state(1)[0])
 
 
+class StepPlan:
+    """What stays constant over one run of a mission, built once and passed to every ``step``.
+
+    Holds the step size, each zone's rate constant k(T) and temperature in
+    degC, the thermal-lag relaxation factor, the compiled alarm rules and
+    their tags. Sensor readings that depend only on the zone, the sensor
+    status and the gait angle are computed on first use and cached, so a
+    zone the robot never enters is never read.
+    """
+
+    def __init__(self, mission: Mission, cal: Calibration, dt: float):
+        if not dt > 0:
+            raise SimulationFault("dt must be > 0")
+        self.cal = cal
+        self.dt = dt
+        self.zones = mission.zones
+        self.rates = tuple(arrhenius_rate(cal.kinetics, zone.temperature) for zone in self.zones)
+        self.zone_temps_c = tuple(zone.temperature - ZERO_CELSIUS_K for zone in self.zones)
+        lag = cal.simulation.body_thermal_lag_s
+        # None: the body is at its zone's temperature, and the temperature
+        # channel is cached with the other readings
+        self.relax = math.exp(-dt / lag) if lag > 0.0 else None
+        self.alarms = compile_alarms(mission.alarm_rules)
+        self.tag_by_message = {rule.message: rule.tag for rule in mission.alarm_rules}
+        self._readings: dict[tuple[int, str, float], tuple] = {}
+
+    def temperature_channel(self, body_temp_c: float, alpha: float) -> tuple[float, float | None]:
+        """(resistance, temperature reading) through the degradation overlay."""
+        spec = self.cal.temp_sensor
+        resistance = apply_degradation(
+            temp_resistance(spec, body_temp_c), "temp", alpha, self.cal.health,
+            fail_resistance=spec.fail_resistance,
+        )
+        try:
+            return resistance, read_temperature(spec, resistance)
+        except SensorFailedError:
+            return resistance, None
+
+    def readings(self, zone_index: int, status: str, angle: float, alpha: float) -> tuple:
+        """(resistance, temperature reading, capacitance, photocurrent) in a zone.
+
+        ``status`` is the sensor status at ``alpha``. A degraded capacitance
+        is the raw reading, which ``step`` jitters; with a thermal lag the
+        temperature pair is None, because ``step`` reads it per step.
+        """
+        key = (zone_index, status, angle)
+        cached = self._readings.get(key)
+        if cached is None:
+            cal, health = self.cal, self.cal.health
+            if self.relax is None:
+                resistance, temp_reading = self.temperature_channel(self.zone_temps_c[zone_index], alpha)
+            else:
+                resistance = temp_reading = None
+            capacitance = strain_capacitance(cal.strain_sensor, angle)
+            if status != STATUS_DEGRADED:
+                capacitance = apply_degradation(capacitance, "strain", alpha, health)
+            raw_current = photodiode_current(
+                cal.photodiode, cal.simulation.monitor_bias_v, self.zones[zone_index].uv_on
+            )
+            photocurrent = apply_degradation(raw_current, "photo", alpha, health)
+            cached = self._readings[key] = (resistance, temp_reading, capacitance, photocurrent)
+        return cached
+
+
 def step(
-    mission: Mission,
+    plan: StepPlan,
     robot: RobotState,
-    cal: Calibration,
-    dt: float,
     drive: float = 0.0,
     seed: int = 0,
     step_index: int = 0,
     pending_events: tuple[Event, ...] = (),
 ) -> tuple[RobotState, TelemetryRecord]:
-    """Advance one step of length dt.
+    """Advance one step of length ``plan.dt``.
 
     Kinetics run at the zone sampled from the start-of-step position;
     sensor readings and events are taken at the end-of-step position.
@@ -272,20 +371,20 @@ def step(
     from the updated conversion. A degraded strain reading is jittered
     from a generator seeded by ``(seed, step_index)``.
     """
-    if dt <= 0:
-        raise SimulationFault("dt must be > 0")
     if not -1.0 <= drive <= 1.0:
         raise SimulationFault("drive must lie in [-1, 1]")
 
-    env = locate_zone(mission.zones, robot.position)
+    cal, dt, zones = plan.cal, plan.dt, plan.zones
     settings = cal.simulation
+    env_index = robot.zone_index
+    env = zones[env_index]
 
     # photolysis dose as a fraction (hf_max = 1), then first-order
     # conversion: exact exponential sub-steps at frozen conditions
     hf, alpha = advance(
         robot.hf_fraction,
         robot.alpha,
-        arrhenius_rate(cal.kinetics, env.temperature),
+        plan.rates[env_index],
         env.uv_on,
         dt,
         cal.photolysis_rate,
@@ -299,50 +398,70 @@ def step(
     # locomotion: the pressure cycle runs only while a move is commanded
     gait = robot.gait
     position = robot.position
+    here_index = env_index
     if drive != 0.0:
         advanced = gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
         delta = advanced.position - gait.position
         position = robot.position + math.copysign(delta, drive)
         gait = replace(advanced, position=position)
-    here = locate_zone(mission.zones, position)
-
-    # body temperature tracks the local zone; with zero lag it is not
-    # carried as state, so an inert step leaves the robot unchanged
-    zone_temp_c = here.temperature - ZERO_CELSIUS_K
-    if settings.body_thermal_lag_s > 0.0:
-        previous = robot.body_temperature_c if robot.body_temperature_c is not None else zone_temp_c
-        relax = math.exp(-dt / settings.body_thermal_lag_s)
-        body_temp_c = zone_temp_c + (previous - zone_temp_c) * relax
-        tracked_temp_c: float | None = body_temp_c
-    else:
-        body_temp_c = zone_temp_c
-        tracked_temp_c = None
+        here_index = locate_zone_index(zones, position)
+    here = zones[here_index]
 
     # all three channels share one set of thresholds, so one status
     health = cal.health
     old_status = health.status_at(robot.alpha)
     status = health.status_at(alpha)
 
-    # readings through the degradation overlay
-    raw_resistance = temp_resistance(cal.temp_sensor, body_temp_c)
-    resistance = apply_degradation(
-        raw_resistance, "temp", alpha, health, fail_resistance=cal.temp_sensor.fail_resistance
-    )
-    try:
-        temp_reading = read_temperature(cal.temp_sensor, resistance)
-    except SensorFailedError:
-        temp_reading = None
-
-    raw_capacitance = strain_capacitance(cal.strain_sensor, gait.current_angle)
-    # only the degraded strain reading draws from the seeded generator
-    noise_seed = _step_seed(seed, step_index) if status == STATUS_DEGRADED else None
-    capacitance = apply_degradation(raw_capacitance, "strain", alpha, health, noise_seed=noise_seed)
-
-    raw_current = photodiode_current(cal.photodiode, settings.monitor_bias_v, here.uv_on)
-    photocurrent = apply_degradation(raw_current, "photo", alpha, health)
+    # body temperature tracks the local zone; with zero lag it is not
+    # carried as state, so an inert step leaves the robot unchanged
+    if plan.relax is None:
+        tracked_temp_c = None
+        resistance, temp_reading, capacitance, photocurrent = plan.readings(
+            here_index, status, gait.current_angle, alpha
+        )
+    else:
+        zone_temp_c = plan.zone_temps_c[here_index]
+        previous = robot.body_temperature_c if robot.body_temperature_c is not None else zone_temp_c
+        tracked_temp_c = zone_temp_c + (previous - zone_temp_c) * plan.relax
+        resistance, temp_reading = plan.temperature_channel(tracked_temp_c, alpha)
+        _, _, capacitance, photocurrent = plan.readings(here_index, status, gait.current_angle, alpha)
+    if status == STATUS_DEGRADED:
+        # only the degraded strain reading draws from the seeded generator
+        capacitance = apply_degradation(
+            capacitance, "strain", alpha, health, noise_seed=_step_seed(seed, step_index)
+        )
 
     clock = robot.clock + dt
-    provisional = TelemetryRecord(
+    # the record's field values in RULE_FIELDS order
+    firing = evaluate_alarms(
+        plan.alarms,
+        (clock, position, alpha, hf, resistance, temp_reading, capacitance, photocurrent),
+    )
+
+    events: list[Event] = list(pending_events)
+    if here_index != env_index:
+        events.append(Event("zone-exit", env.name))
+        events.append(Event("zone-entry", here.name))
+        if temp_reading is not None:
+            events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
+    if status != old_status:
+        events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
+    if robot.operational and not operational:
+        events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
+    tag_by_message = plan.tag_by_message
+    for message in firing:
+        if message not in robot.active_alarms:
+            events.append(Event(tag_by_message.get(message, "alarm"), message))
+    # leaving a zone while a hazard alarm (any non-detection rule) was
+    # active there counts as an escape
+    if here_index != env_index and any(
+        tag_by_message.get(m, "alarm") == "alarm" for m in robot.active_alarms
+    ):
+        events.append(Event("escape", f"left {env.name} under active alarm"))
+    if robot.alpha < settings.decomposed_alpha <= alpha:
+        events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
+
+    record = TelemetryRecord(
         t=clock,
         position=position,
         alpha=alpha,
@@ -352,37 +471,11 @@ def step(
         temp_c=temp_reading,
         capacitance_pf=capacitance,
         photocurrent_a=photocurrent,
-        events=(),
+        events=tuple(events),
     )
-    firing = evaluate_alarms(mission.alarm_rules, provisional)
-
-    events: list[Event] = list(pending_events)
-    if here.name != env.name:
-        events.append(Event("zone-exit", env.name))
-        events.append(Event("zone-entry", here.name))
-        if temp_reading is not None:
-            events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
-    if status != old_status:
-        events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
-    if robot.operational and not operational:
-        events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
-    tag_by_message = {rule.message: rule.tag for rule in mission.alarm_rules}
-    for message in firing:
-        if message not in robot.active_alarms:
-            events.append(Event(tag_by_message.get(message, "alarm"), message))
-    # leaving a zone while a hazard alarm (any non-detection rule) was
-    # active there counts as an escape
-    hazard_before = any(
-        tag_by_message.get(m, "alarm") == "alarm" for m in robot.active_alarms
-    )
-    if here.name != env.name and hazard_before:
-        events.append(Event("escape", f"left {env.name} under active alarm"))
-    if robot.alpha < settings.decomposed_alpha <= alpha:
-        events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
-
-    record = replace(provisional, events=tuple(events))
     new_robot = RobotState(
         position=position,
+        zone_index=here_index,
         alpha=alpha,
         hf_fraction=hf,
         gait=gait,
@@ -403,18 +496,17 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     simulation timeout expires ("timeout" event).
     """
     settings = cal.simulation
+    plan = StepPlan(mission, cal, dt)
     records: list[TelemetryRecord] = []
-    robot = RobotState.at(mission.start)
+    robot = RobotState.at(mission.start, mission.zones)
     step_index = 0
     speed = cal.actuator.speed
 
     def do_step(drive: float, pending: tuple[Event, ...] = ()) -> None:
         nonlocal robot, step_index
         robot, record = step(
-            mission,
+            plan,
             robot,
-            cal,
-            dt,
             drive=drive,
             seed=seed,
             step_index=step_index,

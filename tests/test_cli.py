@@ -380,21 +380,57 @@ class TestSimulate:
         proc = cli("simulate", "missing.mission", "--out", tmp_path / "out")
         assert proc.returncode == 2
 
-    def test_replay_bytes_are_pinned(self, tmp_path, capsys):
-        # SHA-256 of the bundled mission's telemetry at seed 11, dt 1 (8 534 steps)
-        out = tmp_path / "out"
+    @staticmethod
+    def telemetry_digests(capsys, out, *config):
+        """SHA-256 of the bundled mission's telemetry at seed 11, dt 1 (8 534 steps)."""
         code, err = main_in_process(
-            capsys, "simulate", "scout_demo.mission", "--seed", 11, "--dt", 1, "--out", out
+            capsys, "simulate", "scout_demo.mission", "--seed", 11, "--dt", 1, *config, "--out", out
         )
         assert code == 0, err
-        digests = {
+        return {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("telemetry.jsonl", "telemetry.csv")
         }
-        assert digests == {
+
+    def test_replay_bytes_are_pinned(self, tmp_path, capsys):
+        assert self.telemetry_digests(capsys, tmp_path / "out") == {
             "telemetry.jsonl": "26879f8076b94fe4542d64776ad87c03bac5f62868912a7f8caef9ad40d8a50e",
             "telemetry.csv": "8a672b40e5a6b101830c6cde588f1b020e9870c3e62961a1276d1573564d8bf3",
         }
+
+    def test_replay_bytes_are_pinned_with_thermal_lag_and_anchor_tables(self, tmp_path, capsys):
+        # the per-step temperature channel and the interpolated actuator and
+        # strain tables, which the bare run does not reach
+        cfg = tmp_path / "overlay.cfg"
+        cfg.write_text(
+            "[simulation]\nbody_thermal_lag_s = 30\n"
+            "[actuator]\nangle_table = 0:0, 6:20, 12:35\n"
+            "[sensor.strain]\ncapacitance_table = 0:10, 20:10.4, 35:11\n"
+        )
+        assert self.telemetry_digests(capsys, tmp_path / "out", "--config", cfg) == {
+            "telemetry.jsonl": "f8003df7c593c97945bc442ddbd6dfb13c0cf5c6ae731c3e2cf7099bc7bea5f3",
+            "telemetry.csv": "2e6aa2018d86e97504e044bdd87037c110836544994d3cc18f233fc3c11edf63",
+        }
+
+    def test_script_that_needs_no_step_completes(self, tmp_path, capsys):
+        mission = tmp_path / "parked.mission"
+        mission.write_text(
+            "[zone.1]\nname = lab\nx_min = 0\nx_max = 1\ntemperature_c = 25\n"
+            "[robot]\nposition = 0.5\n"
+            "[script]\nmove_to = 0.5\n"
+        )
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", mission, "--out", out)
+        assert code == 0, err
+        results = read_summary(out)["results"]
+        assert results["steps"] == 0
+        assert results["final_alpha"] == 0.0
+        assert results["final_position_m"] == 0.5
+        assert results["terminal_events"] == ["script-complete"]
+        assert (out / "telemetry.jsonl").read_text() == ""
+        assert (out / "telemetry.csv").read_text().splitlines() == [
+            "t,position,alpha,temp_C,capacitance_pF,photocurrent_A"
+        ]
 
     def test_stranded_mission_exits_0_with_terminal_event(self, tmp_path):
         mission = tmp_path / "strand.mission"
@@ -585,8 +621,10 @@ class TestNonFiniteInput:
             (["--k", "1e-3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
             (["--k", "1e-3", "--enthalpy", "nan"], "total_enthalpy must be finite and > 0, got nan"),
             (["--k", "1e-3", "--noise", "nan"], "noise_fraction must be finite, got nan"),
+            (["--temperature-c", "inf"], "temperature must be finite and > 0 K, got inf"),
+            (["--temperature-c", "nan"], "temperature must be finite and > 0 K, got nan"),
         ],
-        ids=["k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise"],
+        ids=["k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise", "temperature-inf", "temperature-nan"],
     )
     def test_synth_refuses_non_finite_values(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"
@@ -637,7 +675,11 @@ class TestTracedBoundaries:
         # a layer called through a local name, not the module attribute,
         # escapes its wrapper: it would record no span without being missing
         spans_of = {name: int(np.sum(name_id == i)) for i, name in enumerate(meta["names"])}
-        assert spans_of["mission.step"] == read_summary(tmp_path / "o")["results"]["steps"]
+        steps = read_summary(tmp_path / "o")["results"]["steps"]
+        assert spans_of["mission.step"] == steps
+        # k(T) is computed once per zone of a run, the alarms once per step
+        assert spans_of["kinetics.arrhenius"] <= 5  # the zones of scout_demo
+        assert spans_of["mission.alarm"] == steps
         for layer in (
             "mission.load", "mission.run", "mission.alarm", "kinetics.arrhenius", "sensors.degrade",
             "mechanics.gait", "mission.jsonl", "mission.csv", "cli.write",

@@ -5,8 +5,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transient_kinetics import mission
+from transient_kinetics import cli, mission
 from transient_kinetics.config import default_calibration, presets_dir
 from transient_kinetics.errors import ConfigError, SimulationFault
 from transient_kinetics.kinetics import arrhenius_rate
@@ -18,14 +20,17 @@ from transient_kinetics.mission import (
     Event,
     Mission,
     RobotState,
+    StepPlan,
     TelemetryRecord,
     Zone,
     _step_seed,
+    compile_alarms,
     default_alarm_rules,
     evaluate_alarms,
     load_mission,
     locate_zone,
     parse_alarm_rule,
+    rule_values,
     run,
     step,
     telemetry_to_csv,
@@ -107,27 +112,28 @@ class TestWorldGeometry:
 class TestStep:
     def test_uv_off_zone_keeps_alpha_zero(self):
         mission = make_mission((Zone(0.0, 1.0, 393.15, False, "hot-dark"),))
-        cal = make_cal()
-        robot = RobotState.at(0.5)
+        plan = StepPlan(mission, make_cal(), 10.0)
+        robot = RobotState.at(0.5, mission.zones)
         for _ in range(500):
-            robot, record = step(mission, robot, cal, dt=10.0)
+            robot, record = step(plan, robot)
         assert robot.alpha == 0.0
         assert robot.hf_fraction == 0.0
 
     def test_parked_saturated_matches_analytic(self):
         mission = make_mission((Zone(0.0, 1.0, 393.15, True, "hot-uv"),))
         cal = make_cal(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
-        robot = replace(RobotState.at(0.5), hf_fraction=1.0)
+        plan = StepPlan(mission, cal, 1.0)
+        robot = replace(RobotState.at(0.5, mission.zones), hf_fraction=1.0)
         k = arrhenius_rate(cal.kinetics, 393.15)
         for i in range(4454):
-            robot, record = step(mission, robot, cal, dt=1.0)
+            robot, record = step(plan, robot)
         assert robot.alpha == pytest.approx(1.0 - math.exp(-k * 4454.0), abs=1e-6)
 
     def test_failed_sensors_in_telemetry(self):
         mission = make_mission(benign_world())
         cal = make_cal(mobility_loss_alpha=1.0)
-        robot = replace(RobotState.at(0.5), alpha=0.95)
-        robot, record = step(mission, robot, cal, dt=1.0)
+        robot = replace(RobotState.at(0.5, mission.zones), alpha=0.95)
+        robot, record = step(StepPlan(mission, cal, 1.0), robot)
         assert record.temp_resistance_ohm == 1e6
         assert record.temp_c is None
         assert record.capacitance_pf is None
@@ -135,30 +141,30 @@ class TestStep:
 
     def test_benign_step_preserves_state_except_clock(self):
         mission = make_mission(benign_world())
-        cal = make_cal()
-        robot0 = RobotState.at(0.5)
+        plan = StepPlan(mission, make_cal(), 1.0)
+        robot0 = RobotState.at(0.5, mission.zones)
         robot = robot0
         for _ in range(50):
-            robot, _ = step(mission, robot, cal, dt=1.0)
+            robot, _ = step(plan, robot)
         assert replace(robot, clock=0.0) == replace(robot0, clock=0.0)
         assert robot.clock == 50.0
 
     def test_photolysis_accumulates_under_uv(self):
         mission = make_mission((Zone(0.0, 1.0, 298.15, True, "uv"),))
-        cal = make_cal()
-        robot = RobotState.at(0.5)
+        plan = StepPlan(mission, make_cal(), 1.0)
+        robot = RobotState.at(0.5, mission.zones)
         for _ in range(1800):
-            robot, _ = step(mission, robot, cal, dt=1.0)
+            robot, _ = step(plan, robot)
         assert robot.hf_fraction == pytest.approx(0.95, abs=1e-9)
 
     def test_mobility_loss_freezes_position(self):
         mission = make_mission((Zone(0.0, 50.0, 393.15, True, "hot-uv"),))
-        cal = make_cal()
-        robot = replace(RobotState.at(0.1), hf_fraction=1.0)
+        plan = StepPlan(mission, make_cal(), 1.0)
+        robot = replace(RobotState.at(0.1, mission.zones), hf_fraction=1.0)
         positions = []
         lost_at = None
         for i in range(1200):
-            robot, record = step(mission, robot, cal, dt=1.0, drive=1.0)
+            robot, record = step(plan, robot, drive=1.0)
             positions.append(record.position)
             if lost_at is None and any(e.tag == "mobility-lost" for e in record.events):
                 lost_at = i
@@ -169,23 +175,23 @@ class TestStep:
 
 class TestAlarms:
     def test_uv_detection_rule(self):
-        rules = default_alarm_rules(CAL.simulation)
+        alarms = compile_alarms(default_alarm_rules(CAL.simulation))
         record = record_with(photocurrent_a=-5e-8)
-        assert evaluate_alarms(rules, record) == ["UV detected"]
+        assert evaluate_alarms(alarms, rule_values(record)) == ["UV detected"]
 
     def test_benign_record_silent(self):
-        rules = default_alarm_rules(CAL.simulation)
-        assert evaluate_alarms(rules, record_with()) == []
+        alarms = compile_alarms(default_alarm_rules(CAL.simulation))
+        assert evaluate_alarms(alarms, rule_values(record_with())) == []
 
     def test_accelerated_decomposition_rule(self):
-        rules = default_alarm_rules(CAL.simulation)
+        alarms = compile_alarms(default_alarm_rules(CAL.simulation))
         record = record_with(hf_fraction=1.0, temp_c=120.0)
-        assert evaluate_alarms(rules, record) == ["accelerated decomposition risk"]
+        assert evaluate_alarms(alarms, rule_values(record)) == ["accelerated decomposition risk"]
 
     def test_failed_temp_reading_blocks_rule(self):
-        rules = default_alarm_rules(CAL.simulation)
+        alarms = compile_alarms(default_alarm_rules(CAL.simulation))
         record = record_with(hf_fraction=1.0, temp_c=None)
-        assert evaluate_alarms(rules, record) == []
+        assert evaluate_alarms(alarms, rule_values(record)) == []
 
     def test_parse_alarm_rule(self):
         rule = parse_alarm_rule("abs(photocurrent_a) > 1e-9 -> UV detected")
@@ -306,9 +312,10 @@ class TestRun:
 
         mission = make_mission((Zone(0.0, 1.0, 298.15, True, "uv"),))
         cal = make_cal()
-        robot = RobotState.at(0.5)
+        plan = StepPlan(mission, cal, 1.0)
+        robot = RobotState.at(0.5, mission.zones)
         for _ in range(1800):
-            robot, _ = step(mission, robot, cal, dt=1.0)
+            robot, _ = step(plan, robot)
         schedule = ExposureSchedule.from_tuples([(1800.0, 298.15, True)])
         photolysis = PhotolysisState(
             dpi_initial=CAL.dpi_initial, k_photo=CAL.photolysis_rate
@@ -324,13 +331,94 @@ class TestRun:
         cal = make_cal(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
 
         def final_alpha(dt):
-            robot = replace(RobotState.at(0.5), hf_fraction=1.0)
+            plan = StepPlan(mission, cal, dt)
+            robot = replace(RobotState.at(0.5, mission.zones), hf_fraction=1.0)
             steps = int(600.0 / dt)
             for _ in range(steps):
-                robot, _ = step(mission, robot, cal, dt=dt)
+                robot, _ = step(plan, robot)
             return robot.alpha
 
         assert abs(final_alpha(1.0) - final_alpha(0.5)) < 1e-6
+
+
+@st.composite
+def worlds_and_scripts(draw):
+    """A contiguous world of 1-4 zones and a script of moves and dwells.
+
+    Move targets and the start are often shared zone boundaries; at dt 5
+    one step can cross more than one zone.
+    """
+    edges = [0.0]
+    for width in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        edges.append(edges[-1] + 0.05 * width)
+    zones = tuple(
+        Zone(lo, hi, draw(st.sampled_from((298.15, 333.15, 393.15))), draw(st.booleans()), f"z{i}")
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    )
+    point = st.one_of(st.sampled_from(edges), st.floats(edges[0], edges[-1]))
+    command = st.one_of(
+        st.builds(lambda x: Command("move_to", x), point),
+        st.builds(lambda s: Command("dwell", s), st.floats(1.0, 300.0)),
+    )
+    commands = draw(st.lists(command, min_size=1, max_size=6))
+    return make_mission(zones, commands, start=draw(point)), draw(st.sampled_from((0.5, 1.0, 5.0)))
+
+
+class TestStepperInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(worlds_and_scripts())
+    def test_zone_events_dose_and_conversion(self, case):
+        mission, dt = case
+        zones = mission.zones
+        zone = locate_zone(zones, mission.start)
+        alpha = hf = 0.0
+        for record in run(mission, CAL, dt=dt, seed=0):
+            here = locate_zone(zones, record.position)
+            assert record.zone == here.name
+            crossings = [e for e in record.events if e.tag in ("zone-exit", "zone-entry")]
+            if here is zone:
+                assert crossings == []
+            else:
+                assert crossings == [Event("zone-exit", zone.name), Event("zone-entry", here.name)]
+            assert alpha <= record.alpha <= 1.0
+            assert hf <= record.hf_fraction <= 1.0
+            if not zone.uv_on:  # the step's kinetics ran in the zone it started in
+                assert record.hf_fraction == hf
+            zone, alpha, hf = here, record.alpha, record.hf_fraction
+
+    def test_alarms_see_the_records_field_values(self, monkeypatch):
+        seen = []
+
+        def recording(alarms, values):
+            seen.append(values)
+            return evaluate_alarms(alarms, values)
+
+        monkeypatch.setattr(mission, "evaluate_alarms", recording)
+        records = scout_run()
+        assert seen == [rule_values(r) for r in records]
+
+
+class TestSensorBand:
+    FURNACE = (
+        "[zone.lab]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n"
+        "[zone.furnace]\nx_min = 1\nx_max = 2\ntemperature_c = 250\n"
+        "[robot]\nposition = 0.5\n"
+    )
+
+    def simulate(self, tmp_path, capsys, script):
+        path = tmp_path / "furnace.mission"
+        path.write_text(self.FURNACE + "[script]\n" + script)
+        code = cli.main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_zone_outside_the_sensor_band_never_entered_is_harmless(self, tmp_path, capsys):
+        code, err = self.simulate(tmp_path, capsys, "dwell = 5\nmove_to = 0.9\n")
+        assert code == 0, err
+
+    def test_entering_a_zone_outside_the_sensor_band_exits_2(self, tmp_path, capsys):
+        code, err = self.simulate(tmp_path, capsys, "move_to = 1.5\n")
+        assert code == 2
+        assert "outside model band" in err
 
 
 class TestSensorStatus:
@@ -353,11 +441,12 @@ class TestSensorStatus:
     def test_degraded_strain_jitter_seeded_by_seed_and_step_index(self):
         mission = make_mission(benign_world())
         cal = make_cal(mobility_loss_alpha=1.0)
-        robot = replace(RobotState.at(0.5), alpha=0.5)
+        plan = StepPlan(mission, cal, 1.0)
+        robot = replace(RobotState.at(0.5, mission.zones), alpha=0.5)
         raw = strain_capacitance(cal.strain_sensor, robot.gait.current_angle)
         readings = set()
         for i in (0, 1, 7, 4096):
-            _, record = step(mission, robot, cal, dt=1.0, seed=11, step_index=i)
+            _, record = step(plan, robot, seed=11, step_index=i)
             expected = apply_degradation(
                 raw, "strain", 0.5, cal.health, noise_seed=_step_seed(11, i)
             )
