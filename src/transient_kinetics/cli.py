@@ -51,6 +51,7 @@ from .kinetics import (
     PhotolysisState,
     ScheduleSegment,
     arrhenius_rate,
+    check_temperature,
     integrate_conversion,
 )
 from .mission import (
@@ -108,23 +109,39 @@ def _outdir(args) -> Path:
     return outdir
 
 
+FIT_COLUMNS = (
+    "label", "temperature_K", "k_per_s", "total_enthalpy_J", "residual_rms_W",
+    "iterations", "converged", "error",
+)
+
+
+def _csv_cell(value) -> str:
+    """One fits.csv cell: None empty, a bool true/false, a number its repr, text escaped."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    # a comma would add a cell, and a leading '#' make the row a comment
+    text = value.replace(",", ";")
+    return "\\" + text if text.lstrip().startswith("#") else text
+
+
 def cmd_fit_dsc(args) -> int:
     cal = _load_effective_calibration(args)
     rows = []
     any_failed = False
     for path in args.traces:
         trace = read_trace_csv(path)
-        label = trace.label or Path(path).stem
-        row = {
-            "label": label,
-            "temperature_K": trace.temperature_k,
-            "k_per_s": None,
-            "total_enthalpy_J": None,
-            "residual_rms_W": None,
-            "iterations": 0,
-            "converged": False,
-            "error": "",
-        }
+        row = dict.fromkeys(FIT_COLUMNS)
+        row.update(
+            label=trace.label or Path(path).stem,
+            temperature_K=trace.temperature_k,
+            iterations=0,
+            converged=False,
+            error="",
+        )
         try:
             result = fit_rate_constant(trace)
         except (ZeroEnthalpyError, UntriggeredTraceError) as exc:
@@ -142,26 +159,7 @@ def cmd_fit_dsc(args) -> int:
                 any_failed = True
         rows.append(row)
 
-    lines = ["label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error"]
-    for row in rows:
-        # a comma in the label would add a cell, and a leading '#' make the row a comment
-        label = row["label"].replace(",", ";")
-        if label.lstrip().startswith("#"):
-            label = "\\" + label
-        lines.append(
-            ",".join(
-                (
-                    label,
-                    repr(row["temperature_K"]),
-                    "" if row["k_per_s"] is None else repr(row["k_per_s"]),
-                    "" if row["total_enthalpy_J"] is None else repr(row["total_enthalpy_J"]),
-                    "" if row["residual_rms_W"] is None else repr(row["residual_rms_W"]),
-                    str(row["iterations"]),
-                    "true" if row["converged"] else "false",
-                    row["error"].replace(",", ";"),
-                )
-            )
-        )
+    lines = [",".join(FIT_COLUMNS), *(",".join(_csv_cell(row[c]) for c in FIT_COLUMNS) for row in rows)]
     outdir = _outdir(args)
     _atomic_write(outdir / "fits.csv", "\n".join(lines) + "\n")
     _write_summary(outdir, "fit-dsc", cal, {"fits": rows})
@@ -343,6 +341,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("give --k or at least one --temperature-c")
     jobs = []
     for temp_k, label in holds:
+        check_temperature(temp_k)  # with --k no k(T) is computed to check it
         k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
         check_positive("k", k)  # before the default t_end divides by it
         t_end = args.t_end if args.t_end is not None else 20.0 / k
@@ -397,9 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="calibration overlay file (repeatable; later files win)",
     )
-    common.add_argument("--seed", type=_seed_u64, default=0, help="seed for anything stochastic")
     common.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    common.add_argument("--dt", type=float, default=None, metavar="S", help="integration step (s)")
+    # --seed and --dt go only to the subcommands that read them
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_u64, default=0, help="seed for anything stochastic")
+    stepped = argparse.ArgumentParser(add_help=False)
+    stepped.add_argument("--dt", type=float, default=None, metavar="S", help="integration step (s)")
 
     parser = argparse.ArgumentParser(
         prog="transient-kinetics",
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fit_table", help="fits.csv produced by fit-dsc")
     p.set_defaults(func=cmd_arrhenius)
 
-    p = sub.add_parser("predict", parents=[common], help="predict conversion under a schedule")
+    p = sub.add_parser("predict", parents=[common, stepped], help="predict conversion under a schedule")
     p.add_argument("schedule", help="schedule CSV (duration_s,temperature_C|temperature_K,uv_on)")
     p.add_argument("--pre-exponential", type=float, default=None, metavar="A", help="1/s")
     p.add_argument(
@@ -434,11 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a mission file")
+    p = sub.add_parser("simulate", parents=[common, seeded, stepped], help="run a mission file")
     p.add_argument("mission", help="mission file (path or preset name)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic DSC trace CSVs")
+    # no abbreviations: --dt would be taken for --dt-sample
+    p = sub.add_parser(
+        "synth", parents=[common, seeded], allow_abbrev=False, help="generate synthetic DSC trace CSVs"
+    )
     p.add_argument("--k", type=float, default=None, help="rate constant (1/s)")
     p.add_argument("--enthalpy", type=float, default=10.0, help="total enthalpy (J)")
     p.add_argument(

@@ -122,10 +122,15 @@ class ConversionSeries:
     hf_fraction: np.ndarray
 
 
-def arrhenius_rate(params: ArrheniusParams, temperature: float) -> float:
-    """Rate constant k = A * exp(-Ea / (R * T)) in 1/s."""
+def check_temperature(temperature: float) -> None:
+    """Refuse a temperature that is not finite and > 0 K."""
     if not 0 < temperature < math.inf:
         raise DomainError(f"temperature must be finite and > 0 K, got {temperature!r}")
+
+
+def arrhenius_rate(params: ArrheniusParams, temperature: float) -> float:
+    """Rate constant k = A * exp(-Ea / (R * T)) in 1/s."""
+    check_temperature(temperature)
     return params.pre_exponential * math.exp(
         -params.activation_energy / (GAS_CONSTANT * temperature)
     )

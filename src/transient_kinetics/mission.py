@@ -165,20 +165,22 @@ class RobotState:
 
     position: float
     zone_index: int
+    body_temperature_c: float
     alpha: float = 0.0
     hf_fraction: float = 0.0
     gait: GaitState = field(default_factory=GaitState)
     operational: bool = True
     clock: float = 0.0
-    body_temperature_c: float | None = None
-    active_alarms: tuple[str, ...] = ()
+    active_alarms: tuple[tuple[str, str], ...] = ()  # (message, tag) of each firing rule
 
     @classmethod
     def at(cls, position: float, world) -> "RobotState":
-        """A pristine robot standing at ``position`` in a world of zones."""
+        """A pristine robot standing at ``position`` in a world of zones, at its temperature."""
+        zone_index = locate_zone_index(world, position)
         return cls(
             position=position,
-            zone_index=locate_zone_index(world, position),
+            zone_index=zone_index,
+            body_temperature_c=world[zone_index].temperature - ZERO_CELSIUS_K,
             gait=GaitState(position=position),
         )
 
@@ -235,18 +237,18 @@ def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
     )
 
 
-def compile_alarms(rules) -> tuple[tuple[str, Callable[[tuple], bool]], ...]:
-    """(message, test) of each rule, for ``evaluate_alarms``."""
-    return tuple((rule.message, rule.compile()) for rule in rules)
+def compile_alarms(rules) -> tuple[tuple[str, str, Callable[[tuple], bool]], ...]:
+    """(message, tag, test) of each rule, for ``evaluate_alarms``."""
+    return tuple((rule.message, rule.tag, rule.compile()) for rule in rules)
 
 
-def evaluate_alarms(alarms, values: tuple) -> list[str]:
-    """Messages of every compiled rule that holds on a step's field values.
+def evaluate_alarms(alarms, values: tuple) -> list[tuple[str, str]]:
+    """(message, tag) of every compiled rule that holds on a step's field values.
 
     ``alarms`` comes from ``compile_alarms``; ``values`` are in
     ``RULE_FIELDS`` order, as ``rule_values(record)`` gives them.
     """
-    return [message for message, test in alarms if test(values)]
+    return [(message, tag) for message, tag, test in alarms if test(values)]
 
 
 def validate_world(world) -> tuple[Zone, ...]:
@@ -281,11 +283,6 @@ def locate_zone_index(world, position: float) -> int:
     return len(world) - 1
 
 
-def locate_zone(world, position: float) -> Zone:
-    """Zone containing the point; shared boundaries belong to the left zone."""
-    return world[locate_zone_index(world, position)]
-
-
 def _step_seed(seed: int, step_index: int) -> int:
     return int(np.random.SeedSequence([seed, step_index]).generate_state(1)[0])
 
@@ -293,28 +290,33 @@ def _step_seed(seed: int, step_index: int) -> int:
 class StepPlan:
     """What stays constant over one run of a mission, built once and passed to every ``step``.
 
-    Holds the step size, each zone's rate constant k(T) and temperature in
-    degC, the thermal-lag relaxation factor, the compiled alarm rules and
-    their tags. Sensor readings that depend only on the zone, the sensor
-    status and the gait angle are computed on first use and cached, so a
-    zone the robot never enters is never read.
+    Holds the step size, the seed, the world's bounds, each zone's rate
+    constant k(T) and temperature in degC, the thermal-lag relaxation
+    factor (0 without lag) and the compiled alarm rules. The capacitance
+    and photocurrent depend only on the zone, the sensor status and the
+    gait angle; they are computed on first use and cached, so a zone the
+    robot never enters is never read. The temperature channel's last
+    reading is kept with its (body temperature, status) and reused while
+    both stay the same.
     """
 
-    def __init__(self, mission: Mission, cal: Calibration, dt: float):
+    def __init__(self, mission: Mission, cal: Calibration, dt: float, seed: int = 0):
         if not dt > 0:
             raise SimulationFault("dt must be > 0")
         self.cal = cal
         self.dt = dt
+        self.seed = seed
         self.zones = mission.zones
+        self.x_min, self.x_max = self.zones[0].x_min, self.zones[-1].x_max
         self.rates = tuple(arrhenius_rate(cal.kinetics, zone.temperature) for zone in self.zones)
         self.zone_temps_c = tuple(zone.temperature - ZERO_CELSIUS_K for zone in self.zones)
         lag = cal.simulation.body_thermal_lag_s
-        # None: the body is at its zone's temperature, and the temperature
-        # channel is cached with the other readings
-        self.relax = math.exp(-dt / lag) if lag > 0.0 else None
+        self.relax = math.exp(-dt / lag) if lag > 0.0 else 0.0
         self.alarms = compile_alarms(mission.alarm_rules)
-        self.tag_by_message = {rule.message: rule.tag for rule in mission.alarm_rules}
-        self._readings: dict[tuple[int, str, float], tuple] = {}
+        self._readings: dict[tuple[int, str, float], tuple[float | None, float]] = {}
+        # (body temperature, status, resistance, temperature reading), one
+        # attribute so that a shared plan never pairs a key with another reading
+        self._last_temperature: tuple = (None, None, None, None)
 
     def temperature_channel(self, body_temp_c: float, alpha: float) -> tuple[float, float | None]:
         """(resistance, temperature reading) through the degradation overlay."""
@@ -329,20 +331,15 @@ class StepPlan:
             return resistance, None
 
     def readings(self, zone_index: int, status: str, angle: float, alpha: float) -> tuple:
-        """(resistance, temperature reading, capacitance, photocurrent) in a zone.
+        """(capacitance, photocurrent) in a zone.
 
         ``status`` is the sensor status at ``alpha``. A degraded capacitance
-        is the raw reading, which ``step`` jitters; with a thermal lag the
-        temperature pair is None, because ``step`` reads it per step.
+        is the raw reading, which ``step`` jitters.
         """
         key = (zone_index, status, angle)
         cached = self._readings.get(key)
         if cached is None:
             cal, health = self.cal, self.cal.health
-            if self.relax is None:
-                resistance, temp_reading = self.temperature_channel(self.zone_temps_c[zone_index], alpha)
-            else:
-                resistance = temp_reading = None
             capacitance = strain_capacitance(cal.strain_sensor, angle)
             if status != STATUS_DEGRADED:
                 capacitance = apply_degradation(capacitance, "strain", alpha, health)
@@ -350,7 +347,7 @@ class StepPlan:
                 cal.photodiode, cal.simulation.monitor_bias_v, self.zones[zone_index].uv_on
             )
             photocurrent = apply_degradation(raw_current, "photo", alpha, health)
-            cached = self._readings[key] = (resistance, temp_reading, capacitance, photocurrent)
+            cached = self._readings[key] = (capacitance, photocurrent)
         return cached
 
 
@@ -358,7 +355,6 @@ def step(
     plan: StepPlan,
     robot: RobotState,
     drive: float = 0.0,
-    seed: int = 0,
     step_index: int = 0,
     pending_events: tuple[Event, ...] = (),
 ) -> tuple[RobotState, TelemetryRecord]:
@@ -369,7 +365,7 @@ def step(
     ``drive`` in [-1, 1] is the commanded locomotion fraction (sign is
     direction); actual motion also scales with the mobility flag derived
     from the updated conversion. A degraded strain reading is jittered
-    from a generator seeded by ``(seed, step_index)``.
+    from a generator seeded by ``(plan.seed, step_index)``.
     """
     if not -1.0 <= drive <= 1.0:
         raise SimulationFault("drive must lie in [-1, 1]")
@@ -402,7 +398,8 @@ def step(
     if drive != 0.0:
         advanced = gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
         delta = advanced.position - gait.position
-        position = robot.position + math.copysign(delta, drive)
+        # rounding must not carry a move to the world's edge past it
+        position = min(max(robot.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
         gait = replace(advanced, position=position)
         here_index = locate_zone_index(zones, position)
     here = zones[here_index]
@@ -412,23 +409,20 @@ def step(
     old_status = health.status_at(robot.alpha)
     status = health.status_at(alpha)
 
-    # body temperature tracks the local zone; with zero lag it is not
-    # carried as state, so an inert step leaves the robot unchanged
-    if plan.relax is None:
-        tracked_temp_c = None
-        resistance, temp_reading, capacitance, photocurrent = plan.readings(
-            here_index, status, gait.current_angle, alpha
+    # the body relaxes toward the local zone's temperature (at once without lag)
+    zone_temp_c = plan.zone_temps_c[here_index]
+    body_temp_c = zone_temp_c + (robot.body_temperature_c - zone_temp_c) * plan.relax
+    last = plan._last_temperature
+    if last[0] != body_temp_c or last[1] != status:
+        last = plan._last_temperature = (
+            body_temp_c, status, *plan.temperature_channel(body_temp_c, alpha)
         )
-    else:
-        zone_temp_c = plan.zone_temps_c[here_index]
-        previous = robot.body_temperature_c if robot.body_temperature_c is not None else zone_temp_c
-        tracked_temp_c = zone_temp_c + (previous - zone_temp_c) * plan.relax
-        resistance, temp_reading = plan.temperature_channel(tracked_temp_c, alpha)
-        _, _, capacitance, photocurrent = plan.readings(here_index, status, gait.current_angle, alpha)
+    _, _, resistance, temp_reading = last
+    capacitance, photocurrent = plan.readings(here_index, status, gait.current_angle, alpha)
     if status == STATUS_DEGRADED:
         # only the degraded strain reading draws from the seeded generator
         capacitance = apply_degradation(
-            capacitance, "strain", alpha, health, noise_seed=_step_seed(seed, step_index)
+            capacitance, "strain", alpha, health, noise_seed=_step_seed(plan.seed, step_index)
         )
 
     clock = robot.clock + dt
@@ -448,15 +442,12 @@ def step(
         events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
     if robot.operational and not operational:
         events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
-    tag_by_message = plan.tag_by_message
-    for message in firing:
-        if message not in robot.active_alarms:
-            events.append(Event(tag_by_message.get(message, "alarm"), message))
+    for message, tag in firing:
+        if (message, tag) not in robot.active_alarms:
+            events.append(Event(tag, message))
     # leaving a zone while a hazard alarm (any non-detection rule) was
     # active there counts as an escape
-    if here_index != env_index and any(
-        tag_by_message.get(m, "alarm") == "alarm" for m in robot.active_alarms
-    ):
+    if here_index != env_index and any(tag == "alarm" for _, tag in robot.active_alarms):
         events.append(Event("escape", f"left {env.name} under active alarm"))
     if robot.alpha < settings.decomposed_alpha <= alpha:
         events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
@@ -476,12 +467,12 @@ def step(
     new_robot = RobotState(
         position=position,
         zone_index=here_index,
+        body_temperature_c=body_temp_c,
         alpha=alpha,
         hf_fraction=hf,
         gait=gait,
         operational=operational,
         clock=clock,
-        body_temperature_c=tracked_temp_c,
         active_alarms=tuple(firing),
     )
     return new_robot, record
@@ -496,7 +487,7 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     simulation timeout expires ("timeout" event).
     """
     settings = cal.simulation
-    plan = StepPlan(mission, cal, dt)
+    plan = StepPlan(mission, cal, dt, seed)
     records: list[TelemetryRecord] = []
     robot = RobotState.at(mission.start, mission.zones)
     step_index = 0
@@ -504,14 +495,7 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
 
     def do_step(drive: float, pending: tuple[Event, ...] = ()) -> None:
         nonlocal robot, step_index
-        robot, record = step(
-            plan,
-            robot,
-            drive=drive,
-            seed=seed,
-            step_index=step_index,
-            pending_events=pending,
-        )
+        robot, record = step(plan, robot, drive=drive, step_index=step_index, pending_events=pending)
         records.append(record)
         step_index += 1
 

@@ -623,8 +623,13 @@ class TestNonFiniteInput:
             (["--k", "1e-3", "--noise", "nan"], "noise_fraction must be finite, got nan"),
             (["--temperature-c", "inf"], "temperature must be finite and > 0 K, got inf"),
             (["--temperature-c", "nan"], "temperature must be finite and > 0 K, got nan"),
+            (["--k", "1e-3", "--temperature-c", "inf"], "temperature must be finite and > 0 K, got inf"),
+            (["--k", "1e-3", "--temperature-c", "-300"], "temperature must be finite and > 0 K, got -26.85"),
         ],
-        ids=["k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise", "temperature-inf", "temperature-nan"],
+        ids=[
+            "k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise", "temperature-inf", "temperature-nan",
+            "k-temperature-inf", "k-temperature-below-0K",
+        ],
     )
     def test_synth_refuses_non_finite_values(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"
@@ -692,6 +697,25 @@ class TestGlobalBehavior:
         proc = cli("--version")
         assert proc.returncode == 0
         assert "transient-kinetics" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["fit-dsc", "trace.csv"], "--seed"),
+            (["fit-dsc", "trace.csv"], "--dt"),
+            (["arrhenius", "fits.csv"], "--seed"),
+            (["arrhenius", "fits.csv"], "--dt"),
+            (["predict", "schedule.csv"], "--seed"),
+            (["synth", "--k", "1e-3"], "--dt"),
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli_module.main([*command, flag, "5", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_must_be_unsigned_64_bit(self, tmp_path):
         proc = cli("synth", "--k", 1e-3, "--seed", -1, "--out", tmp_path / "out")
