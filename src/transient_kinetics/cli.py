@@ -69,6 +69,10 @@ EXIT_IO = 4
 
 ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
 
+# the most steps a predict or simulate run may take; a longer horizon at
+# its step size is refused before the loop, as an input error
+MAX_STEPS = 10**8
+
 
 class InsufficientDataError(Exception):
     pass
@@ -101,6 +105,14 @@ def _step_size(args, cal: Calibration) -> float:
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"step size must be finite and > 0 s, got {dt!r}")
     return dt
+
+
+def _check_step_count(horizon_s: float, dt: float) -> None:
+    """Refuse a run of ``horizon_s`` at steps of ``dt`` that needs more than ``MAX_STEPS`` steps."""
+    if horizon_s / dt > MAX_STEPS:
+        raise ConfigError(
+            f"{horizon_s:g} s at a step of {dt!r} s is over {MAX_STEPS:.0e} steps; use a larger step"
+        )
 
 
 def _outdir(args) -> Path:
@@ -281,6 +293,7 @@ def cmd_predict(args) -> int:
     else:
         photolysis = PhotolysisState(dpi_initial=cal.dpi_initial, k_photo=cal.photolysis_rate)
     dt = min(_step_size(args, cal), schedule.min_duration)
+    _check_step_count(sum(seg.duration for seg in schedule.segments), dt)
     series = integrate_conversion(
         schedule, params, photolysis, dt, hf_sat=cal.hf_saturation
     )
@@ -306,6 +319,12 @@ def cmd_simulate(args) -> int:
     mission_path = resolve_preset_path(args.mission)
     mission = load_mission(mission_path, cal.simulation)
     dt = _step_size(args, cal)
+    if not cal.actuator.speed * dt > 0.0:
+        raise ConfigError(
+            f"step size must be finite and > 0 s and move the robot, got {dt!r} s: "
+            "speed * dt rounds to 0 m"
+        )
+    _check_step_count(cal.simulation.timeout_s, dt)
     records = run(mission, cal, dt=dt, seed=args.seed)
     outdir = _outdir(args)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))

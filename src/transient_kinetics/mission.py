@@ -15,9 +15,9 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -155,8 +155,7 @@ class Event:
     message: str
 
 
-@dataclass(frozen=True)
-class RobotState:
+class RobotState(NamedTuple):
     """Full simulated state; advanced immutably one step at a time.
 
     ``zone_index`` is the index in the world of the zone at ``position``.
@@ -168,7 +167,7 @@ class RobotState:
     body_temperature_c: float
     alpha: float = 0.0
     hf_fraction: float = 0.0
-    gait: GaitState = field(default_factory=GaitState)
+    gait: GaitState = GaitState()
     operational: bool = True
     clock: float = 0.0
     active_alarms: tuple[tuple[str, str], ...] = ()  # (message, tag) of each firing rule
@@ -185,35 +184,49 @@ class RobotState:
         )
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
     """One record per simulation step, and the one telemetry schema.
 
-    The fields, in order, are the telemetry.jsonl keys; those with a
-    ``csv`` column name are the telemetry.csv columns; alarm rules may
+    The fields, in order, are the telemetry.jsonl keys; those named in
+    ``_CSV_COLUMNS`` are the telemetry.csv columns; alarm rules may
     reference every field but ``zone`` and ``events``.
     """
 
-    t: float = field(metadata={"csv": "t"})
-    position: float = field(metadata={"csv": "position"})
-    alpha: float = field(metadata={"csv": "alpha"})
+    t: float
+    position: float
+    alpha: float
     hf_fraction: float
     zone: str
     temp_resistance_ohm: float
-    temp_c: float | None = field(metadata={"csv": "temp_C"})
-    capacitance_pf: float | None = field(metadata={"csv": "capacitance_pF"})
-    photocurrent_a: float = field(metadata={"csv": "photocurrent_A"})
+    temp_c: float | None
+    capacitance_pf: float | None
+    photocurrent_a: float
     events: tuple[Event, ...]
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(TelemetryRecord))
-_record_values = operator.attrgetter(*_FIELD_NAMES)
-_CSV_FIELDS = tuple(f for f in fields(TelemetryRecord) if "csv" in f.metadata)
-TELEMETRY_CSV_HEADER = ",".join(f.metadata["csv"] for f in _CSV_FIELDS)
-_csv_values = operator.attrgetter(*(f.name for f in _CSV_FIELDS))
-RULE_FIELDS = tuple(name for name in _FIELD_NAMES if name not in ("zone", "events"))
+# the telemetry.csv column name of each field written there
+_CSV_COLUMNS = {
+    "t": "t",
+    "position": "position",
+    "alpha": "alpha",
+    "temp_c": "temp_C",
+    "capacitance_pf": "capacitance_pF",
+    "photocurrent_a": "photocurrent_A",
+}
+
+
+def _field_getter(names) -> Callable[[tuple], tuple]:
+    """A record's values of ``names``, in ``TelemetryRecord._fields`` order."""
+    return operator.itemgetter(*(i for i, name in enumerate(TelemetryRecord._fields) if name in names))
+
+
+TELEMETRY_CSV_HEADER = ",".join(
+    _CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS
+)
+_csv_values = _field_getter(_CSV_COLUMNS)
+RULE_FIELDS = tuple(name for name in TelemetryRecord._fields if name not in ("zone", "events"))
 # a record's field values in RULE_FIELDS order, the input of compiled alarm rules
-rule_values = operator.attrgetter(*RULE_FIELDS)
+rule_values = _field_getter(RULE_FIELDS)
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -453,27 +466,11 @@ def step(
         events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
 
     record = TelemetryRecord(
-        t=clock,
-        position=position,
-        alpha=alpha,
-        hf_fraction=hf,
-        zone=here.name,
-        temp_resistance_ohm=resistance,
-        temp_c=temp_reading,
-        capacitance_pf=capacitance,
-        photocurrent_a=photocurrent,
-        events=tuple(events),
+        clock, position, alpha, hf, here.name, resistance, temp_reading, capacitance, photocurrent,
+        tuple(events),
     )
     new_robot = RobotState(
-        position=position,
-        zone_index=here_index,
-        body_temperature_c=body_temp_c,
-        alpha=alpha,
-        hf_fraction=hf,
-        gait=gait,
-        operational=operational,
-        clock=clock,
-        active_alarms=tuple(firing),
+        position, here_index, body_temp_c, alpha, hf, gait, operational, clock, tuple(firing)
     )
     return new_robot, record
 
@@ -641,14 +638,48 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# one telemetry.jsonl line: each field's key, in order, with a slot for its JSON text
+_JSONL_ROW = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in TelemetryRecord._fields) + "}\n"
+_float_repr = float.__repr__  # json's form of a finite float, of a float subclass too
+
+
 def telemetry_to_jsonl(records) -> str:
-    # a new dict per record, not vars(record): vars would give every record
-    # a __dict__ for as long as the run's records live (+25 MB peak RSS
-    # over 85 333 records)
+    """One JSON object per record, in the bytes ``json.dumps`` gives it.
+
+    Each line fills ``_JSONL_ROW``: a float is its repr, a missing reading
+    null, and a zone name is encoded once per call. A record holding a NaN
+    or infinite float, or a value that is not a float, is written by
+    ``json.dumps`` itself.
+    """
+    zones: dict[str, str] = {}
     lines = []
     for r in records:
-        row = dict(zip(_FIELD_NAMES, _record_values(r)), events=[vars(e) for e in r.events])
-        lines.append(json.dumps(row) + "\n")
+        t, position, alpha, hf, zone, resistance, temp_c, capacitance, photocurrent, events = r
+        try:
+            # one sum is non-finite when any of its terms is
+            finite = math.isfinite(
+                t + position + alpha + hf + resistance + photocurrent
+                + (temp_c or 0.0) + (capacitance or 0.0)
+            )
+            if finite:
+                line = _JSONL_ROW % (
+                    _float_repr(t),
+                    _float_repr(position),
+                    _float_repr(alpha),
+                    _float_repr(hf),
+                    zones.get(zone) or zones.setdefault(zone, json.dumps(zone)),
+                    _float_repr(resistance),
+                    "null" if temp_c is None else _float_repr(temp_c),
+                    "null" if capacitance is None else _float_repr(capacitance),
+                    _float_repr(photocurrent),
+                    json.dumps([vars(e) for e in events]) if events else "[]",
+                )
+        except TypeError:  # a value that is not a float, or None where no reading may be missing
+            finite = False
+        if not finite:
+            row = dict(zip(TelemetryRecord._fields, r), events=[vars(e) for e in events])
+            line = json.dumps(row) + "\n"
+        lines.append(line)
     return "".join(lines)
 
 

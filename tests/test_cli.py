@@ -533,6 +533,7 @@ class TestStepSize:
             ("simulate", "inf", None),
             ("predict", "nan", None),
             ("simulate", None, "0"),
+            ("simulate", "5e-324", None),  # speed * dt underflows to 0 m
         ],
     )
     def test_invalid_step_exits_2(self, tmp_path, capsys, command, dt, config_dt):
@@ -555,7 +556,30 @@ class TestStepSize:
         code, err = main_in_process(capsys, *args)
         assert code == 2
         assert "step size must be finite and > 0 s" in err
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
+
+
+class TestBoundedHorizon:
+    def test_predict_over_max_steps_exits_2(self, tmp_path):
+        # a hang here is a regression: 1e12 steps would run for days
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n1e12,120,true\n")
+        out = tmp_path / "out"
+        proc = cli("predict", sched, "--dt", 1, "--out", out, timeout=20)
+        assert proc.returncode == 2
+        assert "1e+12 s at a step of 1.0 s is over 1e+08 steps" in proc.stderr
+        assert not out.exists()
+
+    def test_simulate_timeout_over_max_steps_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[simulation]\ntimeout_s = 1e9\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "simulate", "scout_demo.mission", "--dt", 1, "--config", cfg, "--out", out
+        )
+        assert code == 2
+        assert "1e+09 s at a step of 1.0 s is over 1e+08 steps" in err
+        assert not out.exists()
 
 
 class TestNonFiniteInput:

@@ -123,7 +123,7 @@ class TestStep:
         mission = make_mission((Zone(0.0, 1.0, 393.15, True, "hot-uv"),))
         cal = make_cal(mobility_loss_alpha=1.0, decomposed_alpha=1.0)
         plan = StepPlan(mission, cal, 1.0)
-        robot = replace(RobotState.at(0.5, mission.zones), hf_fraction=1.0)
+        robot = RobotState.at(0.5, mission.zones)._replace(hf_fraction=1.0)
         k = arrhenius_rate(cal.kinetics, 393.15)
         for i in range(4454):
             robot, record = step(plan, robot)
@@ -132,7 +132,7 @@ class TestStep:
     def test_failed_sensors_in_telemetry(self):
         mission = make_mission(benign_world())
         cal = make_cal(mobility_loss_alpha=1.0)
-        robot = replace(RobotState.at(0.5, mission.zones), alpha=0.95)
+        robot = RobotState.at(0.5, mission.zones)._replace(alpha=0.95)
         robot, record = step(StepPlan(mission, cal, 1.0), robot)
         assert record.temp_resistance_ohm == 1e6
         assert record.temp_c is None
@@ -146,7 +146,7 @@ class TestStep:
         robot = robot0
         for _ in range(50):
             robot, _ = step(plan, robot)
-        assert replace(robot, clock=0.0) == replace(robot0, clock=0.0)
+        assert robot._replace(clock=0.0) == robot0._replace(clock=0.0)
         assert robot.clock == 50.0
 
     def test_photolysis_accumulates_under_uv(self):
@@ -160,7 +160,7 @@ class TestStep:
     def test_mobility_loss_freezes_position(self):
         mission = make_mission((Zone(0.0, 50.0, 393.15, True, "hot-uv"),))
         plan = StepPlan(mission, make_cal(), 1.0)
-        robot = replace(RobotState.at(0.1, mission.zones), hf_fraction=1.0)
+        robot = RobotState.at(0.1, mission.zones)._replace(hf_fraction=1.0)
         positions = []
         lost_at = None
         for i in range(1200):
@@ -332,7 +332,7 @@ class TestRun:
 
         def final_alpha(dt):
             plan = StepPlan(mission, cal, dt)
-            robot = replace(RobotState.at(0.5, mission.zones), hf_fraction=1.0)
+            robot = RobotState.at(0.5, mission.zones)._replace(hf_fraction=1.0)
             steps = int(600.0 / dt)
             for _ in range(steps):
                 robot, _ = step(plan, robot)
@@ -454,7 +454,7 @@ class TestSensorStatus:
         mission = make_mission(benign_world())
         cal = make_cal(mobility_loss_alpha=1.0)
         plan = StepPlan(mission, cal, 1.0, seed=11)
-        robot = replace(RobotState.at(0.5, mission.zones), alpha=0.5)
+        robot = RobotState.at(0.5, mission.zones)._replace(alpha=0.5)
         raw = strain_capacitance(cal.strain_sensor, robot.gait.current_angle)
         readings = set()
         for i in (0, 1, 7, 4096):
@@ -571,3 +571,51 @@ class TestTelemetryFormats:
         assert data["t"] == 1.0
         assert data["events"] == [{"tag": "zone-entry", "message": "benign"}]
         assert data["temp_c"] == 25.0
+
+    def test_records_are_immutable(self):
+        for record in (RobotState.at(0.5, benign_world()), record_with()):
+            with pytest.raises(AttributeError):
+                record.alpha = 0.5
+
+
+# text that json.dumps must escape: quotes, backslashes, control and non-ASCII characters
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(["lab", 'a "quoted" zone', "back\\slash", "tab\there\n", "zoné ☢"]), st.text()
+)
+READING = st.one_of(st.none(), st.floats())
+
+
+@st.composite
+def telemetry_records(draw):
+    events = draw(st.lists(st.builds(Event, AWKWARD_TEXT, AWKWARD_TEXT), max_size=3))
+    floats = [draw(st.floats()) for _ in range(5)]
+    return TelemetryRecord(
+        *floats[:4], draw(AWKWARD_TEXT), floats[4], draw(READING), draw(READING), draw(st.floats()),
+        tuple(events),
+    )
+
+
+class TestTelemetryBytes:
+    """The telemetry writers give the bytes of their plain reference forms for any record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(telemetry_records(), max_size=4))
+    @example([record_with(t=math.nan, temp_c=None, events=(Event("alarm", 'say "\\\x01é"'),))])
+    @example([record_with(position=math.inf, capacitance_pf=-math.inf), record_with(zone="z")])
+    @example([record_with(position=1)])  # an int start position that was never moved from
+    def test_jsonl_is_json_dumps(self, records):
+        def reference(r):
+            events = [{"tag": e.tag, "message": e.message} for e in r.events]
+            return json.dumps(dict(zip(TelemetryRecord._fields, r), events=events)) + "\n"
+
+        assert telemetry_to_jsonl(records) == "".join(map(reference, records))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(telemetry_records(), max_size=4))
+    def test_csv_cells_are_reprs_and_none_is_nan(self, records):
+        def reference(r):
+            values = (r.t, r.position, r.alpha, r.temp_c, r.capacitance_pf, r.photocurrent_a)
+            return ",".join("nan" if v is None else repr(v) for v in values)
+
+        expected = "\n".join([TELEMETRY_CSV_HEADER, *map(reference, records)]) + "\n"
+        assert telemetry_to_csv(records) == expected
