@@ -28,7 +28,6 @@ from .config import (
     resolve_preset_path,
 )
 from .dscfit import (
-    check_positive,
     check_synthesis,
     fit_arrhenius,
     fit_rate_constant,
@@ -51,7 +50,7 @@ from .kinetics import (
     PhotolysisState,
     ScheduleSegment,
     arrhenius_rate,
-    check_temperature,
+    check_positive,
     integrate_conversion,
 )
 from .mission import (
@@ -102,8 +101,7 @@ def _load_effective_calibration(args) -> Calibration:
 def _step_size(args, cal: Calibration) -> float:
     """``--dt`` if given, else the calibration's ``[simulation] dt_s``; finite and > 0."""
     dt = args.dt if args.dt is not None else cal.simulation.dt_s
-    if not 0.0 < dt < math.inf:
-        raise ConfigError(f"step size must be finite and > 0 s, got {dt!r}")
+    check_positive("step size", dt, " s")
     return dt
 
 
@@ -360,7 +358,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("give --k or at least one --temperature-c")
     jobs = []
     for temp_k, label in holds:
-        check_temperature(temp_k)  # with --k no k(T) is computed to check it
+        check_positive("temperature", temp_k, " K")  # with --k no k(T) is computed to check it
         k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
         check_positive("k", k)  # before the default t_end divides by it
         t_end = args.t_end if args.t_end is not None else 20.0 / k

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .fileio import parse_bool, read_text
-from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams
+from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams, check_positive
 from .mechanics import (
     DEFAULT_ACTUATOR,
     MATERIAL_PRESETS,
@@ -134,6 +134,13 @@ class Calibration:
     health: SensorHealth = SensorHealth()
     simulation: SimulationSettings = SimulationSettings()
     wall_material: str | None = None  # checked against the actuator after every overlay
+
+    def __post_init__(self):
+        # a negative rate would make the photolysis dose run away from its saturation
+        if not 0 <= self.photolysis_rate < math.inf:
+            raise DomainError(f"photolysis_rate must be finite and >= 0, got {self.photolysis_rate!r}")
+        check_positive("hf_saturation", self.hf_saturation)
+        check_positive("dpi_initial", self.dpi_initial)
 
     def to_dict(self) -> dict:
         """Echo of the effective configuration, for output summaries."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     ZeroEnthalpyError,
 )
 from .fileio import atomic_write, parse_bool, read_csv
-from .kinetics import GAS_CONSTANT, ArrheniusParams
+from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, dsc_heat_flow
 
 # numpy 2.0 renamed trapz
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -77,7 +77,6 @@ class FitResult:
     residual_rms: float
     iterations: int
     converged: bool
-    objective_history: tuple[float, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,9 @@ class ArrheniusFit:
     points: tuple[tuple[float, float], ...]
 
 
-def estimate_baseline(trace: DscTrace, tail_fraction: float = BASELINE_TAIL_FRACTION) -> float:
-    """Median heat flow over the trailing window, assumed post-reaction."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise DomainError("tail_fraction must lie in (0, 1]")
-    n_tail = max(1, int(math.ceil(tail_fraction * trace.time_s.size)))
+def estimate_baseline(trace: DscTrace) -> float:
+    """Median heat flow over the trailing BASELINE_TAIL_FRACTION of samples, assumed post-reaction."""
+    n_tail = max(1, int(math.ceil(BASELINE_TAIL_FRACTION * trace.time_s.size)))
     return float(np.median(trace.heat_flow_w[-n_tail:]))
 
 
@@ -146,11 +143,7 @@ def _initial_guess(trace: DscTrace, baseline: float) -> tuple[float, float]:
     return k0, dh0
 
 
-def fit_rate_constant(
-    trace: DscTrace,
-    baseline: float | None = None,
-    keep_history: bool = False,
-) -> FitResult:
+def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResult:
     """Fit (k, dH_total) of q(t) = k dH exp(-k t) by damped Gauss-Newton.
 
     ``baseline`` of None estimates the offset from the trailing-window
@@ -174,8 +167,7 @@ def fit_rate_constant(
     params = np.array([k, dh])
 
     def residuals(p):
-        decay = np.exp(-p[0] * t)
-        return q - p[0] * p[1] * decay
+        return q - dsc_heat_flow(p[0], p[1], t)
 
     def jacobian(p):
         decay = np.exp(-p[0] * t)
@@ -185,7 +177,6 @@ def fit_rate_constant(
 
     r = residuals(params)
     sse = float(r @ r)
-    history = [sse]
     damping = 1e-3
     converged = False
     iterations = 0
@@ -209,7 +200,6 @@ def fit_rate_constant(
         if sse_new <= sse:
             rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(candidate), 1e-300)))
             params, r, sse = candidate, r_new, sse_new
-            history.append(sse)
             damping = max(damping * 0.1, DAMPING_MIN)
             if rel_step < STEP_TOLERANCE:
                 converged = True
@@ -224,7 +214,6 @@ def fit_rate_constant(
         residual_rms=residual_rms,
         iterations=iterations,
         converged=converged,
-        objective_history=tuple(history) if keep_history else (),
     )
 
 
@@ -260,17 +249,14 @@ def fit_arrhenius(points) -> ArrheniusFit:
     ss_tot = float(np.sum((y - y_mean) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
-    params = ArrheniusParams(
-        pre_exponential=math.exp(intercept),
-        activation_energy=-slope * GAS_CONSTANT,
-    )
+    try:
+        pre_exponential = math.exp(intercept)
+    except OverflowError:
+        raise DomainError(
+            f"Arrhenius fit gives ln A = {float(intercept)!r}, too large for a finite pre-exponential"
+        ) from None
+    params = ArrheniusParams(pre_exponential=pre_exponential, activation_energy=-slope * GAS_CONSTANT)
     return ArrheniusFit(params=params, r_squared=r_squared, points=pts)
-
-
-def check_positive(name: str, value: float) -> None:
-    """Refuse a value that is not finite and > 0."""
-    if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_synthesis(
@@ -306,7 +292,7 @@ def synthesize_trace(
     dt, t_end = sampling
     n = int(math.floor(t_end / dt)) + 1
     t = np.arange(n) * dt
-    q = k * total_enthalpy * np.exp(-k * t)
+    q = dsc_heat_flow(k, total_enthalpy, t)
     if noise_fraction:
         rng = np.random.default_rng(seed)
         q = q + noise_fraction * k * total_enthalpy * rng.standard_normal(n)

@@ -17,19 +17,6 @@ class UntriggeredTraceError(DomainError):
     """Rate fitting was requested for a trace recorded without UV."""
 
 
-class FractureError(DomainError):
-    """Strain exceeds the fracture strain of a material."""
-
-    def __init__(self, material_name: str, strain: float, fracture_strain: float):
-        self.material_name = material_name
-        self.strain = strain
-        self.fracture_strain = fracture_strain
-        super().__init__(
-            f"material {material_name!r} fractures: strain {strain:.6g} "
-            f"exceeds fracture strain {fracture_strain:.6g}"
-        )
-
-
 class ActuationError(DomainError):
     """Commanded pressure exceeds the actuator's rated range."""
 

@@ -1,6 +1,6 @@
 """Decomposition kinetics of UV-triggered degradable silicone composites.
 
-Pure functions built around three laws:
+Pure functions built around four laws:
 
   * first-order photolysis of the fluoride generator,
     [HF](t) = [DPI-HFP]0 * (1 - exp(-k_photo * t))
@@ -8,6 +8,9 @@ Pure functions built around three laws:
     rate form d(alpha)/dt = k(T) * (1 - alpha) (``conversion_rate`` also
     evaluates other orders n, which no integrator uses)
   * the Arrhenius temperature dependence k(T) = A * exp(-Ea / (R * T))
+  * the isothermal DSC heat flow of that first-order conversion,
+    q(t) = k * dH_total * exp(-k * t), the one form that trace synthesis
+    and the rate fit evaluate
 
 All quantities are SI (s, K, J, mol, W). Activation energy is stored in
 J/mol; use ``ArrheniusParams.from_kj_per_mol`` for the kJ/mol interface.
@@ -31,6 +34,13 @@ ZERO_CELSIUS_K = 273.15  # 0 C in K
 DEFAULT_K_PHOTO = math.log(20.0) / 1800.0  # 1/s
 DEFAULT_HF_SAT = 0.95
 
+
+def check_positive(name: str, value: float, unit: str = "") -> None:
+    """Refuse a value that is not finite and > 0; ``unit`` follows the bound in the message."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0{unit}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrheniusParams:
     """Pre-exponential factor (1/s) and activation energy (J/mol)."""
@@ -39,8 +49,7 @@ class ArrheniusParams:
     activation_energy: float
 
     def __post_init__(self):
-        if not 0 < self.pre_exponential < math.inf:
-            raise DomainError(f"pre_exponential must be finite and > 0, got {self.pre_exponential!r}")
+        check_positive("pre_exponential", self.pre_exponential)
         if not 0 <= self.activation_energy < math.inf:
             raise DomainError(f"activation_energy must be finite and >= 0, got {self.activation_energy!r}")
 
@@ -88,10 +97,8 @@ class ScheduleSegment:
     uv_on: bool
 
     def __post_init__(self):
-        if not 0 < self.duration < math.inf:
-            raise DomainError(f"segment duration must be finite and > 0 s, got {self.duration!r}")
-        if not 0 < self.temperature < math.inf:
-            raise DomainError(f"segment temperature must be finite and > 0 K, got {self.temperature!r}")
+        check_positive("segment duration", self.duration, " s")
+        check_positive("segment temperature", self.temperature, " K")
 
 
 @dataclass(frozen=True)
@@ -122,15 +129,9 @@ class ConversionSeries:
     hf_fraction: np.ndarray
 
 
-def check_temperature(temperature: float) -> None:
-    """Refuse a temperature that is not finite and > 0 K."""
-    if not 0 < temperature < math.inf:
-        raise DomainError(f"temperature must be finite and > 0 K, got {temperature!r}")
-
-
 def arrhenius_rate(params: ArrheniusParams, temperature: float) -> float:
     """Rate constant k = A * exp(-Ea / (R * T)) in 1/s."""
-    check_temperature(temperature)
+    check_positive("temperature", temperature, " K")
     return params.pre_exponential * math.exp(
         -params.activation_energy / (GAS_CONSTANT * temperature)
     )
@@ -176,15 +177,19 @@ def hf_concentration(state: PhotolysisState, uv_time: float) -> float:
     return state.dpi_initial * -math.expm1(-state.k_photo * uv_time)
 
 
-def dsc_heat_flow(k: float, total_enthalpy: float, t: float) -> float:
-    """Isothermal DSC heat flow q(t) = k * dH_total * exp(-k t) in W."""
-    if t < 0:
+def dsc_heat_flow(k: float, total_enthalpy: float, t: float | np.ndarray) -> float | np.ndarray:
+    """Isothermal DSC heat flow q(t) = k * dH_total * exp(-k t) in W.
+
+    ``t`` is a time or an array of times; an array gives the heat flow at
+    each, and any negative time in it is refused.
+    """
+    if np.any(np.asarray(t) < 0):
         raise DomainError(f"time must be >= 0, got {t}")
     if total_enthalpy <= 0:
         raise DomainError(f"total_enthalpy must be > 0, got {total_enthalpy}")
     if k < 0:
         raise DomainError(f"rate constant must be >= 0, got {k}")
-    return k * total_enthalpy * math.exp(-k * t)
+    return k * total_enthalpy * np.exp(-k * t)
 
 
 def conversion_from_heat(partial_enthalpy: float, total_enthalpy: float) -> float:

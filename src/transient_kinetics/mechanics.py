@@ -1,24 +1,20 @@
 """Lumped-parameter composite mechanics and pneumatic gait model.
 
-Stress response is linear up to the elastic limit with a flagged linear
-continuation to fracture; the actuator maps inlet pressure linearly to
-bending angle and peak channel strain; locomotion is a stride-per-cycle
-kinematic model scaled by a 0..1 mobility factor.
+Each material is described by its tensile anchors, and a strain is checked
+against its fracture strain; the actuator maps inlet pressure linearly (or
+through an anchor table) to bending angle and peak channel strain;
+locomotion is a stride-per-cycle kinematic model scaled by a 0..1 mobility
+factor.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ActuationError, DomainError, FractureError
-
-
-class PostElasticWarning(UserWarning):
-    """Strain is beyond the elastic limit but below fracture."""
+from .errors import ActuationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,6 @@ class GaitState:
     """Cumulative locomotion state of the walking body."""
 
     position: float = 0.0
-    phase: str = "extended"  # extended | flexed
-    cycle_count: int = 0
     current_angle: float = 0.0
     cycle_progress: float = 0.0  # fraction of the current cycle, [0, 1)
 
@@ -150,26 +144,6 @@ DEFAULT_ACTUATOR = ActuatorSpec(
     stride_per_cycle=0.025,
     cycle_period=1.0,
 )
-
-
-def stress_at_strain(material: MaterialSpec, strain: float) -> float:
-    """Tensile stress (Pa) at a given strain.
-
-    Linear in the elastic range; past the elastic limit the same slope
-    continues and a PostElasticWarning is emitted. Beyond the fracture
-    strain a FractureError carrying the material name is raised.
-    """
-    if strain < 0:
-        raise DomainError("strain must be >= 0")
-    if strain > material.fracture_strain:
-        raise FractureError(material.name, strain, material.fracture_strain)
-    if strain > material.elastic_limit_strain:
-        warnings.warn(
-            f"{material.name}: strain {strain:.4g} is post-elastic",
-            PostElasticWarning,
-            stacklevel=2,
-        )
-    return material.modulus * strain
 
 
 def fracture_check(material: MaterialSpec, strain: float) -> bool:
@@ -231,15 +205,6 @@ def gait_advance(
         raise DomainError("mobility must lie in [0, 1]")
     position = state.position + actuator.speed * mobility * elapsed
     total_progress = state.cycle_progress + elapsed / actuator.cycle_period
-    whole = int(total_progress)
-    progress = total_progress - whole
-    phase = "flexed" if progress < 0.5 else "extended"
-    angle = bend_angle(actuator, actuator.max_pressure) if phase == "flexed" else 0.0
-    return replace(
-        state,
-        position=position,
-        phase=phase,
-        cycle_count=state.cycle_count + whole,
-        current_angle=angle,
-        cycle_progress=progress,
-    )
+    progress = total_progress - int(total_progress)
+    angle = bend_angle(actuator, actuator.max_pressure) if progress < 0.5 else 0.0
+    return GaitState(position, angle, progress)

@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transient_kinetics import cli as cli_module
 from transient_kinetics.config import Calibration
@@ -150,6 +153,17 @@ class TestArrhenius:
         plot = (out / "arrhenius_points.csv").read_text().splitlines()
         assert plot[0] == "inv_temperature_per_K,ln_k"
         assert len(plot) == 5
+
+    def test_overflowing_pre_exponential_exits_2(self, tmp_path, capsys):
+        # ln A of about 6.9e4 has no finite exp
+        table = tmp_path / "fits.csv"
+        table.write_text("label,temperature_K,k_per_s,converged\na,1.0,1e-300,true\nb,1.01,1.0,true\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 2
+        assert err.startswith("error: Arrhenius fit gives ln A = 69077.55")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_single_row_exits_3(self, tmp_path):
         table = tmp_path / "fits.csv"
@@ -342,6 +356,18 @@ class TestSimulate:
         proc = cli("simulate", mission, "--out", out)
         assert proc.returncode == 0, proc.stderr
         assert read_summary(out)["results"]["final_alpha"] == 0.0
+
+    def test_negative_photolysis_rate_exits_2(self, tmp_path, capsys):
+        # a negative rate would run the dose away as 1 + (hf - 1) * e^{+t}, to -Infinity
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("[photolysis]\nrate_per_s = -1\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "simulate", "scout_demo.mission", "--dt", 1, "--config", cfg, "--out", out
+        )
+        assert code == 2
+        assert err == f"error: {cfg}: photolysis_rate must be finite and >= 0, got -1.0\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns_apart_from_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -661,6 +687,52 @@ class TestNonFiniteInput:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+
+class TestFiniteOutputs:
+    MISSION = (
+        "[zone.1]\nname = hot\nx_min = 0\nx_max = 1\ntemperature_c = 120\nuv_on = true\n"
+        "[robot]\nposition = 0.5\n[script]\ndwell = 800\n"
+    )
+    SCHEDULE = "duration_s,temperature_C,uv_on\n800,120,true\n"
+    ANY_NUMBER = st.none() | st.floats()
+
+    @staticmethod
+    def assert_finite_outputs(outdir: Path):
+        for path in outdir.iterdir():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path.name
+            if path.suffix == ".csv":
+                cells = set(text.replace("\n", ",").split(","))
+                assert not cells & {"inf", "-inf"}, path.name
+                # only a missing telemetry reading is written as nan
+                assert path.name == "telemetry.csv" or "nan" not in cells, path.name
+
+    @settings(max_examples=50, deadline=None)
+    @given(rate_per_s=ANY_NUMBER, hf_saturation=ANY_NUMBER, dpi_initial_mol_m3=ANY_NUMBER)
+    @example(rate_per_s=-1.0, hf_saturation=None, dpi_initial_mol_m3=None)
+    def test_no_output_holds_nan_or_infinity(self, rate_per_s, hf_saturation, dpi_initial_mol_m3):
+        overlay = {
+            "rate_per_s": rate_per_s,
+            "hf_saturation": hf_saturation,
+            "dpi_initial_mol_m3": dpi_initial_mol_m3,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "photo.cfg"
+            entries = "".join(f"{k} = {v!r}\n" for k, v in overlay.items() if v is not None)
+            cfg.write_text("[photolysis]\n" + entries)
+            (tmp / "one.mission").write_text(self.MISSION)
+            (tmp / "sched.csv").write_text(self.SCHEDULE)
+            for command, source in (("simulate", "one.mission"), ("predict", "sched.csv")):
+                out = tmp / command
+                args = [command, tmp / source, "--dt", 1, "--config", cfg, "--out", out]
+                code = cli_module.main([str(a) for a in args])
+                assert code in (0, 2)
+                if code == 0:
+                    self.assert_finite_outputs(out)
+                else:
+                    assert not out.exists()
 
 
 class TestRefusedRunLeavesNoOutput:

@@ -268,6 +268,22 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="max_pressure_kpa must be > 0, got 0"):
             load_calibration_file(cfg)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("rate_per_s = -1", "photolysis_rate must be finite and >= 0, got -1.0"),
+            ("hf_saturation = 0", "hf_saturation must be finite and > 0, got 0.0"),
+            ("dpi_initial_mol_m3 = -5", "dpi_initial must be finite and > 0, got -5.0"),
+        ],
+        ids=["rate", "hf-saturation", "dpi-initial"],
+    )
+    def test_bad_photolysis_value_names_its_file(self, tmp_path, entry, message):
+        cfg = tmp_path / "photo.cfg"
+        cfg.write_text(f"[photolysis]\n{entry}\n")
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg}: {message}"
+
     def test_every_key_overlay_echo(self, tmp_path):
         cfg = tmp_path / "every.cfg"
         cfg.write_text(EVERY_KEY_OVERLAY)

@@ -23,7 +23,7 @@ from transient_kinetics.errors import (
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
-from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate
+from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate, dsc_heat_flow
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
@@ -75,7 +75,7 @@ class TestTotalEnthalpy:
         q = np.full(101, 0.25)
         q[:80] += 1.0
         trace = DscTrace(t, q, 300.0, True)
-        assert estimate_baseline(trace, tail_fraction=0.05) == 0.25
+        assert estimate_baseline(trace) == 0.25
 
 
 class TestConversionProfile:
@@ -138,13 +138,6 @@ class TestFitRateConstant:
         trace = DscTrace(np.linspace(0, 10, 4), np.ones(4), 300.0, True)
         with pytest.raises(DomainError):
             fit_rate_constant(trace)
-
-    def test_objective_nonincreasing_over_accepted_steps(self):
-        trace = make_trace(2e-4, 6.0, noise=0.03, seed=11)
-        result = fit_rate_constant(trace, keep_history=True)
-        history = result.objective_history
-        assert len(history) >= 2
-        assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_log_uniform_noiseless_property(self):
         rng = np.random.default_rng(77)
@@ -219,6 +212,11 @@ class TestFitArrhenius:
         with pytest.raises(DomainError):
             fit_arrhenius([(300.0, 1e-3)])
 
+    def test_overflowing_pre_exponential_rejected(self):
+        # ln A is about 6.9e4, far past the largest finite float
+        with pytest.raises(DomainError, match=r"ln A = 69077\.55\d*, too large"):
+            fit_arrhenius([(1.0, 1e-300), (1.01, 1.0)])
+
 
 class TestSynthesizeTrace:
     def test_noiseless_equals_closed_form(self):
@@ -226,6 +224,8 @@ class TestSynthesizeTrace:
         trace = synthesize_trace(k, dh, (10.0, 20000.0))
         expected = k * dh * np.exp(-k * trace.time_s)
         assert np.array_equal(trace.heat_flow_w, expected)
+        # the trace samples the one heat-flow law, bit for bit
+        assert np.array_equal(trace.heat_flow_w, dsc_heat_flow(k, dh, trace.time_s))
 
     def test_same_seed_identical(self):
         a = synthesize_trace(1e-3, 10.0, (10.0, 20000.0), noise_fraction=0.02, seed=5)
@@ -236,7 +236,7 @@ class TestSynthesizeTrace:
     def test_noise_amplitude_statistics(self):
         k, dh, noise = 1e-3, 10.0, 0.02
         trace = synthesize_trace(k, dh, (10.0, 20000.0), noise_fraction=noise, seed=9)
-        clean = k * dh * np.exp(-k * trace.time_s)
+        clean = dsc_heat_flow(k, dh, trace.time_s)
         residual_rms = float(np.sqrt(np.mean((trace.heat_flow_w - clean) ** 2)))
         assert residual_rms == pytest.approx(noise * k * dh, rel=0.3)
 

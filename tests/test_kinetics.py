@@ -28,6 +28,9 @@ from transient_kinetics.kinetics import (
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
+# numpy 2.0 renamed trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def oracle_rate(pre, ea, temp):
     # direct high-precision evaluation, independent of the module under test
@@ -202,19 +205,29 @@ class TestDscHeatFlow:
         assert q == pytest.approx(0.01 * math.exp(-0.6931), rel=1e-12)
         assert q == pytest.approx(0.005, rel=1e-4)
 
+    def test_array_equals_scalar_elementwise(self):
+        k, dh = 1e-3, 10.0
+        t = np.linspace(0.0, 20.0 / k, 1501)
+        q = dsc_heat_flow(k, dh, t)
+        assert q.shape == t.shape
+        assert np.array_equal(q, [dsc_heat_flow(k, dh, float(ti)) for ti in t])
+
+    @pytest.mark.parametrize("t", [-1.0, np.array([0.0, 1.0, -1e-9, 2.0])], ids=["scalar", "array"])
+    def test_negative_time_rejected(self, t):
+        with pytest.raises(DomainError, match="time must be >= 0"):
+            dsc_heat_flow(1e-3, 10.0, t)
+
     def test_energy_conservation_quadrature(self):
         # dense trapezoid quadrature against the closed-form total
         k, dh = 1e-3, 10.0
         t = np.linspace(0.0, 20.0 / k, 200001)
-        q = np.array([dsc_heat_flow(k, dh, ti) for ti in t])
-        integral = np.trapezoid(q, t)
+        integral = trapezoid(dsc_heat_flow(k, dh, t), t)
         assert integral == pytest.approx(dh, rel=1e-6)
 
     def test_energy_conservation_longer_window(self):
         k, dh = 3.3e-4, 7.5
         t = np.linspace(0.0, 30.0 / k, 300001)
-        q = dsc_heat_flow(k, dh, 0.0) * np.exp(-k * t)
-        assert np.trapezoid(q, t) == pytest.approx(dh, rel=1e-5)
+        assert trapezoid(dsc_heat_flow(k, dh, t), t) == pytest.approx(dh, rel=1e-5)
 
 
 class TestConversionFromHeat:
