@@ -277,6 +277,30 @@ def _times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict[str, float | Non
     return out
 
 
+# rows of conversion_profile.csv taken from the arrays per tolist() call, so
+# that no plain-float copy of a whole series is held
+PROFILE_CHUNK_ROWS = 4096
+
+
+def _conversion_profile_csv(series) -> str:
+    """conversion_profile.csv: one row per sample, each cell the repr of its float.
+
+    ``hf_fraction`` is constant in the dark, so its text is formatted once
+    per run of equal values. Equal is not enough: 0.0 and -0.0 compare
+    equal but print differently, so the sign of a zero must match too.
+    """
+    rows = ["t_s,alpha,hf_fraction\n"]
+    last_hf, hf_text = None, ""
+    for start in range(0, len(series.t), PROFILE_CHUNK_ROWS):
+        chunk = slice(start, start + PROFILE_CHUNK_ROWS)
+        columns = (series.t[chunk], series.alpha[chunk], series.hf_fraction[chunk])
+        for t, alpha, hf in zip(*(column.tolist() for column in columns)):
+            if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
+                last_hf, hf_text = hf, repr(hf)
+            rows.append("%r,%r,%s\n" % (t, alpha, hf_text))
+    return "".join(rows)
+
+
 def cmd_predict(args) -> int:
     cal = _load_effective_calibration(args)
     overrides = {}
@@ -295,11 +319,8 @@ def cmd_predict(args) -> int:
     series = integrate_conversion(
         schedule, params, photolysis, dt, hf_sat=cal.hf_saturation
     )
-    lines = ["t_s,alpha,hf_fraction"]
-    for t, alpha, hf in zip(series.t, series.alpha, series.hf_fraction):
-        lines.append(f"{float(t)!r},{float(alpha)!r},{float(hf)!r}")
     outdir = _outdir(args)
-    _atomic_write(outdir / "conversion_profile.csv", "\n".join(lines) + "\n")
+    _atomic_write(outdir / "conversion_profile.csv", _conversion_profile_csv(series))
     results = {
         "final_alpha": float(series.alpha[-1]),
         "time_to_alpha_s": _times_to_targets(series.t, series.alpha),

@@ -113,6 +113,17 @@ class SimulationSettings:
     monitor_bias_v: float = -2.0
     timeout_s: float = 200000.0
 
+    def __post_init__(self):
+        for name in ("mobility_loss_alpha", "decomposed_alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise DomainError(f"{name} must lie in (0, 1], got {value!r}")
+        check_positive("timeout_s", self.timeout_s, " s")
+        if not 0.0 <= self.body_thermal_lag_s < math.inf:
+            raise DomainError(
+                f"body_thermal_lag_s must be finite and >= 0 s, got {self.body_thermal_lag_s!r}"
+            )
+
 
 @dataclass(frozen=True)
 class Calibration:

@@ -241,6 +241,11 @@ def fit_arrhenius(points) -> ArrheniusFit:
     y_mean = y.mean()
     sxx = float(np.sum((x - x_mean) ** 2))
     sxy = float(np.sum((x - x_mean) * (y - y_mean)))
+    if sxx == 0.0:
+        raise DomainError(
+            "Arrhenius regression cannot tell the temperatures apart: "
+            f"the spread of 1/T underflows to 0 (1/T from {float(x.min())!r} to {float(x.max())!r} per K)"
+        )
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
 

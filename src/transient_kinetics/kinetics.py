@@ -266,9 +266,10 @@ def integrate_conversion(
     if dt > schedule.min_duration + 1e-12:
         raise DomainError("dt must not exceed the shortest segment duration")
 
+    hf_frac = photolysis.hf_fraction
     times = [0.0]
     alphas = [0.0]
-    hf_fracs = [photolysis.hf_fraction]
+    hf_fracs = [hf_frac]
 
     t = 0.0
     alpha = 0.0
@@ -290,9 +291,11 @@ def integrate_conversion(
             )
             t += step
             remaining -= step
+            if seg.uv_on:  # the dose, and so its fraction, changes only under UV
+                hf_frac = hf / photolysis.dpi_initial
             times.append(t)
             alphas.append(alpha)
-            hf_fracs.append(hf / photolysis.dpi_initial)
+            hf_fracs.append(hf_frac)
 
     return ConversionSeries(
         t=np.asarray(times), alpha=np.asarray(alphas), hf_fraction=np.asarray(hf_fracs)

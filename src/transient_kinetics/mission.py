@@ -223,7 +223,6 @@ def _field_getter(names) -> Callable[[tuple], tuple]:
 TELEMETRY_CSV_HEADER = ",".join(
     _CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS
 )
-_csv_values = _field_getter(_CSV_COLUMNS)
 RULE_FIELDS = tuple(name for name in TelemetryRecord._fields if name not in ("zone", "events"))
 # a record's field values in RULE_FIELDS order, the input of compiled alarm rules
 rule_values = _field_getter(RULE_FIELDS)
@@ -641,17 +640,22 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
 # one telemetry.jsonl line: each field's key, in order, with a slot for its JSON text
 _JSONL_ROW = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in TelemetryRecord._fields) + "}\n"
 _float_repr = float.__repr__  # json's form of a finite float, of a float subclass too
+# the writers' "value before" at the start: no field value, not even None, is this object
+_NO_VALUE = object()
 
 
 def telemetry_to_jsonl(records) -> str:
     """One JSON object per record, in the bytes ``json.dumps`` gives it.
 
     Each line fills ``_JSONL_ROW``: a float is its repr, a missing reading
-    null, and a zone name is encoded once per call. A record holding a NaN
-    or infinite float, or a value that is not a float, is written by
-    ``json.dumps`` itself.
+    null, and a zone name is encoded once per call. A field whose value is
+    the same object as on the line before reuses that line's text; ``t``
+    and ``alpha`` change on every step and are always formatted. A record
+    holding a NaN or infinite float, or a value that is not a float, is
+    written by ``json.dumps`` itself.
     """
     zones: dict[str, str] = {}
+    last_position = last_hf = last_resistance = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
     lines = []
     for r in records:
         t, position, alpha, hf, zone, resistance, temp_c, capacitance, photocurrent, events = r
@@ -662,16 +666,30 @@ def telemetry_to_jsonl(records) -> str:
                 + (temp_c or 0.0) + (capacitance or 0.0)
             )
             if finite:
+                if position is not last_position:
+                    last_position, position_text = position, _float_repr(position)
+                if hf is not last_hf:
+                    last_hf, hf_text = hf, _float_repr(hf)
+                if resistance is not last_resistance:
+                    last_resistance, resistance_text = resistance, _float_repr(resistance)
+                if temp_c is not last_temp:
+                    last_temp, temp_text = temp_c, "null" if temp_c is None else _float_repr(temp_c)
+                if capacitance is not last_capacitance:
+                    last_capacitance, capacitance_text = (
+                        capacitance, "null" if capacitance is None else _float_repr(capacitance)
+                    )
+                if photocurrent is not last_photocurrent:
+                    last_photocurrent, photocurrent_text = photocurrent, _float_repr(photocurrent)
                 line = _JSONL_ROW % (
                     _float_repr(t),
-                    _float_repr(position),
+                    position_text,
                     _float_repr(alpha),
-                    _float_repr(hf),
+                    hf_text,
                     zones.get(zone) or zones.setdefault(zone, json.dumps(zone)),
-                    _float_repr(resistance),
-                    "null" if temp_c is None else _float_repr(temp_c),
-                    "null" if capacitance is None else _float_repr(capacitance),
-                    _float_repr(photocurrent),
+                    resistance_text,
+                    temp_text,
+                    capacitance_text,
+                    photocurrent_text,
                     json.dumps([vars(e) for e in events]) if events else "[]",
                 )
         except TypeError:  # a value that is not a float, or None where no reading may be missing
@@ -684,5 +702,24 @@ def telemetry_to_jsonl(records) -> str:
 
 
 def telemetry_to_csv(records) -> str:
-    rows = [",".join(["nan" if v is None else repr(v) for v in _csv_values(r)]) for r in records]
-    return "\n".join([TELEMETRY_CSV_HEADER, *rows]) + "\n"
+    """The telemetry.csv text: a float cell is its repr, a missing reading nan.
+
+    As in ``telemetry_to_jsonl``, a cell whose value is the same object as
+    in the row before reuses that row's text.
+    """
+    last_position = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
+    rows = [TELEMETRY_CSV_HEADER + "\n"]
+    # the fields unpacked by name are those of _CSV_COLUMNS, in the header's order
+    for t, position, alpha, _, _, _, temp_c, capacitance, photocurrent, _ in records:
+        if position is not last_position:
+            last_position, position_text = position, repr(position)
+        if temp_c is not last_temp:
+            last_temp, temp_text = temp_c, "nan" if temp_c is None else repr(temp_c)
+        if capacitance is not last_capacitance:
+            last_capacitance, capacitance_text = capacitance, "nan" if capacitance is None else repr(capacitance)
+        if photocurrent is not last_photocurrent:
+            last_photocurrent, photocurrent_text = photocurrent, repr(photocurrent)
+        rows.append(
+            "%r,%s,%r,%s,%s,%s\n" % (t, position_text, alpha, temp_text, capacitance_text, photocurrent_text)
+        )
+    return "".join(rows)

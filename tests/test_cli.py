@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 from transient_kinetics import cli as cli_module
 from transient_kinetics.config import Calibration
 from transient_kinetics.dscfit import read_trace_csv, synthesize_trace, write_trace_csv
-from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate
+from transient_kinetics.kinetics import (
+    ArrheniusParams,
+    ConversionSeries,
+    ExposureSchedule,
+    PhotolysisState,
+    arrhenius_rate,
+    integrate_conversion,
+)
+from transient_kinetics.mission import TELEMETRY_CSV_HEADER, TelemetryRecord
+from transient_kinetics.mission import run as mission_run
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
@@ -45,6 +54,23 @@ def main_in_process(capsys, *args):
 
 def read_summary(outdir: Path) -> dict:
     return json.loads((outdir / "summary.json").read_text())
+
+
+def reference_jsonl(records) -> str:
+    """telemetry.jsonl as ``json.dumps`` writes each record."""
+    def line(r):
+        return json.dumps(dict(zip(TelemetryRecord._fields, r), events=[vars(e) for e in r.events])) + "\n"
+
+    return "".join(map(line, records))
+
+
+def reference_csv(records) -> str:
+    """telemetry.csv with each cell the repr of its value, and nan for a missing reading."""
+    def row(r):
+        values = (r.t, r.position, r.alpha, r.temp_c, r.capacitance_pf, r.photocurrent_a)
+        return ",".join("nan" if v is None else repr(v) for v in values)
+
+    return "\n".join([TELEMETRY_CSV_HEADER, *map(row, records)]) + "\n"
 
 
 class TestFitDsc:
@@ -162,6 +188,18 @@ class TestArrhenius:
         code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
         assert code == 2
         assert err.startswith("error: Arrhenius fit gives ln A = 69077.55")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_underflowing_inverse_temperature_spread_exits_2(self, tmp_path, capsys):
+        # 1/T of 5e-301 and 1e-300 are distinct, but their squared spread is 0
+        table = tmp_path / "fits.csv"
+        table.write_text("label,temperature_K,k_per_s,converged\na,1e300,1.0,true\nb,2e300,2.0,true\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 2
+        assert err.startswith("error: Arrhenius regression cannot tell the temperatures apart")
+        assert "spread of 1/T underflows to 0" in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -324,6 +362,46 @@ class TestPredict:
         assert code == 0, err
 
 
+class TestConversionProfileBytes:
+    """Each conversion_profile.csv cell is the repr of its series element."""
+
+    @staticmethod
+    def assert_cells_are_reprs(series):
+        lines = cli_module._conversion_profile_csv(series).split("\n")
+        assert lines[0] == "t_s,alpha,hf_fraction"
+        assert lines[-1] == ""
+        columns = (series.t, series.alpha, series.hf_fraction)
+        assert lines[1:-1] == [
+            ",".join(repr(float(column[i])) for column in columns) for i in range(series.t.size)
+        ]
+
+    def test_signed_zero_dose_through_dark_and_uv(self):
+        # a dose of -0.0 is accepted; its fraction stays -0.0 through the dark
+        # hold, one run of equal values longer than a tolist() chunk
+        schedule = ExposureSchedule.from_tuples(
+            [(5000.0, 298.15, False), (50.0, 298.15, True), (5000.0, 393.15, False)]
+        )
+        series = integrate_conversion(schedule, ECOFLEX, PhotolysisState(dpi_initial=100.0, hf=-0.0), 1.0)
+        assert series.t.size > cli_module.PROFILE_CHUNK_ROWS
+        assert math.copysign(1.0, series.hf_fraction[0]) == -1.0
+        assert series.hf_fraction[-1] > 0.0
+        self.assert_cells_are_reprs(series)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(), st.floats(), st.sampled_from([0.0, -0.0, 0.5]) | st.floats()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([(0.0, 0.0, 0.0), (1.0, 0.0, -0.0), (2.0, 0.0, -0.0), (3.0, 0.0, 0.0)])
+    @example([(0.0, 0.0, math.nan), (1.0, 0.0, math.nan), (2.0, 0.5, 0.5), (3.0, 0.5, 0.5)])
+    def test_cells_are_reprs_for_any_series(self, rows):
+        t, alpha, hf = (np.array(column, dtype=float) for column in zip(*rows))
+        self.assert_cells_are_reprs(ConversionSeries(t, alpha, hf))
+
+
 class TestSimulate:
     def test_bundled_mission_event_narrative(self, tmp_path):
         out = tmp_path / "out"
@@ -367,6 +445,18 @@ class TestSimulate:
         )
         assert code == 2
         assert err == f"error: {cfg}: photolysis_rate must be finite and >= 0, got -1.0\n"
+        assert not out.exists()
+
+    def test_negative_timeout_exits_2(self, tmp_path, capsys):
+        # it ran one step and reported "timeout"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[simulation]\ntimeout_s = -5\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "simulate", "scout_demo.mission", "--dt", 10, "--config", cfg, "--out", out
+        )
+        assert code == 2
+        assert err == f"error: {cfg}: timeout_s must be finite and > 0 s, got -5.0\n"
         assert not out.exists()
 
     def test_byte_identical_reruns_apart_from_timestamp(self, tmp_path):
@@ -437,6 +527,51 @@ class TestSimulate:
             "telemetry.jsonl": "f8003df7c593c97945bc442ddbd6dfb13c0cf5c6ae731c3e2cf7099bc7bea5f3",
             "telemetry.csv": "2e6aa2018d86e97504e044bdd87037c110836544994d3cc18f233fc3c11edf63",
         }
+
+    def test_scout_telemetry_is_its_reference_forms(self, tmp_path, capsys, monkeypatch):
+        runs = []
+
+        def recording_run(*args, **kwargs):
+            runs.append(mission_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli_module, "run", recording_run)
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--dt", 1, "--out", out)
+        assert code == 0, err
+        (records,) = runs
+        assert (out / "telemetry.jsonl").read_text() == reference_jsonl(records)
+        assert (out / "telemetry.csv").read_text() == reference_csv(records)
+
+    # one hot UV zone whose fast dose and kinetics take alpha through the
+    # degraded sensor band (0.3 to 0.7), where each step draws seeded noise
+    REPLAY_MISSION = (
+        "[zone.1]\nname = hot\nx_min = 0\nx_max = 1\ntemperature_c = 120\nuv_on = true\n"
+        "[robot]\nposition = 0.5\n[script]\ndwell = 300\n"
+    )
+    REPLAY_OVERLAY = "[kinetics]\npre_exponential_per_s = 1.703\n[photolysis]\nrate_per_s = 0.05\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=2**64 - 1)
+    def test_replay_is_byte_identical_for_any_seed(self, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "hot.mission").write_text(self.REPLAY_MISSION)
+            (tmp / "fast.cfg").write_text(self.REPLAY_OVERLAY)
+            outputs = []
+            for out in (tmp / "a", tmp / "b"):
+                args = ["simulate", tmp / "hot.mission", "--dt", 1, "--seed", seed, "--config", tmp / "fast.cfg"]
+                assert cli_module.main([str(a) for a in (*args, "--out", out)]) == 0
+                summary = read_summary(out)
+                del summary["generated_at"]
+                outputs.append(
+                    ((out / "telemetry.jsonl").read_bytes(), (out / "telemetry.csv").read_bytes(), summary)
+                )
+            assert outputs[0] == outputs[1]
+            # the run went through the degraded band and out of it
+            assert outputs[0][2]["results"]["final_alpha"] > 0.7
 
     def test_script_that_needs_no_step_completes(self, tmp_path, capsys):
         mission = tmp_path / "parked.mission"

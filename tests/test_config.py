@@ -284,6 +284,23 @@ class TestCalibration:
             load_calibration_file(cfg)
         assert str(err.value) == f"{cfg}: {message}"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("decomposed_alpha = 2", "decomposed_alpha must lie in (0, 1], got 2.0"),
+            ("mobility_loss_alpha = 0", "mobility_loss_alpha must lie in (0, 1], got 0.0"),
+            ("timeout_s = -5", "timeout_s must be finite and > 0 s, got -5.0"),
+            ("body_thermal_lag_s = -1", "body_thermal_lag_s must be finite and >= 0 s, got -1.0"),
+        ],
+        ids=["decomposed-alpha", "mobility-loss-alpha", "timeout", "thermal-lag"],
+    )
+    def test_bad_simulation_value_names_its_file(self, tmp_path, entry, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"[simulation]\n{entry}\n")
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg}: {message}"
+
     def test_every_key_overlay_echo(self, tmp_path):
         cfg = tmp_path / "every.cfg"
         cfg.write_text(EVERY_KEY_OVERLAY)

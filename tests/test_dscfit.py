@@ -217,6 +217,10 @@ class TestFitArrhenius:
         with pytest.raises(DomainError, match=r"ln A = 69077\.55\d*, too large"):
             fit_arrhenius([(1.0, 1e-300), (1.01, 1.0)])
 
+    def test_underflowing_inverse_temperature_spread_rejected(self):
+        with pytest.raises(DomainError, match="spread of 1/T underflows to 0"):
+            fit_arrhenius([(1e300, 1.0), (2e300, 2.0)])
+
 
 class TestSynthesizeTrace:
     def test_noiseless_equals_closed_form(self):

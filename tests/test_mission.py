@@ -595,6 +595,22 @@ def telemetry_records(draw):
     )
 
 
+# The writers reuse a field's text while its value stays the same object:
+# records that start on a missing reading, repeat one float object, follow
+# 0.0 with -0.0, and put a non-finite row between finite ones.
+SHARED = 1 / 3
+MISSING_FIRST = [record_with(temp_c=None, capacitance_pf=None), record_with(), record_with(capacitance_pf=None)]
+REPEATED_OBJECT = [
+    record_with(t=float(i), position=SHARED, hf_fraction=SHARED, temp_c=SHARED, photocurrent_a=SHARED)
+    for i in range(3)
+]
+SIGNED_ZEROS = [
+    record_with(**dict.fromkeys(("position", "hf_fraction", "temp_c", "capacitance_pf", "photocurrent_a"), zero))
+    for zero in (0.0, -0.0, 0.0)
+]
+NON_FINITE_BETWEEN = [record_with(), record_with(hf_fraction=math.inf, temp_c=None), record_with()]
+
+
 class TestTelemetryBytes:
     """The telemetry writers give the bytes of their plain reference forms for any record."""
 
@@ -603,6 +619,10 @@ class TestTelemetryBytes:
     @example([record_with(t=math.nan, temp_c=None, events=(Event("alarm", 'say "\\\x01é"'),))])
     @example([record_with(position=math.inf, capacitance_pf=-math.inf), record_with(zone="z")])
     @example([record_with(position=1)])  # an int start position that was never moved from
+    @example(MISSING_FIRST)
+    @example(REPEATED_OBJECT)
+    @example(SIGNED_ZEROS)
+    @example(NON_FINITE_BETWEEN)
     def test_jsonl_is_json_dumps(self, records):
         def reference(r):
             events = [{"tag": e.tag, "message": e.message} for e in r.events]
@@ -612,6 +632,10 @@ class TestTelemetryBytes:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(telemetry_records(), max_size=4))
+    @example(MISSING_FIRST)
+    @example(REPEATED_OBJECT)
+    @example(SIGNED_ZEROS)
+    @example(NON_FINITE_BETWEEN)
     def test_csv_cells_are_reprs_and_none_is_nan(self, records):
         def reference(r):
             values = (r.t, r.position, r.alpha, r.temp_c, r.capacitance_pf, r.photocurrent_a)
