@@ -54,6 +54,7 @@ from .kinetics import (
     integrate_conversion,
 )
 from .mission import (
+    TERMINAL_TAGS,
     load_mission,
     run,
     telemetry_to_csv,
@@ -68,8 +69,8 @@ EXIT_IO = 4
 
 ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
 
-# the most steps a predict or simulate run may take; a longer horizon at
-# its step size is refused before the loop, as an input error
+# the most steps a predict or simulate run may take, and the most samples
+# of a synth trace; more is refused before any output, as an input error
 MAX_STEPS = 10**8
 
 
@@ -88,7 +89,8 @@ def _write_summary(outdir: Path, command: str, cal: Calibration, results, extra=
     }
     if extra:
         summary.update(extra)
-    _atomic_write(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    # a NaN or infinity that slipped through fails here rather than being written as non-JSON
+    _atomic_write(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load_effective_calibration(args) -> Calibration:
@@ -106,7 +108,7 @@ def _step_size(args, cal: Calibration) -> float:
 
 
 def _check_step_count(horizon_s: float, dt: float) -> None:
-    """Refuse a run of ``horizon_s`` at steps of ``dt`` that needs more than ``MAX_STEPS`` steps."""
+    """Refuse a span of ``horizon_s`` at steps (or samples) of ``dt`` that needs more than ``MAX_STEPS`` of them."""
     if horizon_s / dt > MAX_STEPS:
         raise ConfigError(
             f"{horizon_s:g} s at a step of {dt!r} s is over {MAX_STEPS:.0e} steps; use a larger step"
@@ -153,20 +155,22 @@ def cmd_fit_dsc(args) -> int:
             error="",
         )
         try:
-            result = fit_rate_constant(trace)
+            # a heat flow too large for float arithmetic overflows; the row says so below
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = fit_rate_constant(trace)
         except (ZeroEnthalpyError, UntriggeredTraceError) as exc:
             row["error"] = str(exc)
-            any_failed = True
         else:
-            row.update(
-                k_per_s=result.k,
-                total_enthalpy_J=result.total_enthalpy,
-                residual_rms_W=result.residual_rms,
-                iterations=result.iterations,
-                converged=result.converged,
+            fitted = dict(
+                k_per_s=result.k, total_enthalpy_J=result.total_enthalpy, residual_rms_W=result.residual_rms
             )
-            if not result.converged:
-                any_failed = True
+            row["iterations"] = result.iterations
+            overflowed = [f"{name} = {value!r}" for name, value in fitted.items() if not math.isfinite(value)]
+            if overflowed:
+                row["error"] = f"fit is not finite: {', '.join(overflowed)}"
+            else:
+                row.update(fitted, converged=result.converged)
+        any_failed = any_failed or not row["converged"]
         rows.append(row)
 
     lines = [",".join(FIT_COLUMNS), *(",".join(_csv_cell(row[c]) for c in FIT_COLUMNS) for row in rows)]
@@ -338,18 +342,23 @@ def cmd_simulate(args) -> int:
     mission_path = resolve_preset_path(args.mission)
     mission = load_mission(mission_path, cal.simulation)
     dt = _step_size(args, cal)
-    if not cal.actuator.speed * dt > 0.0:
+    move, cycle_period = cal.actuator.speed * dt, cal.actuator.cycle_period
+    # positions farthest from 0 are the most coarsely spaced floats of the world
+    reach = max(abs(mission.zones[0].x_min), abs(mission.zones[-1].x_max))
+    if not reach < reach + move < math.inf:
+        lost = "overflows" if move == math.inf else f"is lost to rounding at {reach:g} m"
         raise ConfigError(
             f"step size must be finite and > 0 s and move the robot, got {dt!r} s: "
-            "speed * dt rounds to 0 m"
+            f"a move of speed * dt = {move!r} m {lost}"
         )
+    if dt / cycle_period == math.inf:
+        raise ConfigError(f"a step of {dt!r} s spans more pressure cycles of {cycle_period!r} s than a float holds")
     _check_step_count(cal.simulation.timeout_s, dt)
     records = run(mission, cal, dt=dt, seed=args.seed)
     outdir = _outdir(args)
     _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
     _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))
-    terminal_tags = ("decomposed", "stranded", "timeout")
-    terminal = [e.tag for r in records for e in r.events if e.tag in terminal_tags]
+    terminal = [e.tag for r in records for e in r.events if e.tag in TERMINAL_TAGS]
     if records:
         final_alpha, final_position = records[-1].alpha, records[-1].position
     else:  # a script that needs no step leaves the robot pristine at its start
@@ -385,6 +394,7 @@ def cmd_synth(args) -> int:
         t_end = args.t_end if args.t_end is not None else 20.0 / k
         dt = args.dt_sample if args.dt_sample is not None else t_end / 1500.0
         check_synthesis(k, args.enthalpy, (dt, t_end), args.noise)
+        _check_step_count(t_end, dt)
         jobs.append((k, temp_k, label, (dt, t_end)))
 
     outdir = _outdir(args)

@@ -81,7 +81,7 @@ def as_bool(value: str, context: str) -> bool:
 
 
 def _parse_table(value: str, context: str) -> tuple[tuple[float, float], ...]:
-    """Parse 'x1:y1, x2:y2, ...' into a monotone anchor table."""
+    """Parse 'x1:y1, x2:y2, ...' into (x, y) pairs; the spec that takes the table checks its shape."""
     pairs = []
     for chunk in value.split(","):
         chunk = chunk.strip()
@@ -91,11 +91,6 @@ def _parse_table(value: str, context: str) -> tuple[tuple[float, float], ...]:
             raise ConfigError(f"{context}: table entries need 'x:y', got {chunk!r}")
         xs, ys = chunk.split(":", 1)
         pairs.append((as_float(xs, context), as_float(ys, context)))
-    if len(pairs) < 2:
-        raise ConfigError(f"{context}: table needs at least 2 anchor pairs")
-    xs = [p[0] for p in pairs]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ConfigError(f"{context}: table x values must be strictly increasing")
     return tuple(pairs)
 
 

@@ -71,10 +71,16 @@ class ActuatorSpec:
         ):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be > 0")
+        if not math.isfinite(self.speed):
+            raise DomainError(
+                f"speed stride_per_cycle / cycle_period must be finite, got {self.speed!r} m/s"
+            )
         if self.angle_table is not None:
             xs = [p for p, _ in self.angle_table]
             ys = [a for _, a in self.angle_table]
-            if len(xs) < 2 or xs[0] != 0.0 or ys[0] != 0.0:
+            if len(xs) < 2:
+                raise DomainError("angle_table needs at least 2 anchor pairs")
+            if xs[0] != 0.0 or ys[0] != 0.0:
                 raise DomainError("angle_table must start at the (0, 0) anchor")
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise DomainError("angle_table pressures must be strictly increasing")

@@ -80,11 +80,11 @@ class Condition:
             raise ConfigError(f"unknown telemetry field {self.field!r}")
 
     def compile(self) -> Callable[[tuple], bool]:
-        """A test over a step's field values in ``RULE_FIELDS`` order.
+        """A test over a step's field values, as ``rule_values(record)`` gives them.
 
         An unavailable (None) reading satisfies no condition.
         """
-        index, compare, threshold = RULE_FIELDS.index(self.field), _OPERATORS[self.op], self.value
+        index, compare, threshold = TelemetryRecord._fields.index(self.field), _OPERATORS[self.op], self.value
         if self.use_abs:
             return lambda values: (v := values[index]) is not None and compare(abs(v), threshold)
         return lambda values: (v := values[index]) is not None and compare(v, threshold)
@@ -159,7 +159,8 @@ class RobotState(NamedTuple):
     """Full simulated state; advanced immutably one step at a time.
 
     ``zone_index`` is the index in the world of the zone at ``position``.
-    Sensor status is not stored: it is a function of ``alpha``.
+    Neither mobility nor sensor status is stored: both are functions of
+    ``alpha``.
     """
 
     position: float
@@ -168,7 +169,6 @@ class RobotState(NamedTuple):
     alpha: float = 0.0
     hf_fraction: float = 0.0
     gait: GaitState = GaitState()
-    operational: bool = True
     clock: float = 0.0
     active_alarms: tuple[tuple[str, str], ...] = ()  # (message, tag) of each firing rule
 
@@ -215,17 +215,12 @@ _CSV_COLUMNS = {
 }
 
 
-def _field_getter(names) -> Callable[[tuple], tuple]:
-    """A record's values of ``names``, in ``TelemetryRecord._fields`` order."""
-    return operator.itemgetter(*(i for i, name in enumerate(TelemetryRecord._fields) if name in names))
-
-
 TELEMETRY_CSV_HEADER = ",".join(
     _CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS
 )
 RULE_FIELDS = tuple(name for name in TelemetryRecord._fields if name not in ("zone", "events"))
-# a record's field values in RULE_FIELDS order, the input of compiled alarm rules
-rule_values = _field_getter(RULE_FIELDS)
+# a record's values except its events, the input of compiled alarm rules
+rule_values = operator.itemgetter(slice(-1))
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -257,8 +252,8 @@ def compile_alarms(rules) -> tuple[tuple[str, str, Callable[[tuple], bool]], ...
 def evaluate_alarms(alarms, values: tuple) -> list[tuple[str, str]]:
     """(message, tag) of every compiled rule that holds on a step's field values.
 
-    ``alarms`` comes from ``compile_alarms``; ``values`` are in
-    ``RULE_FIELDS`` order, as ``rule_values(record)`` gives them.
+    ``alarms`` comes from ``compile_alarms``; ``values`` are a record's
+    values except its events, as ``rule_values(record)`` gives them.
     """
     return [(message, tag) for message, tag, test in alarms if test(values)]
 
@@ -401,7 +396,6 @@ def step(
     )
 
     mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
-    operational = mobility > 0.0
 
     # locomotion: the pressure cycle runs only while a move is commanded
     gait = robot.gait
@@ -438,11 +432,9 @@ def step(
         )
 
     clock = robot.clock + dt
-    # the record's field values in RULE_FIELDS order
-    firing = evaluate_alarms(
-        plan.alarms,
-        (clock, position, alpha, hf, resistance, temp_reading, capacitance, photocurrent),
-    )
+    # the record's values but its events
+    values = (clock, position, alpha, hf, here.name, resistance, temp_reading, capacitance, photocurrent)
+    firing = evaluate_alarms(plan.alarms, values)
 
     events: list[Event] = list(pending_events)
     if here_index != env_index:
@@ -452,7 +444,7 @@ def step(
             events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
     if status != old_status:
         events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
-    if robot.operational and not operational:
+    if robot.alpha < settings.mobility_loss_alpha <= alpha:
         events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
     for message, tag in firing:
         if (message, tag) not in robot.active_alarms:
@@ -464,14 +456,13 @@ def step(
     if robot.alpha < settings.decomposed_alpha <= alpha:
         events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
 
-    record = TelemetryRecord(
-        clock, position, alpha, hf, here.name, resistance, temp_reading, capacitance, photocurrent,
-        tuple(events),
-    )
-    new_robot = RobotState(
-        position, here_index, body_temp_c, alpha, hf, gait, operational, clock, tuple(firing)
-    )
-    return new_robot, record
+    new_robot = RobotState(position, here_index, body_temp_c, alpha, hf, gait, clock, tuple(firing))
+    # what TelemetryRecord(...) runs, given the values as one tuple rather than one argument each
+    return new_robot, tuple.__new__(TelemetryRecord, (*values, tuple(events)))
+
+
+# the tags of the events that end a run
+TERMINAL_TAGS = frozenset(("decomposed", "stranded", "timeout"))
 
 
 def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> list[TelemetryRecord]:
@@ -486,55 +477,35 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     plan = StepPlan(mission, cal, dt, seed)
     records: list[TelemetryRecord] = []
     robot = RobotState.at(mission.start, mission.zones)
-    step_index = 0
-    speed = cal.actuator.speed
-
-    def do_step(drive: float, pending: tuple[Event, ...] = ()) -> None:
-        nonlocal robot, step_index
-        robot, record = step(plan, robot, drive=drive, step_index=step_index, pending_events=pending)
-        records.append(record)
-        step_index += 1
-
-    def finished() -> bool:
-        return robot.alpha >= settings.decomposed_alpha
-
-    def timed_out() -> bool:
-        return robot.clock >= settings.timeout_s
-
+    full = cal.actuator.speed * dt
     for command in mission.commands:
-        if finished():
-            break
         pending: tuple[Event, ...] = ()
         if command.kind == "self_destruct":
             pending = (Event("self-destruct", "entering terminal decomposition"),)
         elapsed = 0.0
-        while True:
-            if finished():
-                break
-            if timed_out():
-                do_step(0.0, (Event("timeout", "simulation timeout expired"),))
-                return records
-            if command.kind == "move_to":
+        while robot.alpha < settings.decomposed_alpha:
+            drive, last = 0.0, None
+            if robot.clock >= settings.timeout_s:
+                last = Event("timeout", "simulation timeout expired")
+            elif command.kind == "move_to":
                 remaining = command.value - robot.position
                 if abs(remaining) <= _POSITION_EPS:
                     break
-                if not robot.operational:
-                    do_step(0.0, (Event("stranded", f"cannot reach {command.value:g} m"),))
-                    return records
-                full = speed * dt
-                drive = max(-1.0, min(1.0, remaining / full))
-                do_step(drive, pending)
+                if robot.alpha >= settings.mobility_loss_alpha:
+                    last = Event("stranded", f"cannot reach {command.value:g} m")
+                else:
+                    drive = max(-1.0, min(1.0, remaining / full))
             elif command.kind == "dwell":
                 if elapsed >= command.value - 1e-9:
                     break
-                do_step(0.0, pending)
                 elapsed += dt
-            elif command.kind == "await_uv_dose":
-                if robot.hf_fraction >= command.value - 1e-12:
-                    break
-                do_step(0.0, pending)
-            else:  # self_destruct; a Mission admits no other kind
-                do_step(0.0, pending)
+            elif command.kind == "await_uv_dose" and robot.hf_fraction >= command.value - 1e-12:
+                break
+            # a self_destruct steps on until the robot is done; a Mission admits no other kind
+            robot, record = step(plan, robot, drive, len(records), (last,) if last else pending)
+            records.append(record)
+            if last:
+                return records
             pending = ()
     return records
 

@@ -11,6 +11,7 @@ photocurrent clamps to zero, and the capacitance reading drops out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,16 @@ class TempSensorSpec:
             raise DomainError("slope must be > 0")
         if self.fail_resistance < 1e6:
             raise DomainError("fail_resistance must be >= 1e6 ohm")
+        # a sound sensor reads above 0 and below the failure clamp (which it
+        # would read as failed); R(T) is a line, so it does over the band
+        # when it does at both edges
+        edges = [temp_resistance(self, t) for t in TEMP_BAND_C]
+        if not all(0.0 < r < self.fail_resistance for r in edges):
+            raise DomainError(
+                f"R(T) = r0 + slope * (T - t_ref) must lie between 0 and fail_resistance "
+                f"{self.fail_resistance!r} ohm over {list(TEMP_BAND_C)} degC, "
+                f"got {edges[0]!r} and {edges[1]!r} ohm at its edges"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,9 @@ class StrainSensorSpec:
         if self.capacitance_table is not None:
             xs = [a for a, _ in self.capacitance_table]
             ys = [c for _, c in self.capacitance_table]
-            if len(xs) < 2 or xs[0] != 0.0:
+            if len(xs) < 2:
+                raise DomainError("capacitance_table needs at least 2 anchor pairs")
+            if xs[0] != 0.0:
                 raise DomainError("capacitance_table must start at angle 0")
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise DomainError("capacitance_table angles must be strictly increasing")
@@ -81,6 +94,13 @@ class StrainSensorSpec:
                 raise DomainError("capacitance_table must be strictly increasing in pF")
             if xs[-1] < self.angle_full:
                 raise DomainError("capacitance_table must cover angle_full")
+        # the map rises with the angle, so its largest reading is at angle_full
+        largest = strain_capacitance(self, self.angle_full)
+        if not math.isfinite(largest * (1.0 + DEGRADED_JITTER_GAIN)):
+            raise DomainError(
+                f"largest capacitance {largest!r} pF overflows once jittered by "
+                f"{1.0 + DEGRADED_JITTER_GAIN:g}x in the degraded band"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from transient_kinetics import cli as cli_module
 from transient_kinetics.config import Calibration
 from transient_kinetics.dscfit import read_trace_csv, synthesize_trace, write_trace_csv
 from transient_kinetics.kinetics import (
+    ZERO_CELSIUS_K,
     ArrheniusParams,
     ConversionSeries,
     ExposureSchedule,
@@ -127,6 +129,32 @@ class TestFitDsc:
         assert fits[0]["converged"] is True
         assert fits[1]["converged"] is False
         assert "heat" in fits[1]["error"]
+
+    def test_overflowing_fit_is_an_error_row(self, tmp_path, capsys):
+        # k * dH = 1e303 W: the fit's squared residuals overflow to inf
+        assert main_in_process(capsys, "synth", "--k", 0.01, "--enthalpy", 1e305, "--out", tmp_path)[0] == 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, err = main_in_process(capsys, "fit-dsc", tmp_path / "trace_synth.csv", "--out", out)
+        assert code == 1, err
+        header, row = (out / "fits.csv").read_text().splitlines()
+        assert header.split(",") == list(cli_module.FIT_COLUMNS)
+        cells = dict(zip(cli_module.FIT_COLUMNS, row.split(",")))
+        assert cells["k_per_s"] == cells["total_enthalpy_J"] == cells["residual_rms_W"] == ""
+        assert cells["converged"] == "false"
+        assert cells["error"] == "fit is not finite: residual_rms_W = inf"
+
+        def refuse(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        (fit,) = json.loads((out / "summary.json").read_text(), parse_constant=refuse)["results"]["fits"]
+        assert fit["k_per_s"] is None and fit["residual_rms_W"] is None and fit["converged"] is False
+
+    def test_summary_refuses_a_non_finite_number(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli_module._write_summary(tmp_path, "fit-dsc", Calibration(), {"residual_rms_W": math.inf})
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize(
         "names, cells",
@@ -303,6 +331,29 @@ class TestPredict:
         alphas = [float(line.split(",")[1]) for line in profile]
         assert all(a == 0.0 for a in alphas)
         assert read_summary(out)["results"]["time_to_alpha_s"]["0.95"] is None
+
+    # one hot UV hold and one cooler dark hold, each fully triggered
+    TRIGGERED_SCHEDULE = "duration_s,temperature_C,uv_on\n300,120,true\n500,80,false\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(dt=st.floats(0.5, 300.0))
+    @example(dt=300.0)  # one step per hold
+    @example(dt=7.0)  # a step that divides neither hold
+    def test_assume_triggered_is_step_size_invariant(self, dt):
+        k_hot, k_cool = (arrhenius_rate(ECOFLEX, t_c + ZERO_CELSIUS_K) for t_c in (120.0, 80.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "sched.csv").write_text(self.TRIGGERED_SCHEDULE)
+            args = ["predict", tmp / "sched.csv", "--assume-triggered", "--dt", repr(dt), "--out", tmp / "out"]
+            assert cli_module.main([str(a) for a in args]) == 0
+            rows = (tmp / "out" / "conversion_profile.csv").read_text().splitlines()[1:]
+            final_alpha = read_summary(tmp / "out")["results"]["final_alpha"]
+        # every sample, whatever the step, is on the closed form 1 - exp(-sum of k * t)
+        for row in rows:
+            t, alpha, _ = map(float, row.split(","))
+            exponent = k_hot * min(t, 300.0) + k_cool * max(t - 300.0, 0.0)
+            assert alpha == pytest.approx(-math.expm1(-exponent), abs=1e-12)
+        assert t == pytest.approx(800.0) and final_alpha == alpha
 
     def test_zero_duration_schedule_exits_2(self, tmp_path):
         sched = tmp_path / "sched.csv"
@@ -742,6 +793,16 @@ class TestBoundedHorizon:
         assert "1e+09 s at a step of 1.0 s is over 1e+08 steps" in err
         assert not out.exists()
 
+    def test_synth_over_max_samples_exits_2(self, tmp_path, capsys):
+        # 1e15 samples: numpy refuses the 7 PiB at once rather than exiting 2
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "synth", "--k", 0.001, "--t-end", 1e12, "--dt-sample", 1e-3, "--out", out
+        )
+        assert code == 2
+        assert "1e+12 s at a step of 0.001 s is over 1e+08 steps" in err
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     def test_infinite_segment_duration_exits_2(self, tmp_path):
@@ -868,6 +929,59 @@ class TestFiniteOutputs:
                     self.assert_finite_outputs(out)
                 else:
                     assert not out.exists()
+
+    # the keys of each device section that set a speed or a sensor's largest reading
+    DEVICE_KEYS = {
+        "actuator": ("stride_per_cycle_m", "cycle_period_s"),
+        "sensor.temp": ("r0_ohm", "tcr_ohm_per_c", "t_ref_c"),
+        "sensor.strain": ("c0_pf", "swing_pf"),
+    }
+    # a robot that walks from 0.25 m to 0.75 m through the degraded sensor band
+    WALK_MISSION = (
+        "[zone.1]\nname = hot\nx_min = 0\nx_max = 1\ntemperature_c = 120\nuv_on = true\n"
+        "[robot]\nposition = 0.25\n[script]\nmove_to = 0.75\ndwell = 300\n"
+    )
+    WALK_OVERLAY = (
+        "[kinetics]\npre_exponential_per_s = 1.703\n[photolysis]\nrate_per_s = 0.05\n"
+        "[simulation]\ntimeout_s = 600\n"
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        overlay=st.sampled_from(sorted(DEVICE_KEYS)).flatmap(
+            lambda section, keys=DEVICE_KEYS: st.tuples(
+                st.just(section), st.fixed_dictionaries({}, optional=dict.fromkeys(keys[section], st.floats()))
+            )
+        )
+    )
+    # an infinite speed: the robot never left its start
+    @example(overlay=("actuator", {"stride_per_cycle_m": 1e308, "cycle_period_s": 1e-10}))
+    # an infinite resistance: Infinity in telemetry.jsonl
+    @example(overlay=("sensor.temp", {"tcr_ohm_per_c": 1e308}))
+    # a jittered capacitance that overflows in the degraded band
+    @example(overlay=("sensor.strain", {"c0_pf": 1.5e308}))
+    # a move lost to rounding, and a step of more pressure cycles than a float holds
+    @example(overlay=("actuator", {"stride_per_cycle_m": 1e-300}))
+    @example(overlay=("actuator", {"stride_per_cycle_m": 5e-324, "cycle_period_s": 5e-324}))
+    def test_device_overlay_keeps_outputs_finite_and_the_robot_walking(self, overlay):
+        section, values = overlay
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "device.cfg"
+            entries = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+            cfg.write_text(f"{self.WALK_OVERLAY}[{section}]\n{entries}")
+            (tmp / "walk.mission").write_text(self.WALK_MISSION)
+            out = tmp / "out"
+            args = ["simulate", tmp / "walk.mission", "--dt", 1, "--config", cfg, "--out", out]
+            code = cli_module.main([str(a) for a in args])
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            self.assert_finite_outputs(out)
+            # the robot, mobile at the start, moves on its first step
+            first_row = (out / "telemetry.csv").read_text().splitlines()[1]
+            assert float(first_row.split(",")[1]) > 0.25
 
 
 class TestRefusedRunLeavesNoOutput:

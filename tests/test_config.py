@@ -301,6 +301,70 @@ class TestCalibration:
             load_calibration_file(cfg)
         assert str(err.value) == f"{cfg}: {message}"
 
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("actuator", "angle_table = 0:0", "angle_table needs at least 2 anchor pairs"),
+            ("actuator", "angle_table = 0:0, 12:35, 6:40", "angle_table pressures must be strictly increasing"),
+            ("sensor.strain", "capacitance_table = 0:10", "capacitance_table needs at least 2 anchor pairs"),
+            (
+                "sensor.strain",
+                "capacitance_table = 0:10, 40:12, 20:11",
+                "capacitance_table angles must be strictly increasing",
+            ),
+        ],
+        ids=["angle-one-pair", "angle-decreasing", "capacitance-one-pair", "capacitance-decreasing"],
+    )
+    def test_bad_anchor_table_names_its_file(self, tmp_path, section, entry, message):
+        # the spec that takes the table is the one place its shape is checked
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"[{section}]\n{entry}\n")
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg}: {message}"
+
+    @pytest.mark.parametrize(
+        "section, entries, message",
+        [
+            (
+                "actuator",
+                "stride_per_cycle_m = 1e308\ncycle_period_s = 1e-10",
+                "speed stride_per_cycle / cycle_period must be finite, got inf m/s",
+            ),
+            (
+                "sensor.temp",
+                "tcr_ohm_per_c = 1e308",
+                "R(T) = r0 + slope * (T - t_ref) must lie between 0 and fail_resistance 1000000.0 ohm "
+                "over [-20.0, 200.0] degC, got -inf and inf ohm at its edges",
+            ),
+            # a sound sensor that reads as failed, and one whose R(T) is not positive at -20 degC
+            (
+                "sensor.temp",
+                "r0_ohm = 2e6",
+                "R(T) = r0 + slope * (T - t_ref) must lie between 0 and fail_resistance 1000000.0 ohm "
+                "over [-20.0, 200.0] degC, got 1999999.91 and 2000000.35 ohm at its edges",
+            ),
+            (
+                "sensor.temp",
+                "r0_ohm = 0.01",
+                "R(T) = r0 + slope * (T - t_ref) must lie between 0 and fail_resistance 1000000.0 ohm "
+                "over [-20.0, 200.0] degC, got -0.08 and 0.36000000000000004 ohm at its edges",
+            ),
+            (
+                "sensor.strain",
+                "c0_pf = 1.5e308",
+                "largest capacitance 1.5e+308 pF overflows once jittered by 1.5x in the degraded band",
+            ),
+        ],
+        ids=["speed", "resistance", "resistance-at-clamp", "resistance-not-positive", "capacitance"],
+    )
+    def test_device_value_out_of_range_names_its_file(self, tmp_path, section, entries, message):
+        cfg = tmp_path / "device.cfg"
+        cfg.write_text(f"[{section}]\n{entries}\n")
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg}: {message}"
+
     def test_every_key_overlay_echo(self, tmp_path):
         cfg = tmp_path / "every.cfg"
         cfg.write_text(EVERY_KEY_OVERLAY)
