@@ -268,7 +268,8 @@ def check_synthesis(
     k: float, total_enthalpy: float, sampling: tuple[float, float], noise_fraction: float = 0.0
 ) -> None:
     """Refuse what ``synthesize_trace`` cannot sample: every value finite,
-    k, dH, t_end and dt > 0, and t_end at least 10 * dt."""
+    k, dH, t_end and dt > 0, t_end at least 10 * dt, and a finite peak
+    heat flow k * dH and noise scale noise_fraction * k * dH."""
     dt, t_end = sampling
     for name, value in (("k", k), ("total_enthalpy", total_enthalpy), ("t_end", t_end), ("dt", dt)):
         check_positive(name, value)
@@ -276,6 +277,14 @@ def check_synthesis(
         raise DomainError("t_end must be at least 10 * dt")
     if not math.isfinite(noise_fraction):
         raise DomainError(f"noise_fraction must be finite, got {noise_fraction!r}")
+    if k * total_enthalpy == math.inf:
+        raise DomainError(f"peak heat flow k * total_enthalpy must be finite, got {k!r} * {total_enthalpy!r}")
+    # the scale exactly as synthesize_trace computes it
+    if not math.isfinite(noise_fraction * k * total_enthalpy):
+        raise DomainError(
+            "noise scale noise_fraction * k * total_enthalpy must be finite, "
+            f"got {noise_fraction!r} * {k!r} * {total_enthalpy!r}"
+        )
 
 
 def synthesize_trace(

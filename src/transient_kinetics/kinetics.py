@@ -71,12 +71,11 @@ class PhotolysisState:
     k_photo: float = DEFAULT_K_PHOTO
 
     def __post_init__(self):
-        if self.dpi_initial <= 0:
-            raise DomainError("dpi_initial must be > 0")
+        check_positive("dpi_initial", self.dpi_initial)
         if not 0.0 <= self.hf <= self.dpi_initial:
             raise DomainError("hf must lie in [0, dpi_initial]")
-        if self.k_photo < 0:
-            raise DomainError("k_photo must be >= 0")
+        if not 0.0 <= self.k_photo < math.inf:
+            raise DomainError(f"k_photo must be finite and >= 0, got {self.k_photo!r}")
 
     @property
     def hf_fraction(self) -> float:
@@ -207,21 +206,31 @@ def trigger_coupling(hf_fraction: float, hf_sat: float = DEFAULT_HF_SAT) -> floa
     Scales the thermal decomposition rate by the accumulated photolysis
     dose; a full 30 min reference dose (fraction >= hf_sat) gives g = 1.
     """
-    if hf_sat <= 0:
-        raise DomainError("hf_sat must be > 0")
+    check_positive("hf_sat", hf_sat)
     if hf_fraction <= 0:
         return 0.0
     return min(1.0, hf_fraction / hf_sat)
 
 
-def _advance_alpha(alpha: float, k_eff: float, dt: float) -> float:
-    """Exact constant-rate update of d(alpha)/dt = k_eff * (1 - alpha) over dt."""
+def dose_update(hf: float, hf_max: float, photo_decay: float) -> float:
+    """First-order photolysis over one UV step: the dose approaches ``hf_max``
+    by the step's decay factor ``photo_decay`` = exp(-k_photo * dt)."""
+    return hf_max + (hf - hf_max) * photo_decay
+
+
+def conversion_update(alpha: float, k_eff: float, decay: float) -> float:
+    """Exact constant-rate step of d(alpha)/dt = k_eff * (1 - alpha), given the
+    step's decay factor ``decay`` = exp(-k_eff * dt).
+
+    A step at k_eff <= 0 leaves alpha as it is, and a fully converted
+    sample stays at 1.
+    """
     if k_eff <= 0.0:
         return alpha
     u = 1.0 - alpha
     if u <= 0.0:
         return 1.0
-    return 1.0 - u * math.exp(-k_eff * dt)
+    return 1.0 - u * decay
 
 
 def advance(
@@ -239,12 +248,14 @@ def advance(
     Under UV the fluoride dose approaches ``hf_max`` first-order at
     ``k_photo`` (the dose persists in the dark); alpha then advances at
     ``k_thermal`` scaled by the trigger coupling of the updated dose
-    fraction hf / hf_max. Returns the new (hf, alpha).
+    fraction hf / hf_max. The step's decay factors are computed here and
+    applied by ``dose_update`` and ``conversion_update``. Returns the new
+    (hf, alpha).
     """
     if uv_on:
-        hf = hf_max + (hf - hf_max) * math.exp(-k_photo * dt)
-    g = trigger_coupling(hf / hf_max, hf_sat)
-    return hf, _advance_alpha(alpha, k_thermal * g, dt)
+        hf = dose_update(hf, hf_max, math.exp(-k_photo * dt))
+    k_eff = k_thermal * trigger_coupling(hf / hf_max, hf_sat)
+    return hf, conversion_update(alpha, k_eff, math.exp(-k_eff * dt))
 
 
 def integrate_conversion(
@@ -256,43 +267,53 @@ def integrate_conversion(
 ) -> ConversionSeries:
     """March the coupled photolysis/conversion laws through a schedule.
 
-    Each step is one ``advance`` at the frozen segment conditions, with
-    the dose in mol/m^3 (hf_max = dpi_initial). For a fully triggered
+    Each step applies ``dose_update`` (under UV) and ``conversion_update``
+    at the frozen segment conditions, with the dose in mol/m^3 (hf_max =
+    dpi_initial), and gives the bits a loop of ``advance`` calls gives.
+    The decay factors are computed once per segment and step length:
+    exp(-k_photo * dt) under UV, and exp(-k_thermal * g * dt) while the
+    coupling g holds, which it does on every dark step and on UV steps
+    once the dose saturates. Only the short last step of a segment, or a
+    UV step that changes g, computes a new factor. For a fully triggered
     history (g = 1) the result matches the closed-form piecewise product
     to rounding error for any step size.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    check_positive("dt", dt, " s")
     if dt > schedule.min_duration + 1e-12:
         raise DomainError("dt must not exceed the shortest segment duration")
 
-    hf_frac = photolysis.hf_fraction
+    hf_max, k_photo = photolysis.dpi_initial, photolysis.k_photo
+    hf = photolysis.hf
+    hf_frac = hf / hf_max
     times = [0.0]
     alphas = [0.0]
     hf_fracs = [hf_frac]
 
     t = 0.0
     alpha = 0.0
-    hf = photolysis.hf
     for seg in schedule.segments:
         k_thermal = arrhenius_rate(params, seg.temperature)
+        uv_on = seg.uv_on
+        k_eff = k_thermal * trigger_coupling(hf_frac, hf_sat)
+        step = dt
+        photo_decay = math.exp(-k_photo * step)
+        decay = math.exp(-k_eff * step)
         remaining = seg.duration
         while remaining > 1e-12:
-            step = dt if remaining >= dt else remaining
-            hf, alpha = advance(
-                hf,
-                alpha,
-                k_thermal,
-                seg.uv_on,
-                step,
-                photolysis.k_photo,
-                photolysis.dpi_initial,
-                hf_sat,
-            )
+            if remaining < dt:  # the short last step of the segment
+                step = remaining
+                photo_decay = math.exp(-k_photo * step)
+                decay = math.exp(-k_eff * step)
+            if uv_on:  # the dose, and so its fraction and g, changes only under UV
+                hf = dose_update(hf, hf_max, photo_decay)
+                hf_frac = hf / hf_max
+                k_next = k_thermal * trigger_coupling(hf_frac, hf_sat)
+                if k_next != k_eff:
+                    k_eff = k_next
+                    decay = math.exp(-k_eff * step)
+            alpha = conversion_update(alpha, k_eff, decay)
             t += step
             remaining -= step
-            if seg.uv_on:  # the dose, and so its fraction, changes only under UV
-                hf_frac = hf / photolysis.dpi_initial
             times.append(t)
             alphas.append(alpha)
             hf_fracs.append(hf_frac)

@@ -867,13 +867,22 @@ class TestNonFiniteInput:
             (["--k", "1e-3", "--t-end", "inf"], "t_end must be finite and > 0, got inf"),
             (["--k", "1e-3", "--enthalpy", "nan"], "total_enthalpy must be finite and > 0, got nan"),
             (["--k", "1e-3", "--noise", "nan"], "noise_fraction must be finite, got nan"),
+            (
+                ["--k", "10", "--enthalpy", "1e308", "--t-end", "1", "--dt-sample", "0.01"],
+                "peak heat flow k * total_enthalpy must be finite, got 10.0 * 1e+308",
+            ),
+            (
+                ["--k", "10", "--enthalpy", "1e307", "--noise", "100"],
+                "noise scale noise_fraction * k * total_enthalpy must be finite, got 100.0 * 10.0 * 1e+307",
+            ),
             (["--temperature-c", "inf"], "temperature must be finite and > 0 K, got inf"),
             (["--temperature-c", "nan"], "temperature must be finite and > 0 K, got nan"),
             (["--k", "1e-3", "--temperature-c", "inf"], "temperature must be finite and > 0 K, got inf"),
             (["--k", "1e-3", "--temperature-c", "-300"], "temperature must be finite and > 0 K, got -26.85"),
         ],
         ids=[
-            "k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise", "temperature-inf", "temperature-nan",
+            "k", "k-zero", "dt-sample", "t-end", "enthalpy", "noise", "peak-overflow", "noise-scale-overflow",
+            "temperature-inf", "temperature-nan",
             "k-temperature-inf", "k-temperature-below-0K",
         ],
     )
@@ -904,20 +913,14 @@ class TestFiniteOutputs:
                 # only a missing telemetry reading is written as nan
                 assert path.name == "telemetry.csv" or "nan" not in cells, path.name
 
-    @settings(max_examples=50, deadline=None)
-    @given(rate_per_s=ANY_NUMBER, hf_saturation=ANY_NUMBER, dpi_initial_mol_m3=ANY_NUMBER)
-    @example(rate_per_s=-1.0, hf_saturation=None, dpi_initial_mol_m3=None)
-    def test_no_output_holds_nan_or_infinity(self, rate_per_s, hf_saturation, dpi_initial_mol_m3):
-        overlay = {
-            "rate_per_s": rate_per_s,
-            "hf_saturation": hf_saturation,
-            "dpi_initial_mol_m3": dpi_initial_mol_m3,
-        }
+    def assert_predict_and_simulate_finite(self, section, overlay):
+        """Run both commands under a ``[section]`` overlay (None omits a key):
+        each exits 0 with finite outputs, or 2 with no ``--out``."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            cfg = tmp / "photo.cfg"
+            cfg = tmp / "overlay.cfg"
             entries = "".join(f"{k} = {v!r}\n" for k, v in overlay.items() if v is not None)
-            cfg.write_text("[photolysis]\n" + entries)
+            cfg.write_text(f"[{section}]\n" + entries)
             (tmp / "one.mission").write_text(self.MISSION)
             (tmp / "sched.csv").write_text(self.SCHEDULE)
             for command, source in (("simulate", "one.mission"), ("predict", "sched.csv")):
@@ -929,6 +932,30 @@ class TestFiniteOutputs:
                     self.assert_finite_outputs(out)
                 else:
                     assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(rate_per_s=ANY_NUMBER, hf_saturation=ANY_NUMBER, dpi_initial_mol_m3=ANY_NUMBER)
+    @example(rate_per_s=-1.0, hf_saturation=None, dpi_initial_mol_m3=None)
+    def test_no_output_holds_nan_or_infinity(self, rate_per_s, hf_saturation, dpi_initial_mol_m3):
+        self.assert_predict_and_simulate_finite(
+            "photolysis",
+            {"rate_per_s": rate_per_s, "hf_saturation": hf_saturation, "dpi_initial_mol_m3": dpi_initial_mol_m3},
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(pre_exponential_per_s=ANY_NUMBER, activation_energy_kj_per_mol=ANY_NUMBER)
+    # k(T) * dt so large every decay factor is 0, and so small it is 1
+    @example(pre_exponential_per_s=1e308, activation_energy_kj_per_mol=0.0)
+    @example(pre_exponential_per_s=5e-324, activation_energy_kj_per_mol=None)
+    @example(pre_exponential_per_s=None, activation_energy_kj_per_mol=1e300)
+    def test_kinetics_overlay_keeps_outputs_finite(self, pre_exponential_per_s, activation_energy_kj_per_mol):
+        self.assert_predict_and_simulate_finite(
+            "kinetics",
+            {
+                "pre_exponential_per_s": pre_exponential_per_s,
+                "activation_energy_kj_per_mol": activation_energy_kj_per_mol,
+            },
+        )
 
     # the keys of each device section that set a speed or a sensor's largest reading
     DEVICE_KEYS = {

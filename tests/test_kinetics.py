@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transient_kinetics.errors import DomainError, UnreachableTargetError
 from transient_kinetics.kinetics import (
@@ -35,6 +37,33 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz
 def oracle_rate(pre, ea, temp):
     # direct high-precision evaluation, independent of the module under test
     return pre * math.exp(-ea / (8.314 * temp))
+
+
+def reference_integrate(schedule, params, photolysis, dt, hf_sat):
+    """``integrate_conversion`` as one ``advance`` call per step, each
+    computing its own decay factors: the reference the hoisted loop must
+    match bit for bit."""
+    hf_frac = photolysis.hf_fraction
+    times, alphas, hf_fracs = [0.0], [0.0], [hf_frac]
+    t = 0.0
+    alpha = 0.0
+    hf = photolysis.hf
+    for seg in schedule.segments:
+        k_thermal = arrhenius_rate(params, seg.temperature)
+        remaining = seg.duration
+        while remaining > 1e-12:
+            step = dt if remaining >= dt else remaining
+            hf, alpha = advance(
+                hf, alpha, k_thermal, seg.uv_on, step, photolysis.k_photo, photolysis.dpi_initial, hf_sat
+            )
+            t += step
+            remaining -= step
+            if seg.uv_on:
+                hf_frac = hf / photolysis.dpi_initial
+            times.append(t)
+            alphas.append(alpha)
+            hf_fracs.append(hf_frac)
+    return np.asarray(times), np.asarray(alphas), np.asarray(hf_fracs)
 
 
 class TestArrheniusRate:
@@ -267,6 +296,18 @@ class TestScheduleTypes:
         with pytest.raises(DomainError):
             PhotolysisState(dpi_initial=1.0, hf=2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_photolysis_dpi_initial_must_be_finite(self, value):
+        # an infinite inventory made hf_fraction = 0 / inf and the dose NaN
+        with pytest.raises(DomainError, match="dpi_initial must be finite and > 0"):
+            PhotolysisState(dpi_initial=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_photolysis_rate_must_be_finite(self, value):
+        # a NaN rate made every UV dose NaN
+        with pytest.raises(DomainError, match="k_photo must be finite and >= 0"):
+            PhotolysisState(dpi_initial=1.0, k_photo=value)
+
 
 class TestIntegrateConversion:
     def test_uv_never_on_keeps_alpha_zero(self):
@@ -321,12 +362,68 @@ class TestIntegrateConversion:
         with pytest.raises(DomainError):
             integrate_conversion(schedule, ECOFLEX, PhotolysisState(1.0), dt=101.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_refused(self, dt):
+        # dt = nan passed both checks and returned 3 samples whose final
+        # alpha (0.00713) was not the dt = 1 answer (0.00485)
+        schedule = ExposureSchedule.from_tuples([(100.0, 400.0, True), (50.0, 400.0, False)])
+        params = ArrheniusParams.from_kj_per_mol(1e3, 50.0)
+        with pytest.raises(DomainError, match="dt must be finite and > 0 s"):
+            integrate_conversion(schedule, params, PhotolysisState(1.0), dt=dt)
+        assert integrate_conversion(schedule, params, PhotolysisState(1.0), dt=1.0).alpha[-1] == pytest.approx(
+            0.00485, abs=5e-6
+        )
+
     def test_series_time_axis(self):
         schedule = ExposureSchedule.from_tuples([(10.0, 300.0, True), (5.0, 320.0, False)])
         series = integrate_conversion(schedule, ECOFLEX, PhotolysisState(1.0), dt=1.0)
         assert series.t[0] == 0.0
         assert series.t[-1] == pytest.approx(15.0, abs=1e-9)
         assert len(series.t) == len(series.alpha) == len(series.hf_fraction) == 16
+
+
+@st.composite
+def hoist_cases(draw):
+    """A schedule of 1-6 segments whose durations are or are not whole
+    multiples of dt, with a photolysis state and hf_sat to march it under."""
+    dt = draw(st.floats(min_value=0.01, max_value=100.0))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        steps = draw(st.integers(min_value=1, max_value=40))
+        fraction = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.999))
+        rows.append((dt * (steps + fraction), draw(st.floats(min_value=250.0, max_value=500.0)), draw(st.booleans())))
+    params = ArrheniusParams.from_kj_per_mol(
+        draw(st.floats(min_value=1e-6, max_value=1e6)), draw(st.floats(min_value=0.0, max_value=100.0))
+    )
+    k_photo = draw(st.just(0.0) | st.floats(min_value=1e-6, max_value=10.0))
+    dpi_initial = draw(st.floats(min_value=1e-3, max_value=1e3))
+    if draw(st.booleans()):
+        photolysis = PhotolysisState.saturated(dpi_initial, k_photo)
+    else:
+        photolysis = PhotolysisState(dpi_initial, k_photo=k_photo)
+    hf_sat = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return ExposureSchedule.from_tuples(rows), params, photolysis, dt, hf_sat
+
+
+class TestHoistedFactors:
+    # three full steps of 1 s and a short last one
+    HOLD_UV = ExposureSchedule.from_tuples([(3.5, 400.0, True)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=hoist_cases())
+    # a dose at hf_sat (g = 1) that rounding in the UV update then moves below it
+    @example(
+        case=(HOLD_UV, ArrheniusParams(0.7, 0.0), PhotolysisState(1.0, hf=1e-4, k_photo=0.0), 1.0, 1e-4)
+    )
+    # k_thermal * dt so large its decay factor is 0, and so small it is 1
+    @example(case=(HOLD_UV, ArrheniusParams(1e308, 0.0), PhotolysisState.saturated(), 1.0, 1.0))
+    @example(case=(HOLD_UV, ArrheniusParams(5e-324, 0.0), PhotolysisState(1.0), 1.0, 0.5))
+    def test_matches_a_loop_of_advance_bit_for_bit(self, case):
+        schedule, params, photolysis, dt, hf_sat = case
+        series = integrate_conversion(schedule, params, photolysis, dt, hf_sat=hf_sat)
+        expected = reference_integrate(schedule, params, photolysis, dt, hf_sat)
+        for got, want in zip((series.t, series.alpha, series.hf_fraction), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdvance:
@@ -364,3 +461,9 @@ class TestTriggerCoupling:
     def test_bad_saturation(self):
         with pytest.raises(DomainError):
             trigger_coupling(0.5, hf_sat=0.0)
+
+    @pytest.mark.parametrize("hf_sat", [math.nan, math.inf])
+    def test_non_finite_saturation_refused(self, hf_sat):
+        # min(1.0, nan) = 1.0 treated a NaN saturation as a full trigger
+        with pytest.raises(DomainError, match="hf_sat must be finite and > 0"):
+            trigger_coupling(0.5, hf_sat=hf_sat)
