@@ -397,10 +397,9 @@ def cmd_synth(args) -> int:
         _check_step_count(t_end, dt)
         jobs.append((k, temp_k, label, (dt, t_end)))
 
-    outdir = _outdir(args)
-    written = []
-    for index, (k, temp_k, label, sampling) in enumerate(jobs):
-        trace = synthesize_trace(
+    def synthesize(index):
+        k, temp_k, label, sampling = jobs[index]
+        return synthesize_trace(
             k,
             args.enthalpy,
             sampling,
@@ -410,6 +409,16 @@ def cmd_synth(args) -> int:
             uv_on=True,
             label=label,
         )
+
+    # a noise draw can overflow a finite scale: synthesizing refuses that before
+    # --out exists; each trace is dropped, so one is held at a time
+    for index in range(len(jobs)):
+        synthesize(index)
+
+    outdir = _outdir(args)
+    written = []
+    for index, (k, temp_k, label, _) in enumerate(jobs):
+        trace = synthesize(index)
         path = outdir / f"trace_{label}.csv"
         write_trace_csv(trace, path)
         written.append(

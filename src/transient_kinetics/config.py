@@ -29,7 +29,7 @@ from .mechanics import (
     MaterialSpec,
     validate_actuator_wall,
 )
-from .sensors import PhotodiodeSpec, SensorHealth, StrainSensorSpec, TempSensorSpec
+from .sensors import BIAS_BAND_V, PhotodiodeSpec, SensorHealth, StrainSensorSpec, TempSensorSpec
 
 PRESETS_ENV_VAR = "TRANSIENT_KINETICS_PRESETS"
 DEFAULT_CALIBRATION_NAME = "default.cfg"
@@ -113,10 +113,17 @@ class SimulationSettings:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1], got {value!r}")
+        if not 0.0 <= self.dose_alarm_fraction <= 1.0:
+            raise DomainError(f"dose_alarm_fraction must lie in [0, 1], got {self.dose_alarm_fraction!r}")
         check_positive("timeout_s", self.timeout_s, " s")
-        if not 0.0 <= self.body_thermal_lag_s < math.inf:
+        for name, unit in (("body_thermal_lag_s", "s"), ("uv_current_threshold_a", "A")):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0 {unit}, got {value!r}")
+        lo, hi = BIAS_BAND_V
+        if not lo <= self.monitor_bias_v <= hi:
             raise DomainError(
-                f"body_thermal_lag_s must be finite and >= 0 s, got {self.body_thermal_lag_s!r}"
+                f"monitor_bias_v {self.monitor_bias_v!r} V lies outside the photodiode's band [{lo}, {hi}] V"
             )
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
-from .fileio import atomic_write, parse_bool, read_csv
+from .fileio import atomic_write, parse_bool, parse_csv, read_text
 from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, dsc_heat_flow
 
 # numpy 2.0 renamed trapz
@@ -300,7 +300,8 @@ def synthesize_trace(
     """Generate a model trace with optional seeded Gaussian noise.
 
     Noise is scaled by the peak amplitude k * dH (the t = 0 heat flow)
-    and is reproducible for a fixed seed.
+    and is reproducible for a fixed seed. A draw that makes a heat flow
+    overflow is refused as a DomainError.
     """
     check_synthesis(k, total_enthalpy, sampling, noise_fraction)
     dt, t_end = sampling
@@ -309,7 +310,15 @@ def synthesize_trace(
     q = dsc_heat_flow(k, total_enthalpy, t)
     if noise_fraction:
         rng = np.random.default_rng(seed)
-        q = q + noise_fraction * k * total_enthalpy * rng.standard_normal(n)
+        with np.errstate(over="ignore"):
+            q = q + noise_fraction * k * total_enthalpy * rng.standard_normal(n)
+        finite = np.isfinite(q)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(
+                f"noisy heat flow at t = {float(t[i])!r} s is {float(q[i])!r} W: a noise draw "
+                f"times the scale {noise_fraction * k * total_enthalpy!r} W overflows"
+            )
     return DscTrace(
         time_s=t,
         heat_flow_w=q,
@@ -332,9 +341,9 @@ def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def read_trace_csv(path: str | Path) -> DscTrace:
-    """Parse a trace CSV; parse failures report the offending line number."""
-    meta, rows = read_csv(path, "trace", TraceParseError)
+def _parse_trace_lines(text: str):
+    """``(metadata, time_s, heat_flow_w, last line number)`` of a trace, one line at a time."""
+    meta, rows = parse_csv(text, TraceParseError)
     header = ",".join(rows[0][1])
     if header.replace(" ", "") != TRACE_HEADER:
         raise TraceParseError(f"expected header {TRACE_HEADER!r}, got {header!r}", rows[0][0])
@@ -353,6 +362,63 @@ def read_trace_csv(path: str | Path) -> DscTrace:
     if not finite.all():
         line_number, cells = rows[1 + int(np.argmin(finite))]
         raise TraceParseError(f"non-finite row {','.join(cells)!r}", line_number)
+    return meta, time_s, heat_flow_w, rows[-1][0]
+
+
+def _parse_trace_block(text: str):
+    """What ``_parse_trace_lines`` gives for a trace whose data block is regular, else None.
+
+    Regular means that only blank and ``#`` lines precede the header, no
+    line break but LF or CRLF occurs, and each of at least 2 lines after the
+    header holds one comma between two finite numbers. The block is then
+    parsed with one split and one float pass instead of a loop over lines.
+    """
+    start = 0
+    while True:  # to the end of the first line that is neither blank nor '#': the header
+        end = text.find("\n", start) + 1
+        if not end:
+            return None
+        line = text[start:end].strip()
+        if line and line[0] != "#":
+            break
+        start = end
+    head, block = text[:end], text[end:]
+    # str.splitlines, which numbers the lines, also breaks at a lone CR and at
+    # some other control and non-ASCII characters
+    if len(head.splitlines()) != head.count("\n") or not block.isascii():
+        return None
+    if "\r" in block and block.count("\r") != block.count("\r\n"):
+        return None
+    meta, rows = parse_csv(head, TraceParseError)
+    if ",".join(rows[0][1]).replace(" ", "") != TRACE_HEADER:
+        return None
+    data = block[:-1] if block.endswith("\n") else block
+    # per line, not in total: commas and line ends (any control byte but tab
+    # and CR) alternate, starting and ending with a comma
+    raw = np.frombuffer(data.encode("ascii"), np.uint8)
+    seps = raw[(raw == ord(",")) | ((raw < 32) & (raw != ord("\t")) & (raw != ord("\r")))]
+    commas, ends = seps[0::2], seps[1::2]
+    if seps.size < 3 or seps.size % 2 == 0 or (commas != ord(",")).any() or (ends != ord("\n")).any():
+        return None
+    cells = data.replace("\n", ",").split(",")
+    try:
+        time_s = np.array(list(map(float, cells[0::2])))
+        heat_flow_w = np.array(list(map(float, cells[1::2])))
+    except ValueError:
+        return None
+    if not (np.isfinite(time_s).all() and np.isfinite(heat_flow_w).all()):
+        return None
+    return meta, time_s, heat_flow_w, rows[0][0] + time_s.size
+
+
+def read_trace_csv(path: str | Path) -> DscTrace:
+    """Parse a trace CSV; parse failures report the offending line number.
+
+    A file whose data block is regular is parsed in bulk; any other goes
+    line by line, so every error comes from the line parser with its line.
+    """
+    text = read_text(path, "trace")
+    meta, time_s, heat_flow_w, last_line = _parse_trace_block(text) or _parse_trace_lines(text)
 
     if "temperature_K" not in meta:
         raise TraceParseError("missing '# temperature_K=' metadata", 1)
@@ -378,4 +444,4 @@ def read_trace_csv(path: str | Path) -> DscTrace:
             label=label,
         )
     except DomainError as exc:
-        raise TraceParseError(str(exc), rows[-1][0]) from None
+        raise TraceParseError(str(exc), last_line) from None

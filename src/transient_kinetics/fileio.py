@@ -46,7 +46,12 @@ class Metadata(dict):
 
 
 def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]):
-    """Read a comma-separated input file into ``(metadata, rows)``.
+    """Read a comma-separated input file into ``(metadata, rows)``; see ``parse_csv``."""
+    return parse_csv(read_text(path, what), error)
+
+
+def parse_csv(text: str, error: Callable[[str, int], Exception]):
+    """Split comma-separated text into ``(metadata, rows)``.
 
     ``rows`` lists ``(file line number, cells)`` of the stripped lines, header
     first. Blank lines and ``#`` lines are skipped; ``# key=value`` lines fill
@@ -56,7 +61,7 @@ def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]
     """
     metadata = Metadata()
     rows: list[tuple[int, list[str]]] = []
-    for n, raw in enumerate(read_text(path, what).splitlines(), start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transient_kinetics import cli as cli_module
-from transient_kinetics.config import Calibration
-from transient_kinetics.dscfit import read_trace_csv, synthesize_trace, write_trace_csv
+from transient_kinetics.config import Calibration, load_calibration_file
+from transient_kinetics.dscfit import TRACE_HEADER, read_trace_csv, synthesize_trace, write_trace_csv
 from transient_kinetics.kinetics import (
     ZERO_CELSIUS_K,
     ArrheniusParams,
@@ -894,6 +894,57 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+    def test_synth_refuses_a_noise_draw_that_overflows(self, tmp_path, capsys):
+        # the noise scale 1 * 10 * 1e307 is finite; a draw above 1.8 times it is not
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = main_in_process(
+                capsys, "synth", "--k", "10", "--enthalpy", "1e307", "--noise", "1",
+                "--t-end", "1", "--dt-sample", "0.01", "--out", out,
+            )
+        assert code == 2
+        assert "a noise draw times the scale 1e+308 W overflows" in err
+        assert not out.exists()
+
+
+class TestSimulationRanges:
+    SCHEDULE = "duration_s,temperature_C,uv_on\n100,120,true\n"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("monitor_bias_v = 5", "monitor_bias_v 5.0 V lies outside the photodiode's band [-2.0, 2.0] V"),
+            ("monitor_bias_v = -2.5", "monitor_bias_v -2.5 V lies outside the photodiode's band [-2.0, 2.0] V"),
+            ("dose_alarm_fraction = -5", "dose_alarm_fraction must lie in [0, 1], got -5.0"),
+            ("dose_alarm_fraction = 1.5", "dose_alarm_fraction must lie in [0, 1], got 1.5"),
+            ("uv_current_threshold_a = -1e308", "uv_current_threshold_a must be finite and >= 0 A, got -1e+308"),
+        ],
+        ids=["bias-high", "bias-low", "dose-negative", "dose-above-1", "uv-threshold-negative"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_out_of_range_value_exits_2_naming_the_file(self, tmp_path, capsys, command, entry, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"[simulation]\n{entry}\n")
+        sched = tmp_path / "sched.csv"
+        sched.write_text(self.SCHEDULE)
+        source = "scout_demo.mission" if command == "simulate" else sched
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, command, source, "--config", cfg, "--out", out)
+        assert code == 2
+        assert f"error: {cfg}: {message}" in err
+        assert not out.exists()
+
+    def test_the_edges_of_each_range_load(self, tmp_path):
+        for entries in (
+            "monitor_bias_v = -2\ndose_alarm_fraction = 0\nuv_current_threshold_a = 0\n",
+            "monitor_bias_v = 2\ndose_alarm_fraction = 1\n",
+        ):
+            cfg = tmp_path / "edges.cfg"
+            cfg.write_text("[simulation]\n" + entries)
+            load_calibration_file(cfg)
+
+
 class TestFiniteOutputs:
     MISSION = (
         "[zone.1]\nname = hot\nx_min = 0\nx_max = 1\ntemperature_c = 120\nuv_on = true\n"
@@ -1009,6 +1060,36 @@ class TestFiniteOutputs:
             # the robot, mobile at the start, moves on its first step
             first_row = (out / "telemetry.csv").read_text().splitlines()[1]
             assert float(first_row.split(",")[1]) > 0.25
+
+
+class TestFitDscFiniteInput:
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(FINITE, min_size=2, max_size=40, unique=True),
+        in_order=st.booleans(),
+        heats=st.lists(FINITE, min_size=40, max_size=40),
+        temperature_k=FINITE,
+    )
+    # a span of times, and heat flows, whose differences overflow
+    @example(times=[-1e308, 0.0, 1e308], in_order=True, heats=[1e308, -1e308] * 20, temperature_k=300.0)
+    @example(times=[float(i) for i in range(40)], in_order=True, heats=[1e300] * 40, temperature_k=5e-324)
+    def test_any_finite_trace_fits_without_a_traceback(self, times, in_order, heats, temperature_k):
+        if in_order:
+            times = sorted(times)
+        rows = "".join(f"{t!r},{q!r}\n" for t, q in zip(times, heats))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            trace = tmp / "trace.csv"
+            trace.write_text(f"# temperature_K={temperature_k!r}\n# uv_on=true\n{TRACE_HEADER}\n{rows}")
+            out = tmp / "out"
+            code = cli_module.main(["fit-dsc", str(trace), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert not out.exists()
+            else:
+                TestFiniteOutputs.assert_finite_outputs(out)
 
 
 class TestRefusedRunLeavesNoOutput:

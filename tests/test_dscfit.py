@@ -2,10 +2,16 @@
 
 import math
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from transient_kinetics import dscfit
 from transient_kinetics.dscfit import (
     DscTrace,
     conversion_profile,
@@ -321,3 +327,130 @@ class TestTraceCsv:
         with pytest.raises(TraceParseError) as err:
             read_trace_csv(path)
         assert err.value.line_number == 1
+
+
+# data lines of a trace, each made from its index and a heat flow
+REGULAR_LINES = {
+    "plain": lambda i, q: f"{i * 0.5!r},{q!r}",
+    "spaced": lambda i, q: f" {i * 0.5}\t, {q!r} ",
+}
+# every kind of line the bulk reader must hand to the line reader
+DOUBTFUL_LINES = {
+    "blank": lambda i, q: "",
+    "spaces": lambda i, q: "   ",
+    "comment": lambda i, q: "# note, with a comma",
+    "metadata": lambda i, q: "# temperature_K = 350.5",
+    "uv-metadata": lambda i, q: "#uv_on=off",
+    "non-numeric": lambda i, q: f"{i},abc",
+    "empty-cell": lambda i, q: f"{i},",
+    "nan": lambda i, q: f"{i},nan",
+    "inf": lambda i, q: f"-inf,{q!r}",
+    "three-cells": lambda i, q: f"{i},{q!r},1",
+    "one-cell": lambda i, q: f"{i}",
+    "lone-cr": lambda i, q: f"{i},{q!r}\r{i + 0.25},1",
+    "cr-in-cell": lambda i, q: f"{i}\r,{q!r}",
+    "form-feed": lambda i, q: f"{i},{q!r}\x0c",
+    "line-separator": lambda i, q: f"{i},1\u2028{i + 0.25},2",
+    "next-line": lambda i, q: f"{i},1\x85",
+    "decreasing": lambda i, q: f"{-i},{q!r}",
+}
+METADATA_LINES = (
+    "# temperature_K=300", "#temperature_K = 350.5 ", "# uv_on=true", "# uv_on = yes", "# label=a b", "", "# comment",
+)
+DOUBTFUL_PREFIX_LINES = ("# temperature_K=0", "# uv_on=maybe", "junk", "1,2", "\x0c", "# label=a\rtime_s,heat_flow_W")
+HEADERS = ("time_s,heat_flow_W", " time_s , heat_flow_W ", "time_s,heat_flow_w", "time_s;heat_flow_W")
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text, mostly regular, with up to two doubtful lines mixed in."""
+    # the metadata may repeat a key: the last one wins
+    prefix = draw(st.lists(st.sampled_from(METADATA_LINES), max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        prefix.insert(draw(st.integers(0, len(prefix))), draw(st.sampled_from(DOUBTFUL_PREFIX_LINES)))
+    header = HEADERS[0] if draw(st.integers(0, 4)) else draw(st.sampled_from(HEADERS))
+    kinds = draw(st.lists(st.sampled_from(sorted(REGULAR_LINES)), max_size=12))
+    makers = [REGULAR_LINES[kind] for kind in kinds]
+    for doubtful in draw(st.lists(st.sampled_from(sorted(DOUBTFUL_LINES)), max_size=2)):
+        makers.insert(draw(st.integers(0, len(makers))), DOUBTFUL_LINES[doubtful])
+    heats = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(makers), max_size=len(makers)))
+    rows = [make(i, q) for i, (make, q) in enumerate(zip(makers, heats))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from([end, ""]))
+    return end.join([*prefix, header, *rows]) + final
+
+
+def parse_outcome(path):
+    """What ``read_trace_csv`` makes of a file: its trace's fields, or its error."""
+    try:
+        trace = read_trace_csv(path)
+    except TraceParseError as exc:
+        return str(exc), exc.line_number
+    return trace.time_s.tobytes(), trace.heat_flow_w.tobytes(), trace.temperature_k, trace.uv_on, trace.label
+
+
+class TestBulkTraceReader:
+    """The bulk reader gives what the line reader gives, or hands the file over."""
+
+    REGULAR = "# temperature_K=300\n# uv_on=true\ntime_s,heat_flow_W\n0.0,1.5\n0.5,1.25\n1.0,1e-3\n"
+
+    def assert_same_as_line_reader(self, text, tmp_path):
+        block = dscfit._parse_trace_block(text)
+        if block is not None:
+            meta, time_s, heat_flow_w, last_line = dscfit._parse_trace_lines(text)
+            assert block[0] == meta and block[0].lines == meta.lines
+            assert block[1].tobytes() == time_s.tobytes() and block[2].tobytes() == heat_flow_w.tobytes()
+            assert block[3] == last_line
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode())
+        bulk = parse_outcome(path)
+        with mock.patch.object(dscfit, "_parse_trace_block", return_value=None):
+            assert bulk == parse_outcome(path)
+        return block
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=trace_texts())
+    def test_any_trace_text_reads_as_line_by_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_same_as_line_reader(text, Path(tmp))
+
+    def test_regular_trace_is_read_in_bulk(self, tmp_path):
+        crlf = self.REGULAR.replace("\n", "\r\n").replace("0.5,", " 0.5 ,\t")
+        for text in (self.REGULAR, self.REGULAR[:-1], crlf, crlf[:-2]):
+            assert self.assert_same_as_line_reader(text, tmp_path) is not None, repr(text)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            # the right total cell count, but not per line
+            ("0,1,2\n3\n", "line 4: expected 2 columns, got 3"),
+            ("0\n1,2,3\n", "line 4: expected 2 columns, got 1"),
+            ("0,1\n1,2\n# uv_on=maybe\n2,3\n", "line 6: expected a boolean, got 'maybe'"),
+            ("0,1\n\n1,2\n2,x\n", "line 7: non-numeric row '2,x'"),
+            ("0,1\n1,inf\n", "line 5: non-finite row '1,inf'"),
+            ("0,1\n", "line 4: trace needs at least 2 data rows"),
+            ("0,1\n1,2\n0.5,3", "line 6: sample times must be strictly increasing"),
+        ],
+        ids=["three-then-one", "one-then-three", "metadata-in-block", "blank-then-bad", "inf", "one-row", "no-final-newline"],
+    )
+    def test_irregular_trace_gets_the_line_readers_error(self, tmp_path, rows, error):
+        text = "# temperature_K=300\n# uv_on=true\ntime_s,heat_flow_W\n" + rows
+        self.assert_same_as_line_reader(text, tmp_path)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(TraceParseError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# temperature_K=300\ntime_s,heat_flow_W\n0\r,1\n2,3\n",
+            "# temperature_K=300\ntime_s,heat_flow_W\n0,1\x0c\n2,3\n",
+            "# label=a\rtime_s,heat_flow_W\ntime_s,heat_flow_W\n0,1\n2,3\n",
+        ],
+        ids=["in-a-cell", "form-feed", "before-the-header"],
+    )
+    def test_a_break_that_only_splitlines_knows_is_left_to_the_line_reader(self, tmp_path, text):
+        # a file read from disk has universal newlines, so a lone CR shows only in text
+        assert dscfit._parse_trace_block(text) is None
+        self.assert_same_as_line_reader(text, tmp_path)
