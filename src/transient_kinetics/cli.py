@@ -35,12 +35,7 @@ from .dscfit import (
     synthesize_trace,
     write_trace_csv,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    ZeroEnthalpyError,
-    UntriggeredTraceError,
-)
+from .errors import ConfigError, DomainError
 # every output goes through cli._atomic_write, the write boundary that
 # perfbench/tracer.py times
 from .fileio import atomic_write as _atomic_write, parse_bool, read_csv
@@ -158,7 +153,7 @@ def cmd_fit_dsc(args) -> int:
             # a heat flow too large for float arithmetic overflows; the row says so below
             with np.errstate(over="ignore", invalid="ignore"):
                 result = fit_rate_constant(trace)
-        except (ZeroEnthalpyError, UntriggeredTraceError) as exc:
+        except DomainError as exc:
             row["error"] = str(exc)
         else:
             fitted = dict(

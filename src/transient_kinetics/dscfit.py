@@ -58,7 +58,7 @@ class DscTrace:
         # two points suffice to integrate; fitting demands MIN_FIT_SAMPLES
         if time_s.size < 2:
             raise DomainError("trace needs at least 2 samples")
-        if np.any(np.diff(time_s) <= 0):
+        if np.any(time_s[1:] <= time_s[:-1]):
             raise DomainError("sample times must be strictly increasing")
         if self.temperature_k <= 0:
             raise DomainError("temperature_k must be > 0")
@@ -235,12 +235,22 @@ def fit_arrhenius(points) -> ArrheniusFit:
     if np.unique(temps).size < 2:
         raise DomainError("Arrhenius regression needs >= 2 distinct temperatures")
 
-    x = 1.0 / temps
-    y = np.log(ks)
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(np.sum((x - x_mean) ** 2))
-    sxy = float(np.sum((x - x_mean) * (y - y_mean)))
+    # an overflow is refused below, by name, rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 1.0 / temps
+        if not np.isfinite(x).all():
+            T = float(temps[np.argmin(np.isfinite(x))])
+            raise DomainError(f"Arrhenius regression cannot take 1/T of T = {T!r} K: it overflows a float")
+        y = np.log(ks)
+        x_mean = x.mean()
+        y_mean = y.mean()
+        sxx = float(np.sum((x - x_mean) ** 2))
+        sxy = float(np.sum((x - x_mean) * (y - y_mean)))
+    if not (math.isfinite(sxx) and math.isfinite(sxy)):
+        raise DomainError(
+            "Arrhenius regression cannot take the spread of 1/T: its sums overflow a float "
+            f"(sxx = {sxx!r}, sxy = {sxy!r}; 1/T from {float(x.min())!r} to {float(x.max())!r} per K)"
+        )
     if sxx == 0.0:
         raise DomainError(
             "Arrhenius regression cannot tell the temperatures apart: "
@@ -368,47 +378,37 @@ def _parse_trace_lines(text: str):
 def _parse_trace_block(text: str):
     """What ``_parse_trace_lines`` gives for a trace whose data block is regular, else None.
 
-    Regular means that only blank and ``#`` lines precede the header, no
-    line break but LF or CRLF occurs, and each of at least 2 lines after the
-    header holds one comma between two finite numbers. The block is then
-    parsed with one split and one float pass instead of a loop over lines.
+    Regular means that each of at least 2 lines after the header holds one
+    comma between two finite numbers, with lines broken as ``str.splitlines``
+    breaks them. The block is then parsed with one split and one float pass
+    instead of a loop over lines.
     """
-    start = 0
-    while True:  # to the end of the first line that is neither blank nor '#': the header
-        end = text.find("\n", start) + 1
-        if not end:
-            return None
-        line = text[start:end].strip()
+    lines = text.splitlines()
+    for n, line in enumerate(lines, start=1):  # the header: the first line neither blank nor '#'
+        line = line.strip()
         if line and line[0] != "#":
             break
-        start = end
-    head, block = text[:end], text[end:]
-    # str.splitlines, which numbers the lines, also breaks at a lone CR and at
-    # some other control and non-ASCII characters
-    if len(head.splitlines()) != head.count("\n") or not block.isascii():
+    else:
         return None
-    if "\r" in block and block.count("\r") != block.count("\r\n"):
-        return None
-    meta, rows = parse_csv(head, TraceParseError)
+    meta, rows = parse_csv("\n".join(lines[:n]), TraceParseError)
     if ",".join(rows[0][1]).replace(" ", "") != TRACE_HEADER:
         return None
-    data = block[:-1] if block.endswith("\n") else block
-    # per line, not in total: commas and line ends (any control byte but tab
-    # and CR) alternate, starting and ending with a comma
-    raw = np.frombuffer(data.encode("ascii"), np.uint8)
-    seps = raw[(raw == ord(",")) | ((raw < 32) & (raw != ord("\t")) & (raw != ord("\r")))]
+    data = "\n".join(lines[n:])
+    # per line, not in total: commas and line ends alternate, starting and
+    # ending with a comma; UTF-8 holds neither byte inside a wider character
+    raw = np.frombuffer(data.encode(), np.uint8)
+    seps = raw.compress((raw == ord(",")) | (raw == ord("\n")))
     commas, ends = seps[0::2], seps[1::2]
     if seps.size < 3 or seps.size % 2 == 0 or (commas != ord(",")).any() or (ends != ord("\n")).any():
         return None
-    cells = data.replace("\n", ",").split(",")
-    try:
-        time_s = np.array(list(map(float, cells[0::2])))
-        heat_flow_w = np.array(list(map(float, cells[1::2])))
+    try:  # numpy reads each str cell with float(), as the line reader does
+        cells = np.array(data.replace("\n", ",").split(","), dtype=float)
     except ValueError:
         return None
-    if not (np.isfinite(time_s).all() and np.isfinite(heat_flow_w).all()):
+    if not np.isfinite(cells).all():
         return None
-    return meta, time_s, heat_flow_w, rows[0][0] + time_s.size
+    time_s, heat_flow_w = cells.reshape(-1, 2).T.copy()
+    return meta, time_s, heat_flow_w, n + time_s.size
 
 
 def read_trace_csv(path: str | Path) -> DscTrace:

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -130,6 +132,35 @@ class TestFitDsc:
         assert fits[1]["converged"] is False
         assert "heat" in fits[1]["error"]
 
+    def test_short_trace_is_an_error_row(self, tmp_path, capsys):
+        # 3 rows read as a trace but are too few to fit; the batch goes on
+        good = tmp_path / "good.csv"
+        write_trace_csv(synthesize_trace(1e-3, 10.0, (20000.0 / 1500, 20000.0), label="good"), good)
+        short = tmp_path / "short.csv"
+        short.write_text("# temperature_K=298.15\n# uv_on=true\ntime_s,heat_flow_W\n0,1.0\n1,0.5\n2,0.25\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "fit-dsc", good, short, "--out", out)
+        assert code == 1, err
+        fits = read_summary(out)["results"]["fits"]
+        assert fits[0]["converged"] is True
+        assert fits[1]["label"] == "short" and fits[1]["converged"] is False
+        assert fits[1]["error"] == "fitting needs at least 8 samples"
+        assert (out / "fits.csv").read_text().splitlines()[2].endswith(",fitting needs at least 8 samples")
+
+    def test_trace_spanning_the_float_range_warns_of_nothing(self, tmp_path, capsys):
+        # the step from -1e308 to 1e308 overflows a float; the order of the two does not
+        times = [-1e308, *(1e308 + 1e306 * i for i in range(8))]
+        rows = "".join(f"{t!r},{0.5 ** i!r}\n" for i, t in enumerate(times))
+        trace = tmp_path / "wide.csv"
+        trace.write_text(f"# temperature_K=300\n# uv_on=true\n{TRACE_HEADER}\n{rows}")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = main_in_process(capsys, "fit-dsc", trace, "--out", out)
+        assert code in (0, 1), err
+        assert err == ""
+        TestFiniteOutputs.assert_finite_outputs(out)
+
     def test_overflowing_fit_is_an_error_row(self, tmp_path, capsys):
         # k * dH = 1e303 W: the fit's squared residuals overflow to inf
         assert main_in_process(capsys, "synth", "--k", 0.01, "--enthalpy", 1e305, "--out", tmp_path)[0] == 0
@@ -230,6 +261,52 @@ class TestArrhenius:
         assert "spread of 1/T underflows to 0" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("a,1e-300,1e-3,true\nb,2e-300,1e-2,true\n", "the spread of 1/T: its sums overflow a float (sxx = inf"),
+            ("a,1e308,1e-3,true\nb,1e-308,1e-2,true\n", "the spread of 1/T: its sums overflow a float (sxx = inf"),
+            ("a,5e-324,1e-3,true\nb,300,1e-2,true\n", "cannot take 1/T of T = 5e-324 K: it overflows a float"),
+        ],
+        ids=["spread-of-tiny-temperatures", "spread-across-the-range", "inverse-of-5e-324"],
+    )
+    def test_overflowing_inverse_temperature_exits_2(self, tmp_path, capsys, rows, message):
+        table = tmp_path / "fits.csv"
+        table.write_text("label,temperature_K,k_per_s,converged\n" + rows)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 2
+        assert err.startswith("error: Arrhenius regression cannot take ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=6))
+    # each 1/T is finite, their sum is not
+    @example(points=[(1e-308, 1.0), (1.1e-308, 2.0), (1.2e-308, 3.0)])
+    def test_any_finite_fit_table_gives_a_finite_fit_or_an_error(self, points):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            table = tmp / "fits.csv"
+            self.write_fit_table(table, points)
+            out = tmp / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = cli_module.main(["arrhenius", str(table), "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+            if code == 0:
+                TestFiniteOutputs.assert_finite_outputs(out)
+            else:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert not out.exists()
 
     def test_single_row_exits_3(self, tmp_path):
         table = tmp_path / "fits.csv"

@@ -416,7 +416,9 @@ class TestBulkTraceReader:
 
     def test_regular_trace_is_read_in_bulk(self, tmp_path):
         crlf = self.REGULAR.replace("\n", "\r\n").replace("0.5,", " 0.5 ,\t")
-        for text in (self.REGULAR, self.REGULAR[:-1], crlf, crlf[:-2]):
+        # any break str.splitlines knows, as the line reader splits
+        others = [self.REGULAR.replace("\n", brk) for brk in ("\r", "\r\n", "\u2028")]
+        for text in (self.REGULAR, self.REGULAR[:-1], crlf, crlf[:-2], *others):
             assert self.assert_same_as_line_reader(text, tmp_path) is not None, repr(text)
 
     @pytest.mark.parametrize(
