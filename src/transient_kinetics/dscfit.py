@@ -23,7 +23,7 @@ from .errors import (
     ZeroEnthalpyError,
 )
 from .fileio import atomic_write, parse_bool, parse_csv, read_text
-from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, dsc_heat_flow
+from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, check_step_count, dsc_heat_flow
 
 # numpy 2.0 renamed trapz
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -60,8 +60,10 @@ class DscTrace:
             raise DomainError("trace needs at least 2 samples")
         if np.any(time_s[1:] <= time_s[:-1]):
             raise DomainError("sample times must be strictly increasing")
-        if self.temperature_k <= 0:
-            raise DomainError("temperature_k must be > 0")
+        check_positive("temperature_k", self.temperature_k, " K")
+        # a trace file holds its label on one '# label=' line
+        if "".join(self.label.splitlines()) != self.label:
+            raise DomainError(f"label must not hold a line break, got {self.label!r}")
 
     @property
     def duration(self) -> float:
@@ -278,8 +280,9 @@ def check_synthesis(
     k: float, total_enthalpy: float, sampling: tuple[float, float], noise_fraction: float = 0.0
 ) -> None:
     """Refuse what ``synthesize_trace`` cannot sample: every value finite,
-    k, dH, t_end and dt > 0, t_end at least 10 * dt, and a finite peak
-    heat flow k * dH and noise scale noise_fraction * k * dH."""
+    k, dH, t_end and dt > 0, t_end at least 10 * dt, a finite peak heat
+    flow k * dH and noise scale noise_fraction * k * dH, and at most
+    ``MAX_STEPS`` samples."""
     dt, t_end = sampling
     for name, value in (("k", k), ("total_enthalpy", total_enthalpy), ("t_end", t_end), ("dt", dt)):
         check_positive(name, value)
@@ -295,6 +298,7 @@ def check_synthesis(
             "noise scale noise_fraction * k * total_enthalpy must be finite, "
             f"got {noise_fraction!r} * {k!r} * {total_enthalpy!r}"
         )
+    check_step_count(t_end, dt)
 
 
 def synthesize_trace(

@@ -34,11 +34,23 @@ ZERO_CELSIUS_K = 273.15  # 0 C in K
 DEFAULT_K_PHOTO = math.log(20.0) / 1800.0  # 1/s
 DEFAULT_HF_SAT = 0.95
 
+# the most steps a stepping loop may take (a predict or simulate run, the
+# samples of a synth trace); more is refused before the first step
+MAX_STEPS = 10**8
+
 
 def check_positive(name: str, value: float, unit: str = "") -> None:
     """Refuse a value that is not finite and > 0; ``unit`` follows the bound in the message."""
     if not 0 < value < math.inf:
         raise DomainError(f"{name} must be finite and > 0{unit}, got {value!r}")
+
+
+def check_step_count(horizon_s: float, dt: float) -> None:
+    """Refuse a span of ``horizon_s`` at steps (or samples) of ``dt`` that needs more than ``MAX_STEPS`` of them."""
+    if horizon_s / dt > MAX_STEPS:
+        raise DomainError(
+            f"{horizon_s:g} s at a step of {dt!r} s is over {MAX_STEPS:.0e} steps; use a larger step"
+        )
 
 
 @dataclass(frozen=True)
@@ -276,11 +288,14 @@ def integrate_conversion(
     once the dose saturates. Only the short last step of a segment, or a
     UV step that changes g, computes a new factor. For a fully triggered
     history (g = 1) the result matches the closed-form piecewise product
-    to rounding error for any step size.
+    to rounding error for any step size. A ``dt`` that is not finite and
+    > 0, exceeds the shortest segment or needs more than ``MAX_STEPS``
+    steps over the whole schedule is refused before the first step.
     """
     check_positive("dt", dt, " s")
     if dt > schedule.min_duration + 1e-12:
         raise DomainError("dt must not exceed the shortest segment duration")
+    check_step_count(sum(seg.duration for seg in schedule.segments), dt)
 
     hf_max, k_photo = photolysis.dpi_initial, photolysis.k_photo
     hf = photolysis.hf

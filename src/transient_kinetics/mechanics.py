@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActuationError, DomainError
+from .kinetics import check_positive
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,12 @@ class MaterialSpec:
     dpi_wt_percent: float
 
     def __post_init__(self):
-        if self.modulus <= 0:
-            raise DomainError("modulus must be > 0")
+        for name in ("modulus", "fracture_stress", "density"):
+            check_positive(name, getattr(self, name))
         if not 0 < self.elastic_limit_strain < self.fracture_strain:
             raise DomainError("need 0 < elastic_limit_strain < fracture_strain")
         if not 0 <= self.poisson < 0.5:
             raise DomainError("poisson must lie in [0, 0.5)")
-        if self.fracture_stress <= 0:
-            raise DomainError("fracture_stress must be > 0")
-        if self.density <= 0:
-            raise DomainError("density must be > 0")
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,7 @@ class ActuatorSpec:
             "stride_per_cycle",
             "cycle_period",
         ):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
+            check_positive(name, getattr(self, name))
         if not math.isfinite(self.speed):
             raise DomainError(
                 f"speed stride_per_cycle / cycle_period must be finite, got {self.speed!r} m/s"

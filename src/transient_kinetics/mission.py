@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
-from .errors import ConfigError, SensorFailedError, SimulationFault
+from .errors import ConfigError, DomainError, SensorFailedError, SimulationFault
 from .fileio import read_text
-from .kinetics import ZERO_CELSIUS_K, advance, arrhenius_rate
+from .kinetics import ZERO_CELSIUS_K, advance, arrhenius_rate, check_positive, check_step_count
 from .mechanics import GaitState, gait_advance
 from .sensors import (
     SENSOR_KINDS,
@@ -297,52 +297,67 @@ def _step_seed(seed: int, step_index: int) -> int:
 class StepPlan:
     """What stays constant over one run of a mission, built once and passed to every ``step``.
 
-    Holds the step size, the seed, the world's bounds, each zone's rate
-    constant k(T) and temperature in degC, the thermal-lag relaxation
-    factor (0 without lag) and the compiled alarm rules. The capacitance
-    and photocurrent depend only on the zone, the sensor status and the
-    gait angle; they are computed on first use and cached, so a zone the
-    robot never enters is never read. The temperature channel's last
-    reading is kept with its (body temperature, status) and reused while
-    both stay the same.
+    Holds the step size, the seed, the world's bounds, the full-speed move
+    ``speed * dt``, each zone's k(T) and temperature in degC, the thermal-lag
+    relaxation factor (0 without lag), the compiled alarm rules and the
+    caches of ``readings``. It refuses, as a DomainError, a step that is not
+    finite and > 0, whose move is lost to rounding or overflows, that spans
+    more pressure cycles than a float holds, or that needs more than
+    ``MAX_STEPS`` steps to the timeout.
     """
 
     def __init__(self, mission: Mission, cal: Calibration, dt: float, seed: int = 0):
-        if not dt > 0:
-            raise SimulationFault("dt must be > 0")
+        check_positive("step size", dt, " s")
+        self.x_min, self.x_max = mission.zones[0].x_min, mission.zones[-1].x_max
+        self.move = move = cal.actuator.speed * dt
+        # positions farthest from 0 are the most coarsely spaced floats of the world
+        reach = max(abs(self.x_min), abs(self.x_max))
+        if not reach < reach + move < math.inf:
+            lost = "overflows" if move == math.inf else f"is lost to rounding at {reach:g} m"
+            raise DomainError(
+                f"step size must be finite and > 0 s and move the robot, got {dt!r} s: "
+                f"a move of speed * dt = {move!r} m {lost}"
+            )
+        cycle_period = cal.actuator.cycle_period
+        if dt / cycle_period == math.inf:
+            raise DomainError(f"a step of {dt!r} s spans more pressure cycles of {cycle_period!r} s than a float holds")
+        check_step_count(cal.simulation.timeout_s, dt)
         self.cal = cal
         self.dt = dt
         self.seed = seed
         self.zones = mission.zones
-        self.x_min, self.x_max = self.zones[0].x_min, self.zones[-1].x_max
         self.rates = tuple(arrhenius_rate(cal.kinetics, zone.temperature) for zone in self.zones)
         self.zone_temps_c = tuple(zone.temperature - ZERO_CELSIUS_K for zone in self.zones)
         lag = cal.simulation.body_thermal_lag_s
         self.relax = math.exp(-dt / lag) if lag > 0.0 else 0.0
         self.alarms = compile_alarms(mission.alarm_rules)
         self._readings: dict[tuple[int, str, float], tuple[float | None, float]] = {}
-        # (body temperature, status, resistance, temperature reading), one
+        # (body temperature, status, (resistance, temperature reading)), one
         # attribute so that a shared plan never pairs a key with another reading
-        self._last_temperature: tuple = (None, None, None, None)
+        self._last_temperature: tuple = (None, None, None)
 
-    def temperature_channel(self, body_temp_c: float, alpha: float) -> tuple[float, float | None]:
-        """(resistance, temperature reading) through the degradation overlay."""
-        spec = self.cal.temp_sensor
-        resistance = apply_degradation(
-            temp_resistance(spec, body_temp_c), "temp", alpha, self.cal.health,
-            fail_resistance=spec.fail_resistance,
-        )
-        try:
-            return resistance, read_temperature(spec, resistance)
-        except SensorFailedError:
-            return resistance, None
+    def readings(self, zone_index: int, body_temp_c: float, angle: float, status: str, alpha: float) -> tuple:
+        """(resistance, temperature, capacitance, photocurrent) through the degradation overlay.
 
-    def readings(self, zone_index: int, status: str, angle: float, alpha: float) -> tuple:
-        """(capacitance, photocurrent) in a zone.
-
-        ``status`` is the sensor status at ``alpha``. A degraded capacitance
-        is the raw reading, which ``step`` jitters.
+        ``status`` is the sensor status at ``alpha``; a failed temperature
+        channel reads None, and a degraded capacitance is the raw reading,
+        which ``step`` jitters. The last temperature reading is reused while
+        its (body temperature, status) stays the same; the capacitance and
+        photocurrent, which depend only on the zone, status and angle, are
+        cached on first use, so a zone the robot never enters is never read.
         """
+        last = self._last_temperature
+        if last[0] != body_temp_c or last[1] != status:
+            spec = self.cal.temp_sensor
+            resistance = apply_degradation(
+                temp_resistance(spec, body_temp_c), "temp", alpha, self.cal.health,
+                fail_resistance=spec.fail_resistance,
+            )
+            try:
+                temperature = read_temperature(spec, resistance)
+            except SensorFailedError:
+                temperature = None
+            last = self._last_temperature = (body_temp_c, status, (resistance, temperature))
         key = (zone_index, status, angle)
         cached = self._readings.get(key)
         if cached is None:
@@ -355,7 +370,7 @@ class StepPlan:
             )
             photocurrent = apply_degradation(raw_current, "photo", alpha, health)
             cached = self._readings[key] = (capacitance, photocurrent)
-        return cached
+        return last[2] + cached
 
 
 def step(
@@ -418,13 +433,9 @@ def step(
     # the body relaxes toward the local zone's temperature (at once without lag)
     zone_temp_c = plan.zone_temps_c[here_index]
     body_temp_c = zone_temp_c + (robot.body_temperature_c - zone_temp_c) * plan.relax
-    last = plan._last_temperature
-    if last[0] != body_temp_c or last[1] != status:
-        last = plan._last_temperature = (
-            body_temp_c, status, *plan.temperature_channel(body_temp_c, alpha)
-        )
-    _, _, resistance, temp_reading = last
-    capacitance, photocurrent = plan.readings(here_index, status, gait.current_angle, alpha)
+    resistance, temp_reading, capacitance, photocurrent = plan.readings(
+        here_index, body_temp_c, gait.current_angle, status, alpha
+    )
     if status == STATUS_DEGRADED:
         # only the degraded strain reading draws from the seeded generator
         capacitance = apply_degradation(
@@ -471,13 +482,13 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     Terminates when the command list is exhausted, conversion reaches
     the decomposed threshold, a move target becomes unreachable after
     mobility loss (logged as a "stranded" terminal event), or the
-    simulation timeout expires ("timeout" event).
+    simulation timeout expires ("timeout" event). A step that ``StepPlan``
+    refuses raises DomainError before the first step.
     """
     settings = cal.simulation
     plan = StepPlan(mission, cal, dt, seed)
     records: list[TelemetryRecord] = []
     robot = RobotState.at(mission.start, mission.zones)
-    full = cal.actuator.speed * dt
     for command in mission.commands:
         pending: tuple[Event, ...] = ()
         if command.kind == "self_destruct":
@@ -494,7 +505,7 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
                 if robot.alpha >= settings.mobility_loss_alpha:
                     last = Event("stranded", f"cannot reach {command.value:g} m")
                 else:
-                    drive = max(-1.0, min(1.0, remaining / full))
+                    drive = max(-1.0, min(1.0, remaining / plan.move))
             elif command.kind == "dwell":
                 if elapsed >= command.value - 1e-9:
                     break

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SensorFailedError, ValidityBandError
+from .kinetics import check_positive
 
 TEMP_BAND_C = (-20.0, 200.0)
 BIAS_BAND_V = (-2.0, 2.0)
@@ -42,10 +43,8 @@ class TempSensorSpec:
     fail_resistance: float = FAIL_RESISTANCE_OHM
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise DomainError("r0 must be > 0")
-        if self.slope <= 0:
-            raise DomainError("slope must be > 0")
+        check_positive("r0", self.r0, " ohm")
+        check_positive("slope", self.slope, " ohm/degC")
         if self.fail_resistance < 1e6:
             raise DomainError("fail_resistance must be >= 1e6 ohm")
         # a sound sensor reads above 0 and below the failure clamp (which it
@@ -75,12 +74,9 @@ class StrainSensorSpec:
     capacitance_table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise DomainError("c0 must be > 0")
-        if self.swing <= 0:
-            raise DomainError("swing must be > 0")
-        if self.angle_full <= 0:
-            raise DomainError("angle_full must be > 0")
+        check_positive("c0", self.c0, " pF")
+        check_positive("swing", self.swing, " pF")
+        check_positive("angle_full", self.angle_full, " deg")
         if self.capacitance_table is not None:
             xs = [a for a, _ in self.capacitance_table]
             ys = [c for _, c in self.capacitance_table]

@@ -765,6 +765,15 @@ class TestSynth:
         proc = cli("synth", "--out", tmp_path / "out")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("second", ["100", "100.0000001"])
+    def test_holds_that_write_one_file_exit_2(self, tmp_path, capsys, second):
+        # the second trace overwrote the first, and summary.json listed both
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "synth", "--temperature-c", "100", "--temperature-c", second, "--out", out)
+        assert code == 2
+        assert err == "error: two --temperature-c holds would both write trace_synth-100C.csv\n"
+        assert not out.exists()
+
     def test_unwritable_out_path_exits_4(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")

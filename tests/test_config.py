@@ -1,7 +1,9 @@
 """Structured config parsing, calibration overlays, preset resolution."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from transient_kinetics.config import (
@@ -13,7 +15,10 @@ from transient_kinetics.config import (
     presets_dir,
     resolve_preset_path,
 )
-from transient_kinetics.errors import ConfigError
+from transient_kinetics.dscfit import DscTrace
+from transient_kinetics.errors import ConfigError, DomainError
+from transient_kinetics.mechanics import DEFAULT_ACTUATOR, MATERIAL_PRESETS
+from transient_kinetics.sensors import StrainSensorSpec, TempSensorSpec
 
 # Sets every key of every calibration section, with a second [actuator]
 # section that gives only max_pressure_kpa (the slopes must stay) and a new
@@ -202,6 +207,11 @@ class TestCalibration:
         assert set(cal.materials) >= {"ecoflex-0wt", "ecoflex-10wt", "ecoflex-20wt"}
         assert cal.temp_sensor.slope == 0.002
         assert cal.simulation.mobility_loss_alpha == 0.2
+
+    def test_python_defaults_are_the_packaged_preset(self):
+        # the library's Calibration() and presets/default.cfg, which the CLI
+        # runs, must describe one device; the preset adds only the actuator wall
+        assert default_calibration() == replace(Calibration(), wall_material="ecoflex-20wt")
 
     def test_overlay_wins(self, tmp_path):
         overlay = tmp_path / "custom.cfg"
@@ -415,3 +425,25 @@ class TestCalibration:
         # with an empty override dir the built-in dataclass defaults apply
         cal = default_calibration()
         assert cal.kinetics.pre_exponential == pytest.approx(0.1703)
+
+
+# each spec field that must be finite and > 0, with a valid spec to replace it in
+POSITIVE_FIELDS = [
+    *((TempSensorSpec(), name) for name in ("r0", "slope")),
+    *((StrainSensorSpec(), name) for name in ("c0", "swing", "angle_full")),
+    *((MATERIAL_PRESETS["ecoflex-20wt"], name) for name in ("modulus", "fracture_stress", "density")),
+    *(
+        (DEFAULT_ACTUATOR, name)
+        for name in ("angle_per_pressure", "max_pressure", "strain_per_pressure", "stride_per_cycle", "cycle_period")
+    ),
+    (DscTrace(np.array([0.0, 1.0]), np.zeros(2), 300.0, True), "temperature_k"),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "spec, name", POSITIVE_FIELDS, ids=[f"{type(spec).__name__}.{name}" for spec, name in POSITIVE_FIELDS]
+)
+def test_spec_field_must_be_finite_and_positive(spec, name, value):
+    with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+        replace(spec, **{name: value})

@@ -55,6 +55,13 @@ class TestDscTrace:
         with pytest.raises(DomainError):
             DscTrace(np.array([0.0, 1.0]), np.zeros(3), 300.0, True)
 
+    @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\u2028b", "a\n"])
+    def test_label_with_a_line_break_refused(self, label):
+        # write_trace_csv put the break into the '# label=' line, and the
+        # file it wrote was refused on reading
+        with pytest.raises(DomainError, match="label must not hold a line break"):
+            DscTrace(np.array([0.0, 1.0]), np.zeros(2), 300.0, True, label=label)
+
 
 class TestTotalEnthalpy:
     def test_synthetic_closed_form(self):
@@ -250,6 +257,11 @@ class TestSynthesizeTrace:
         residual_rms = float(np.sqrt(np.mean((trace.heat_flow_w - clean) ** 2)))
         assert residual_rms == pytest.approx(noise * k * dh, rel=0.3)
 
+    def test_samples_over_max_steps_refused_at_once(self, deadline):
+        # 2e13 samples: numpy refused the 146 TiB with a MemoryError
+        with deadline(1.0), pytest.raises(DomainError, match=r"20000 s at a step of 1e-09 s is over 1e\+08 steps"):
+            synthesize_trace(1e-3, 10.0, (1e-9, 2e4))
+
     def test_sampling_validation(self):
         with pytest.raises(DomainError):
             synthesize_trace(1e-3, 10.0, (10.0, 50.0))
@@ -271,6 +283,13 @@ class TestTraceCsv:
         assert back.temperature_k == trace.temperature_k
         assert back.uv_on is True
         assert back.label == "hot-hold"
+
+    @pytest.mark.parametrize("label", ["", "hot-hold", "run 1, 120 C", "# 5 = a", "dpi 20 wt% \u00e9"])
+    def test_label_round_trip(self, tmp_path, label):
+        trace = DscTrace(np.array([0.0, 1.0]), np.array([2.0, 1.0]), 300.0, True, label=label)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path).label == label
 
     def test_missing_header_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,12 +12,14 @@ from transient_kinetics.kinetics import (
     DEFAULT_HF_SAT,
     DEFAULT_K_PHOTO,
     GAS_CONSTANT,
+    MAX_STEPS,
     ArrheniusParams,
     ExposureSchedule,
     PhotolysisState,
     ScheduleSegment,
     advance,
     arrhenius_rate,
+    check_step_count,
     conversion_from_heat,
     conversion_rate,
     dsc_heat_flow,
@@ -272,6 +274,17 @@ class TestConversionFromHeat:
             conversion_from_heat(1.0, 0.0)
 
 
+class TestCheckStepCount:
+    def test_max_steps_pass(self):
+        check_step_count(float(MAX_STEPS), 1.0)
+        check_step_count(MAX_STEPS * 0.5, 0.5)
+
+    @pytest.mark.parametrize("horizon_s, dt", [(MAX_STEPS * 1.5, 1.0), (1.0, 1e-9), (math.inf, 1.0), (1.0, 5e-324)])
+    def test_over_max_steps_refused(self, horizon_s, dt):
+        with pytest.raises(DomainError, match="steps; use a larger step"):
+            check_step_count(horizon_s, dt)
+
+
 class TestScheduleTypes:
     def test_segment_validation(self):
         with pytest.raises(DomainError):
@@ -373,6 +386,19 @@ class TestIntegrateConversion:
         assert integrate_conversion(schedule, params, PhotolysisState(1.0), dt=1.0).alpha[-1] == pytest.approx(
             0.00485, abs=5e-6
         )
+
+    def test_schedule_over_max_steps_refused_at_once(self, deadline):
+        # this ran on for more than 10 s, its lists growing, toward 1e12 steps
+        schedule = ExposureSchedule.from_tuples([(1e12, 393.15, True)])
+        with deadline(1.0), pytest.raises(DomainError, match=r"1e\+12 s at a step of 1.0 s is over 1e\+08 steps"):
+            integrate_conversion(schedule, ECOFLEX, PhotolysisState(1.0), dt=1.0)
+
+    def test_step_count_is_over_the_whole_schedule(self, deadline):
+        # each segment alone is under MAX_STEPS; together they are over
+        half = 0.6 * MAX_STEPS
+        schedule = ExposureSchedule.from_tuples([(half, 300.0, True), (half, 300.0, False)])
+        with deadline(1.0), pytest.raises(DomainError, match=r"over 1e\+08 steps"):
+            integrate_conversion(schedule, ECOFLEX, PhotolysisState(1.0), dt=1.0)
 
     def test_series_time_axis(self):
         schedule = ExposureSchedule.from_tuples([(10.0, 300.0, True), (5.0, 320.0, False)])

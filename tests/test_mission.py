@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from transient_kinetics import cli, mission
 from transient_kinetics.config import default_calibration, presets_dir
-from transient_kinetics.errors import ConfigError, SimulationFault
+from transient_kinetics.errors import ConfigError, DomainError, SimulationFault
 from transient_kinetics.kinetics import arrhenius_rate
 from transient_kinetics.mission import (
     TELEMETRY_CSV_HEADER,
@@ -107,6 +107,48 @@ class TestWorldGeometry:
             locate_zone_index(world, -0.1)
         with pytest.raises(SimulationFault):
             locate_zone_index(world, 2.1)
+
+
+class TestStepPlanRefusals:
+    """The steps a run cannot take are refused when its plan is built, before the first step."""
+
+    SCOUT = load_mission(presets_dir() / "scout_demo.mission", CAL.simulation)
+
+    @pytest.mark.parametrize(
+        "dt, message",
+        [
+            (0.0, "step size must be finite and > 0 s, got 0.0"),
+            (-1.0, "step size must be finite and > 0 s, got -1.0"),
+            (math.nan, "step size must be finite and > 0 s, got nan"),
+            (math.inf, "step size must be finite and > 0 s, got inf"),
+            # the move speed * dt underflowed to 0 m: ZeroDivisionError
+            (5e-324, r"a move of speed \* dt = 0.0 m is lost to rounding"),
+            # each move was lost to rounding: the run never ended
+            (1e-300, r"a move of speed \* dt = 2.5e-302 m is lost to rounding at 2.5 m"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "underflowing-move", "lost-move"],
+    )
+    def test_refused_step_raises_at_once(self, deadline, dt, message):
+        with deadline(1.0), pytest.raises(DomainError, match=message):
+            run(self.SCOUT, CAL, dt=dt)
+
+    def test_overflowing_move_refused(self):
+        cal = replace(CAL, actuator=replace(CAL.actuator, stride_per_cycle=1e300))
+        with pytest.raises(DomainError, match="m overflows"):
+            StepPlan(make_mission(benign_world()), cal, 1e10)
+
+    def test_step_of_more_pressure_cycles_than_a_float_holds_refused(self):
+        cal = replace(CAL, actuator=replace(CAL.actuator, stride_per_cycle=5e-324, cycle_period=5e-324))
+        with pytest.raises(DomainError, match="spans more pressure cycles of 5e-324 s than a float holds"):
+            StepPlan(make_mission(benign_world()), cal, 1.0)
+
+    def test_timeout_over_max_steps_refused(self, deadline):
+        with deadline(1.0), pytest.raises(DomainError, match=r"1e\+09 s at a step of 1.0 s is over 1e\+08 steps"):
+            run(self.SCOUT, make_cal(timeout_s=1e9), dt=1.0)
+
+    def test_plan_holds_the_full_speed_move(self):
+        plan = StepPlan(make_mission(benign_world()), CAL, 0.5)
+        assert plan.move == CAL.actuator.speed * 0.5
 
 
 class TestStep:
