@@ -16,9 +16,9 @@ import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from importlib import import_module
+from itertools import compress, count, islice
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import (
@@ -27,18 +27,12 @@ from .config import (
     load_calibration_file,
     resolve_preset_path,
 )
-from .dscfit import (
-    check_synthesis,
-    fit_arrhenius,
-    fit_rate_constant,
-    read_trace_csv,
-    synthesize_trace,
-    write_trace_csv,
-)
 from .errors import ConfigError, DomainError
 # every output goes through cli._atomic_write, the write boundary that
 # perfbench/tracer.py times
 from .fileio import atomic_write as _atomic_write, parse_bool, read_csv
+# predict takes its series as lists, with no numpy; the list core keeps the
+# name integrate_conversion, the boundary that perfbench/tracer.py times
 from .kinetics import (
     ZERO_CELSIUS_K,
     ExposureSchedule,
@@ -46,15 +40,42 @@ from .kinetics import (
     ScheduleSegment,
     arrhenius_rate,
     check_positive,
-    integrate_conversion,
+    integrate_conversion_lists as integrate_conversion,
 )
-from .mission import (
-    TERMINAL_TAGS,
-    load_mission,
-    run,
-    telemetry_to_csv,
-    telemetry_to_jsonl,
-)
+
+# The names cli takes from the modules that import numpy. They are loaded by
+# the commands that use them (and by a first lookup of cli.<name>), so that
+# importing cli and running predict leave numpy unloaded.
+_ARRAY_LAYERS = {
+    "dscfit": (
+        "check_synthesis",
+        "fit_arrhenius",
+        "fit_rate_constant",
+        "read_trace_csv",
+        "synthesize_trace",
+        "write_trace_csv",
+    ),
+    "mission": ("TERMINAL_TAGS", "load_mission", "run", "telemetry_to_jsonl", "telemetry_to_csv"),
+}
+_LAZY_NAMES = frozenset(name for names in _ARRAY_LAYERS.values() for name in names)
+
+
+def _load_array_layers() -> None:
+    """Bind the names of ``_ARRAY_LAYERS`` in this module; a name already bound
+    (a wrapper put in its place) is kept."""
+    names = globals()
+    for module, layer_names in _ARRAY_LAYERS.items():
+        layer = import_module(f".{module}", __package__)
+        for name in layer_names:
+            names.setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        _load_array_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -124,6 +145,9 @@ def _csv_cell(value) -> str:
 
 
 def cmd_fit_dsc(args) -> int:
+    _load_array_layers()
+    import numpy as np
+
     cal = _load_effective_calibration(args)
     rows = []
     any_failed = False
@@ -164,6 +188,7 @@ def cmd_fit_dsc(args) -> int:
 
 
 def cmd_arrhenius(args) -> int:
+    _load_array_layers()
     cal = _load_effective_calibration(args)
     points = _read_fit_table(Path(args.fit_table))
     temps = {p[0] for p in points}
@@ -247,26 +272,21 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict[str, float | None]:
-    out: dict[str, float | None] = {}
+def _times_to_targets(t: list[float], alpha: list[float]) -> dict[str, float | None]:
+    """The time at which alpha first reaches each target, interpolated between
+    the samples around it; None for a target it never reaches."""
+    out: dict[str, float | None] = dict.fromkeys(f"{target:g}" for target in ALPHA_TARGETS)
+    i = 0  # the targets ascend, so each is first reached no earlier than the one before
     for target in ALPHA_TARGETS:
-        key = f"{target:g}"
-        idx = np.nonzero(alpha >= target)[0]
-        if idx.size == 0:
-            out[key] = None
-            continue
-        i = int(idx[0])
+        i = next(compress(count(i), map(target.__le__, islice(alpha, i, None))), None)
+        if i is None:
+            break
         if i == 0 or alpha[i] == target:
-            out[key] = float(t[i])
+            out[f"{target:g}"] = t[i]
         else:
             frac = (target - alpha[i - 1]) / (alpha[i] - alpha[i - 1])
-            out[key] = float(t[i - 1] + frac * (t[i] - t[i - 1]))
+            out[f"{target:g}"] = t[i - 1] + frac * (t[i] - t[i - 1])
     return out
-
-
-# rows of conversion_profile.csv taken from the arrays per tolist() call, so
-# that no plain-float copy of a whole series is held
-PROFILE_CHUNK_ROWS = 4096
 
 
 def _conversion_profile_csv(series) -> str:
@@ -275,16 +295,15 @@ def _conversion_profile_csv(series) -> str:
     ``hf_fraction`` is constant in the dark, so its text is formatted once
     per run of equal values. Equal is not enough: 0.0 and -0.0 compare
     equal but print differently, so the sign of a zero must match too.
+    The columns are lists of floats or numpy arrays: ``str`` of a float64
+    is the repr of the float it holds.
     """
     rows = ["t_s,alpha,hf_fraction\n"]
     last_hf, hf_text = None, ""
-    for start in range(0, len(series.t), PROFILE_CHUNK_ROWS):
-        chunk = slice(start, start + PROFILE_CHUNK_ROWS)
-        columns = (series.t[chunk], series.alpha[chunk], series.hf_fraction[chunk])
-        for t, alpha, hf in zip(*(column.tolist() for column in columns)):
-            if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
-                last_hf, hf_text = hf, repr(hf)
-            rows.append("%r,%r,%s\n" % (t, alpha, hf_text))
+    for t, alpha, hf in zip(series.t, series.alpha, series.hf_fraction):
+        if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
+            last_hf, hf_text = hf, str(hf)
+        rows.append("%s,%s,%s\n" % (t, alpha, hf_text))
     return "".join(rows)
 
 
@@ -308,7 +327,7 @@ def cmd_predict(args) -> int:
     outdir = _outdir(args)
     _atomic_write(outdir / "conversion_profile.csv", _conversion_profile_csv(series))
     results = {
-        "final_alpha": float(series.alpha[-1]),
+        "final_alpha": series.alpha[-1],
         "time_to_alpha_s": _times_to_targets(series.t, series.alpha),
         "pre_exponential_per_s": params.pre_exponential,
         "activation_energy_j_per_mol": params.activation_energy,
@@ -320,6 +339,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _load_array_layers()
     cal = _load_effective_calibration(args)
     mission_path = resolve_preset_path(args.mission)
     mission = load_mission(mission_path, cal.simulation)
@@ -349,6 +369,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _load_array_layers()
     cal = _load_effective_calibration(args)
     if args.temperature_c:
         holds = [(t_c + ZERO_CELSIUS_K, f"synth-{t_c:g}C") for t_c in args.temperature_c]

@@ -61,9 +61,11 @@ class DscTrace:
         if np.any(time_s[1:] <= time_s[:-1]):
             raise DomainError("sample times must be strictly increasing")
         check_positive("temperature_k", self.temperature_k, " K")
-        # a trace file holds its label on one '# label=' line
+        # a trace file holds its label on one '# label=' line, read back stripped
         if "".join(self.label.splitlines()) != self.label:
             raise DomainError(f"label must not hold a line break, got {self.label!r}")
+        if self.label.strip() != self.label:
+            raise DomainError(f"label must not begin or end with whitespace, got {self.label!r}")
 
     @property
     def duration(self) -> float:

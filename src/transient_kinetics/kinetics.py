@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnreachableTargetError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GAS_CONSTANT = 8.314  # J/(mol K)
 ZERO_CELSIUS_K = 273.15  # 0 C in K
@@ -133,11 +135,17 @@ class ExposureSchedule:
 
 @dataclass(frozen=True)
 class ConversionSeries:
-    """Sampled trajectory of conversion and photolysis fraction."""
+    """Sampled trajectory of conversion and photolysis fraction.
 
-    t: np.ndarray
-    alpha: np.ndarray
-    hf_fraction: np.ndarray
+    Three equal-length columns: the times (s), alpha and the dose fraction
+    hf / dpi_initial at each sample. ``integrate_conversion`` gives numpy
+    arrays; ``integrate_conversion_lists``, which ``predict`` calls, gives
+    the same floats as plain lists, so that no numpy is needed.
+    """
+
+    t: list[float] | np.ndarray
+    alpha: list[float] | np.ndarray
+    hf_fraction: list[float] | np.ndarray
 
 
 def arrhenius_rate(params: ArrheniusParams, temperature: float) -> float:
@@ -194,6 +202,8 @@ def dsc_heat_flow(k: float, total_enthalpy: float, t: float | np.ndarray) -> flo
     ``t`` is a time or an array of times; an array gives the heat flow at
     each, and any negative time in it is refused.
     """
+    import numpy as np
+
     if np.any(np.asarray(t) < 0):
         raise DomainError(f"time must be >= 0, got {t}")
     if total_enthalpy <= 0:
@@ -277,6 +287,20 @@ def integrate_conversion(
     dt: float,
     hf_sat: float = DEFAULT_HF_SAT,
 ) -> ConversionSeries:
+    """``integrate_conversion_lists`` with each column a numpy array."""
+    import numpy as np
+
+    series = integrate_conversion_lists(schedule, params, photolysis, dt, hf_sat)
+    return ConversionSeries(*map(np.asarray, (series.t, series.alpha, series.hf_fraction)))
+
+
+def integrate_conversion_lists(
+    schedule: ExposureSchedule,
+    params: ArrheniusParams,
+    photolysis: PhotolysisState,
+    dt: float,
+    hf_sat: float = DEFAULT_HF_SAT,
+) -> ConversionSeries:
     """March the coupled photolysis/conversion laws through a schedule.
 
     Each step applies ``dose_update`` (under UV) and ``conversion_update``
@@ -291,6 +315,7 @@ def integrate_conversion(
     to rounding error for any step size. A ``dt`` that is not finite and
     > 0, exceeds the shortest segment or needs more than ``MAX_STEPS``
     steps over the whole schedule is refused before the first step.
+    The columns of the series are lists of floats.
     """
     check_positive("dt", dt, " s")
     if dt > schedule.min_duration + 1e-12:
@@ -333,6 +358,4 @@ def integrate_conversion(
             alphas.append(alpha)
             hf_fracs.append(hf_frac)
 
-    return ConversionSeries(
-        t=np.asarray(times), alpha=np.asarray(alphas), hf_fraction=np.asarray(hf_fracs)
-    )
+    return ConversionSeries(t=times, alpha=alphas, hf_fraction=hf_fracs)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ActuationError, DomainError
 from .kinetics import check_positive
 
@@ -162,6 +160,8 @@ def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
             f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
         )
     if actuator.angle_table is not None:
+        import numpy as np
+
         xs = [p for p, _ in actuator.angle_table]
         ys = [a for _, a in actuator.angle_table]
         magnitude = float(np.interp(abs(pressure), xs, ys))

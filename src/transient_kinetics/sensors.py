@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, SensorFailedError, ValidityBandError
 from .kinetics import check_positive
 
@@ -162,6 +160,8 @@ def strain_capacitance(spec: StrainSensorSpec, bending_angle: float) -> float:
             f"(+/-{spec.angle_full:.4g} deg)"
         )
     if spec.capacitance_table is not None:
+        import numpy as np
+
         xs = [a for a, _ in spec.capacitance_table]
         ys = [c for _, c in spec.capacitance_table]
         return float(np.interp(abs(bending_angle), xs, ys))
@@ -213,6 +213,8 @@ def apply_degradation(
         return raw_reading
     if status == STATUS_DEGRADED:
         if kind == "strain" and raw_reading is not None:
+            import numpy as np
+
             rng = np.random.default_rng(noise_seed)
             return float(raw_reading * (1.0 + DEGRADED_JITTER_GAIN * rng.uniform(-1.0, 1.0)))
         return raw_reading

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transient_kinetics import cli as cli_module
-from transient_kinetics.config import Calibration, load_calibration_file
+from transient_kinetics.config import CALIBRATION_TABLE, MATERIAL_ROWS, Calibration, load_calibration_file
 from transient_kinetics.dscfit import TRACE_HEADER, read_trace_csv, synthesize_trace, write_trace_csv
 from transient_kinetics.kinetics import (
     ZERO_CELSIUS_K,
@@ -505,12 +505,12 @@ class TestConversionProfileBytes:
 
     def test_signed_zero_dose_through_dark_and_uv(self):
         # a dose of -0.0 is accepted; its fraction stays -0.0 through the dark
-        # hold, one run of equal values longer than a tolist() chunk
+        # hold, one run of equal values longer than 4096 rows
         schedule = ExposureSchedule.from_tuples(
             [(5000.0, 298.15, False), (50.0, 298.15, True), (5000.0, 393.15, False)]
         )
         series = integrate_conversion(schedule, ECOFLEX, PhotolysisState(dpi_initial=100.0, hf=-0.0), 1.0)
-        assert series.t.size > cli_module.PROFILE_CHUNK_ROWS
+        assert series.t.size > 4096
         assert math.copysign(1.0, series.hf_fraction[0]) == -1.0
         assert series.hf_fraction[-1] > 0.0
         self.assert_cells_are_reprs(series)
@@ -528,6 +528,48 @@ class TestConversionProfileBytes:
     def test_cells_are_reprs_for_any_series(self, rows):
         t, alpha, hf = (np.array(column, dtype=float) for column in zip(*rows))
         self.assert_cells_are_reprs(ConversionSeries(t, alpha, hf))
+
+    def test_lists_and_arrays_give_the_same_bytes(self):
+        schedule = ExposureSchedule.from_tuples([(300.0, 298.15, True), (900.0, 393.15, False)])
+        arrays = integrate_conversion(schedule, ECOFLEX, PhotolysisState(100.0), 0.7)
+        lists = ConversionSeries(*(column.tolist() for column in (arrays.t, arrays.alpha, arrays.hf_fraction)))
+        assert cli_module._conversion_profile_csv(lists) == cli_module._conversion_profile_csv(arrays)
+
+
+def reference_times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict:
+    """``cli._times_to_targets`` as it was on arrays: the reference its walk over lists must match."""
+    out = {}
+    for target in cli_module.ALPHA_TARGETS:
+        key = f"{target:g}"
+        idx = np.nonzero(alpha >= target)[0]
+        if idx.size == 0:
+            out[key] = None
+            continue
+        i = int(idx[0])
+        if i == 0 or alpha[i] == target:
+            out[key] = float(t[i])
+        else:
+            frac = (target - alpha[i - 1]) / (alpha[i] - alpha[i - 1])
+            out[key] = float(t[i - 1] + frac * (t[i] - t[i - 1]))
+    return out
+
+
+class TestTimesToTargets:
+    ALPHA = st.sampled_from(cli_module.ALPHA_TARGETS) | st.floats(min_value=0.0, max_value=1.0) | st.floats()
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.tuples(st.floats(), ALPHA), min_size=1, max_size=12))
+    # alpha meets every target exactly, reaches all of them at sample 0, and never reaches any
+    @example(samples=[(0.0, 0.0), (1.0, 0.5), (2.0, 0.9), (3.0, 0.95), (4.0, 0.99)])
+    @example(samples=[(0.0, 0.99), (1.0, 1.0)])
+    @example(samples=[(0.0, 0.0), (1.0, 0.1), (2.0, 0.98)])
+    # alpha that falls back after reaching every target, and rises again
+    @example(samples=[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.6)])
+    def test_matches_the_array_version(self, samples):
+        t, alpha = (list(column) for column in zip(*samples))
+        with np.errstate(all="ignore"):
+            want = reference_times_to_targets(np.array(t), np.array(alpha))
+        assert repr(cli_module._times_to_targets(t, alpha)) == repr(want)
 
 
 class TestSimulate:
@@ -1146,6 +1188,50 @@ class TestFiniteOutputs:
             # the robot, mobile at the start, moves on its first step
             first_row = (out / "telemetry.csv").read_text().splitlines()[1]
             assert float(first_row.split(",")[1]) > 0.25
+
+    # the sections whose keys neither earlier property draws, each key any float
+    READING_KEYS = {
+        section: tuple(key for key, *_ in CALIBRATION_TABLE[section])
+        for section in ("sensor.photo", "sensor.health", "simulation")
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        overlay=st.sampled_from(sorted(READING_KEYS)).flatmap(
+            lambda section, keys=READING_KEYS: st.tuples(
+                st.just(section), st.fixed_dictionaries({}, optional=dict.fromkeys(keys[section], st.floats()))
+            )
+        )
+    )
+    # the thresholds at the edges of their ranges
+    @example(overlay=("sensor.health", {"alpha_degrade": 5e-324, "alpha_fail": 1.0}))
+    @example(overlay=("simulation", {"timeout_s": 5e-324, "body_thermal_lag_s": 1e308}))
+    @example(overlay=("sensor.photo", {"reverse_current_a": -1e308, "forward_current_a": 1e308}))
+    def test_reading_and_run_overlay_keeps_outputs_finite(self, overlay):
+        self.assert_predict_and_simulate_finite(*overlay)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["ecoflex-20wt", "probe"]),
+        values=st.fixed_dictionaries(dict.fromkeys((key for key, *_ in MATERIAL_ROWS), st.floats())),
+    )
+    # extreme values that load, and the wall material at the actuator's peak strain, which does not
+    @example(
+        name="ecoflex-20wt",
+        values={
+            "modulus_pa": 1e308, "elastic_limit_strain": 5e-324, "fracture_strain": 1e308,
+            "fracture_stress_pa": 5e-324, "poisson": 0.0, "density_kg_m3": 1e308, "dpi_wt_percent": -1e308,
+        },
+    )
+    @example(
+        name="ecoflex-20wt",
+        values={
+            "modulus_pa": 1.0, "elastic_limit_strain": 0.1, "fracture_strain": 0.8356,
+            "fracture_stress_pa": 1.0, "poisson": 0.0, "density_kg_m3": 1.0, "dpi_wt_percent": 0.0,
+        },
+    )
+    def test_material_overlay_keeps_outputs_finite(self, name, values):
+        self.assert_predict_and_simulate_finite(f"material.{name}", values)
 
 
 class TestFitDscFiniteInput:

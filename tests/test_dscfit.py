@@ -62,6 +62,12 @@ class TestDscTrace:
         with pytest.raises(DomainError, match="label must not hold a line break"):
             DscTrace(np.array([0.0, 1.0]), np.zeros(2), 300.0, True, label=label)
 
+    @pytest.mark.parametrize("label", [" a ", "a\t", " ", "\u3000a", "a\x1f"])
+    def test_label_with_edge_whitespace_refused(self, label):
+        # the trace file read " a " and "a\t" back as "a", and " " as ""
+        with pytest.raises(DomainError, match="label must not begin or end with whitespace"):
+            DscTrace(np.array([0.0, 1.0]), np.zeros(2), 300.0, True, label=label)
+
 
 class TestTotalEnthalpy:
     def test_synthetic_closed_form(self):
@@ -290,6 +296,20 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         assert read_trace_csv(path).label == label
+
+    @settings(max_examples=100, deadline=None)
+    @given(label=st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    def test_any_accepted_label_round_trips(self, label):
+        try:
+            trace = DscTrace(np.array([0.0, 1.0]), np.array([2.0, 1.0]), 300.0, True, label=label)
+        except DomainError:
+            # refused only for an edge space or a line break
+            assert label.strip() != label or "".join(label.splitlines()) != label
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, path)
+            assert read_trace_csv(path).label == label
 
     def test_missing_header_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -25,6 +25,7 @@ from transient_kinetics.kinetics import (
     dsc_heat_flow,
     hf_concentration,
     integrate_conversion,
+    integrate_conversion_lists,
     isothermal_conversion,
     time_to_conversion,
     trigger_coupling,
@@ -450,6 +451,18 @@ class TestHoistedFactors:
         expected = reference_integrate(schedule, params, photolysis, dt, hf_sat)
         for got, want in zip((series.t, series.alpha, series.hf_fraction), expected):
             assert got.tobytes() == want.tobytes()
+
+
+class TestListCore:
+    @settings(max_examples=100, deadline=None)
+    @given(case=hoist_cases())
+    def test_lists_hold_the_arrays_floats_bit_for_bit(self, case):
+        schedule, params, photolysis, dt, hf_sat = case
+        lists = integrate_conversion_lists(schedule, params, photolysis, dt, hf_sat=hf_sat)
+        arrays = integrate_conversion(schedule, params, photolysis, dt, hf_sat=hf_sat)
+        for got, want in zip((lists.t, lists.alpha, lists.hf_fraction), (arrays.t, arrays.alpha, arrays.hf_fraction)):
+            assert type(got) is list and {type(x) for x in got} == {float}
+            assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestAdvance:
