@@ -3,11 +3,12 @@
 The file format is line-based: ``[section]`` headers, ``key = value``
 entries, ``#`` comments, blank lines ignored. Repeated keys are
 preserved in order (the mission script relies on this); scalar lookups
-take the last occurrence. The packaged ``presets/`` directory provides
-the default calibration and the bundled mission; the directory can be
-overridden with the TRANSIENT_KINETICS_PRESETS environment variable.
-One table, ``CALIBRATION_TABLE``, describes every calibration key and
-drives parsing, unknown-key rejection and the summary echo.
+take the last occurrence. The packaged ``presets/`` directory holds the
+named presets and the bundled mission; the directory can be overridden
+with the TRANSIENT_KINETICS_PRESETS environment variable. The shipped
+calibration is ``Calibration()``, the dataclass defaults. One table,
+``CALIBRATION_TABLE``, describes every calibration key and drives
+parsing, unknown-key rejection and the summary echo.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 
@@ -32,7 +32,6 @@ from .mechanics import (
 from .sensors import BIAS_BAND_V, PhotodiodeSpec, SensorHealth, StrainSensorSpec, TempSensorSpec
 
 PRESETS_ENV_VAR = "TRANSIENT_KINETICS_PRESETS"
-DEFAULT_CALIBRATION_NAME = "default.cfg"
 
 Section = list[tuple[str, str]]
 
@@ -146,7 +145,7 @@ class Calibration:
     photodiode: PhotodiodeSpec = PhotodiodeSpec()
     health: SensorHealth = SensorHealth()
     simulation: SimulationSettings = SimulationSettings()
-    wall_material: str | None = None  # checked against the actuator after every overlay
+    wall_material: str = "ecoflex-20wt"  # checked against the actuator after every overlay
 
     def __post_init__(self):
         # a negative rate would make the photolysis dose run away from its saturation
@@ -273,12 +272,9 @@ def apply_sections(base: Calibration, sections, source: str) -> Calibration:
     """
     try:
         cal = _apply_sections(base, sections, source)
-        if cal.wall_material is not None:
-            if cal.wall_material not in cal.materials:
-                raise ConfigError(
-                    f"{source}: actuator wall_material {cal.wall_material!r} is not a known material"
-                )
-            validate_actuator_wall(cal.actuator, cal.materials[cal.wall_material])
+        if cal.wall_material not in cal.materials:
+            raise ConfigError(f"{source}: actuator wall_material {cal.wall_material!r} is not a known material")
+        validate_actuator_wall(cal.actuator, cal.materials[cal.wall_material])
         return cal
     except ConfigError:
         raise
@@ -323,7 +319,7 @@ def presets_dir() -> Path:
     override = os.environ.get(PRESETS_ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("transient_kinetics") / "presets"))
+    return Path(__file__).with_name("presets")
 
 
 def resolve_preset_path(name: str) -> Path:
@@ -338,9 +334,5 @@ def resolve_preset_path(name: str) -> Path:
 
 
 def default_calibration() -> Calibration:
-    """Built-in defaults overlaid with the packaged default preset."""
-    cal = Calibration()
-    preset = presets_dir() / DEFAULT_CALIBRATION_NAME
-    if preset.exists():
-        cal = load_calibration_file(preset, cal)
-    return cal
+    """The shipped calibration: every dataclass default."""
+    return Calibration()

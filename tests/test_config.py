@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from transient_kinetics import cli
 from transient_kinetics.config import (
     Calibration,
     apply_sections,
@@ -18,6 +19,7 @@ from transient_kinetics.config import (
 from transient_kinetics.dscfit import DscTrace
 from transient_kinetics.errors import ConfigError, DomainError
 from transient_kinetics.mechanics import DEFAULT_ACTUATOR, MATERIAL_PRESETS
+from transient_kinetics.mission import load_mission
 from transient_kinetics.sensors import StrainSensorSpec, TempSensorSpec
 
 # Sets every key of every calibration section, with a second [actuator]
@@ -198,7 +200,7 @@ class TestParseSections:
 
 
 class TestCalibration:
-    def test_defaults_match_packaged_preset(self):
+    def test_defaults_are_the_measured_anchors(self):
         cal = default_calibration()
         assert cal.kinetics.pre_exponential == pytest.approx(0.1703)
         assert cal.kinetics.activation_energy == pytest.approx(18090.0)
@@ -207,11 +209,7 @@ class TestCalibration:
         assert set(cal.materials) >= {"ecoflex-0wt", "ecoflex-10wt", "ecoflex-20wt"}
         assert cal.temp_sensor.slope == 0.002
         assert cal.simulation.mobility_loss_alpha == 0.2
-
-    def test_python_defaults_are_the_packaged_preset(self):
-        # the library's Calibration() and presets/default.cfg, which the CLI
-        # runs, must describe one device; the preset adds only the actuator wall
-        assert default_calibration() == replace(Calibration(), wall_material="ecoflex-20wt")
+        assert cal.wall_material == "ecoflex-20wt"
 
     def test_overlay_wins(self, tmp_path):
         overlay = tmp_path / "custom.cfg"
@@ -259,8 +257,8 @@ class TestCalibration:
         assert "fracture" in str(err.value)
 
     def test_actuator_wall_checked_on_every_overlay(self, tmp_path):
-        # the wall is named in default.cfg; an overlay that only raises the
-        # strain must still be checked against it
+        # the shipped calibration names the wall; an overlay that only raises
+        # the strain must still be checked against it
         cfg = tmp_path / "act.cfg"
         cfg.write_text("[actuator]\nstrain_at_max = 80.0\n")
         base = default_calibration()
@@ -415,16 +413,34 @@ class TestCalibration:
         local.write_text("[kinetics]\n")
         monkeypatch.chdir(tmp_path)
         assert resolve_preset_path("mine.cfg").resolve() == local.resolve()
-        assert resolve_preset_path("default.cfg").name == "default.cfg"
+        assert resolve_preset_path("tcr_high.cfg").name == "tcr_high.cfg"
         with pytest.raises(ConfigError):
             resolve_preset_path("no-such-thing.cfg")
 
-    def test_presets_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRANSIENT_KINETICS_PRESETS", str(tmp_path))
-        assert presets_dir() == tmp_path
-        # with an empty override dir the built-in dataclass defaults apply
-        cal = default_calibration()
-        assert cal.kinetics.pre_exponential == pytest.approx(0.1703)
+    def test_presets_env_override(self, tmp_path, monkeypatch, capsys):
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        monkeypatch.setenv("TRANSIENT_KINETICS_PRESETS", str(presets))
+        assert presets_dir() == presets
+        # the override relocates named presets only: the defaults, and so the
+        # wall check of every overlay, stay those of the library
+        assert default_calibration() == Calibration()
+        (tmp_path / "s.csv").write_text("duration_s,temperature_C,uv_on\n60,25,true\n")
+        (tmp_path / "strong.cfg").write_text("[actuator]\nstrain_at_max = 80\n")
+        args = ["predict", tmp_path / "s.csv", "--config", tmp_path / "strong.cfg", "--out", tmp_path / "out"]
+        assert cli.main([str(a) for a in args]) == 2
+        assert "fracture strain of 'ecoflex-20wt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in presets_dir().iterdir()))
+    def test_every_shipped_preset_loads(self, name):
+        path = presets_dir() / name
+        if path.suffix == ".cfg":
+            load_calibration_file(path, default_calibration())
+        elif path.suffix == ".mission":
+            load_mission(path)
+        else:
+            pytest.fail(f"{name} is neither a calibration (.cfg) nor a mission (.mission)")
 
 
 # each spec field that must be finite and > 0, with a valid spec to replace it in
