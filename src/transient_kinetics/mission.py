@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
 from .errors import ConfigError, DomainError, SensorFailedError, SimulationFault
 from .fileio import read_text
@@ -290,23 +288,22 @@ def locate_zone_index(world, position: float) -> int:
     return len(world) - 1
 
 
-def _step_seed(seed: int, step_index: int) -> int:
-    return int(np.random.SeedSequence([seed, step_index]).generate_state(1)[0])
-
-
 class StepPlan:
     """What stays constant over one run of a mission, built once and passed to every ``step``.
 
     Holds the step size, the seed, the world's bounds, the full-speed move
     ``speed * dt``, each zone's k(T) and temperature in degC, the thermal-lag
     relaxation factor (0 without lag), the compiled alarm rules and the
-    caches of ``readings``. It refuses, as a DomainError, a step that is not
-    finite and > 0, whose move is lost to rounding or overflows, that spans
-    more pressure cycles than a float holds, or that needs more than
-    ``MAX_STEPS`` steps to the timeout.
+    caches of ``readings`` and ``noise``. It refuses, as a DomainError, a
+    seed that is not an int >= 0, and a step that is not finite and > 0,
+    whose move is lost to rounding or overflows, that spans more pressure
+    cycles than a float holds, or that needs more than ``MAX_STEPS`` steps
+    to the timeout.
     """
 
     def __init__(self, mission: Mission, cal: Calibration, dt: float, seed: int = 0):
+        if not (isinstance(seed, int) and seed >= 0):
+            raise DomainError(f"seed must be an int >= 0, got {seed!r}")
         check_positive("step size", dt, " s")
         self.x_min, self.x_max = mission.zones[0].x_min, mission.zones[-1].x_max
         self.move = move = cal.actuator.speed * dt
@@ -335,6 +332,29 @@ class StepPlan:
         # (body temperature, status, (resistance, temperature reading)), one
         # attribute so that a shared plan never pairs a key with another reading
         self._last_temperature: tuple = (None, None, None)
+        # (base, draws) of the last jitter block, one attribute for the same reason
+        self._jitter: tuple[int, list[float]] = (0, [])
+
+    def noise(self, step_index: int) -> float:
+        """The jitter draw in [-1, 1] of step ``step_index``, a function of (seed, step_index) alone.
+
+        Draws are computed for the aligned block of ``jitter.BLOCK`` step
+        indices that holds ``step_index``, and the last block is kept. A
+        step index that is not an int >= 0 raises DomainError.
+        """
+        if not (isinstance(step_index, int) and step_index >= 0):
+            raise DomainError(f"step index must be an int >= 0, got {step_index!r}")
+        base, draws = self._jitter
+        offset = step_index - base
+        if not 0 <= offset < len(draws):
+            # loaded by the first block: a process that never degrades never compiles it
+            from . import jitter
+
+            offset = step_index % jitter.BLOCK
+            base = step_index - offset
+            draws = jitter.block(self.seed, base)
+            self._jitter = (base, draws)
+        return draws[offset]
 
     def readings(self, zone_index: int, body_temp_c: float, angle: float, status: str, alpha: float) -> tuple:
         """(resistance, temperature, capacitance, photocurrent) through the degradation overlay.
@@ -387,7 +407,8 @@ def step(
     ``drive`` in [-1, 1] is the commanded locomotion fraction (sign is
     direction); actual motion also scales with the mobility flag derived
     from the updated conversion. A degraded strain reading is jittered
-    from a generator seeded by ``(plan.seed, step_index)``.
+    by ``plan.noise(step_index)``, a draw fixed by ``(plan.seed,
+    step_index)``.
     """
     if not -1.0 <= drive <= 1.0:
         raise SimulationFault("drive must lie in [-1, 1]")
@@ -437,10 +458,8 @@ def step(
         here_index, body_temp_c, gait.current_angle, status, alpha
     )
     if status == STATUS_DEGRADED:
-        # only the degraded strain reading draws from the seeded generator
-        capacitance = apply_degradation(
-            capacitance, "strain", alpha, health, noise_seed=_step_seed(plan.seed, step_index)
-        )
+        # only the degraded strain reading takes a jitter draw
+        capacitance = apply_degradation(capacitance, "strain", alpha, health, plan.noise(step_index))
 
     clock = robot.clock + dt
     # the record's values but its events

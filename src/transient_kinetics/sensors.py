@@ -190,18 +190,19 @@ def apply_degradation(
     kind: str,
     alpha: float,
     health: SensorHealth,
-    noise_seed: int | None = None,
+    noise: float | None = None,
     fail_resistance: float = FAIL_RESISTANCE_OHM,
 ) -> float | None:
     """Overlay decomposition effects on a raw sensor reading.
 
     Below ``alpha_degrade`` the reading passes through bit-exactly. In
-    the degraded band the strain capacitance picks up a seeded erratic
-    perturbation while the other channels still read true. At or above
-    ``alpha_fail`` the temperature channel clamps to the failure
-    resistance, the photocurrent clamps to 0 A, and the capacitance
-    becomes unavailable (None). Failure is a modeled state, not an
-    error, and the failed outputs are idempotent.
+    the degraded band the strain capacitance turns erratic, as
+    ``raw * (1 + DEGRADED_JITTER_GAIN * noise)`` for a given draw
+    ``noise`` in [-1, 1] (DomainError without one), while the other
+    channels still read true. At or above ``alpha_fail`` the temperature
+    channel clamps to the failure resistance, the photocurrent clamps to
+    0 A, and the capacitance becomes unavailable (None). Failure is a
+    modeled state, not an error, and the failed outputs are idempotent.
     """
     if kind not in SENSOR_KINDS:
         raise DomainError(f"unknown sensor kind {kind!r}")
@@ -213,10 +214,9 @@ def apply_degradation(
         return raw_reading
     if status == STATUS_DEGRADED:
         if kind == "strain" and raw_reading is not None:
-            import numpy as np
-
-            rng = np.random.default_rng(noise_seed)
-            return float(raw_reading * (1.0 + DEGRADED_JITTER_GAIN * rng.uniform(-1.0, 1.0)))
+            if noise is None or not -1.0 <= noise <= 1.0:
+                raise DomainError(f"a degraded strain reading needs a noise draw in [-1, 1], got {noise!r}")
+            return raw_reading * (1.0 + DEGRADED_JITTER_GAIN * noise)
         return raw_reading
     # failed
     if kind == "temp":

@@ -54,6 +54,34 @@ class TestNumpyFreeCommands:
         )
         assert out == "[]"
 
+    def test_apply_degradation_leaves_numpy_unloaded(self, tmp_path):
+        out = run_script(
+            "import sys\n"
+            "from transient_kinetics.sensors import SENSOR_KINDS, SensorHealth, apply_degradation\n"
+            "health = SensorHealth()\n"
+            "readings = [apply_degradation(10.0, kind, alpha, health, 0.25)\n"
+            "            for kind in SENSOR_KINDS for alpha in (0.0, 0.5, 1.0)]\n"
+            "assert health.status_at(0.5) == 'degraded' and readings[1] == 11.25, readings\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n",
+            tmp_path,
+        )
+        assert out == "[]"
+
+    def test_jitter_kernel_loads_with_the_first_block(self, tmp_path):
+        # the array commands load mission; only a run that degrades compiles the kernel
+        out = run_script(
+            "import sys\n"
+            "from transient_kinetics import cli, config, mission\n"
+            "cli._load_array_layers()\n"
+            "scout = mission.load_mission(config.presets_dir() / 'scout_demo.mission')\n"
+            "plan = mission.StepPlan(scout, config.default_calibration(), 1.0)\n"
+            "before = 'transient_kinetics.jitter' in sys.modules\n"
+            "plan.noise(0)\n"
+            "print(before, 'transient_kinetics.jitter' in sys.modules)\n",
+            tmp_path,
+        )
+        assert out == "False True"
+
     def test_predict_leaves_numpy_unloaded(self, tmp_path):
         (tmp_path / "sched.csv").write_text(
             "duration_s,temperature_C,uv_on\n600,25,true\n1800,120,false\n300,60,true\n"

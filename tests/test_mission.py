@@ -4,11 +4,12 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transient_kinetics import cli, mission
+from transient_kinetics import cli, jitter, mission
 from transient_kinetics.config import default_calibration, presets_dir
 from transient_kinetics.errors import ConfigError, DomainError, SimulationFault
 from transient_kinetics.kinetics import arrhenius_rate
@@ -23,7 +24,6 @@ from transient_kinetics.mission import (
     StepPlan,
     TelemetryRecord,
     Zone,
-    _step_seed,
     compile_alarms,
     default_alarm_rules,
     evaluate_alarms,
@@ -61,6 +61,17 @@ def make_mission(world, commands=(Command("dwell", 1.0),), start=None, rules=Non
 def scout_run():
     """The records of the bundled mission at seed 11, dt 1."""
     return run(load_mission(presets_dir() / "scout_demo.mission", CAL.simulation), CAL, dt=1.0, seed=11)
+
+
+def reference_jitter(seed: int, step_index: int) -> float:
+    """numpy's jitter draw: default_rng(SeedSequence([seed, step_index]).generate_state(1)[0]).uniform(-1, 1)."""
+    step_seed = int(np.random.SeedSequence([seed, step_index]).generate_state(1)[0])
+    return np.random.default_rng(step_seed).uniform(-1.0, 1.0)
+
+
+def degraded_robot(mission):
+    """A robot at rest in the mission's first zone, in the degraded band."""
+    return RobotState.at(0.5, mission.zones)._replace(alpha=0.5)
 
 
 def benign_world():
@@ -145,6 +156,26 @@ class TestStepPlanRefusals:
     def test_timeout_over_max_steps_refused(self, deadline):
         with deadline(1.0), pytest.raises(DomainError, match=r"1e\+09 s at a step of 1.0 s is over 1e\+08 steps"):
             run(self.SCOUT, make_cal(timeout_s=1e9), dt=1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None], ids=["negative", "float", "str", "none"])
+    def test_seed_not_an_int_at_least_0_refused_before_any_step(self, seed):
+        # numpy refused these midway, at the first degraded step
+        with pytest.raises(DomainError, match=f"seed must be an int >= 0, got {seed!r}"):
+            run(self.SCOUT, CAL, dt=10.0, seed=seed)
+
+    def test_seed_beyond_64_bits_accepted(self):
+        StepPlan(make_mission(benign_world()), CAL, 1.0, seed=2**130)
+
+    @pytest.mark.parametrize("step_index", [-1, 2.0])
+    def test_step_index_not_an_int_at_least_0_refused_for_a_degraded_robot(self, step_index):
+        mission = make_mission(benign_world())
+        plan = StepPlan(mission, make_cal(mobility_loss_alpha=1.0), 1.0)
+        robot = degraded_robot(mission)
+        # numpy refused -1 with a ValueError; the plan refuses it whether or not a block is kept
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"step index must be an int >= 0, got {step_index!r}"):
+                step(plan, robot, step_index=step_index)
+            step(plan, robot, step_index=1)
 
     def test_plan_holds_the_full_speed_move(self):
         plan = StepPlan(make_mission(benign_world()), CAL, 0.5)
@@ -496,33 +527,106 @@ class TestSensorStatus:
         mission = make_mission(benign_world())
         cal = make_cal(mobility_loss_alpha=1.0)
         plan = StepPlan(mission, cal, 1.0, seed=11)
-        robot = RobotState.at(0.5, mission.zones)._replace(alpha=0.5)
+        robot = degraded_robot(mission)
         raw = strain_capacitance(cal.strain_sensor, robot.gait.current_angle)
         readings = set()
         for i in (0, 1, 7, 4096):
             _, record = step(plan, robot, step_index=i)
-            expected = apply_degradation(
-                raw, "strain", 0.5, cal.health, noise_seed=_step_seed(11, i)
-            )
+            expected = apply_degradation(raw, "strain", 0.5, cal.health, reference_jitter(11, i))
             assert record.capacitance_pf == expected
             readings.add(record.capacitance_pf)
         assert len(readings) == 4
 
     def test_step_seed_made_only_for_degraded_strain(self, monkeypatch):
-        calls = []
+        draws, blocks = [], []
+        noise, jitter_block = StepPlan.noise, jitter.block
 
-        def counting_seed(seed, step_index):
-            calls.append(step_index)
-            return _step_seed(seed, step_index)
+        def counting_noise(plan, step_index):
+            draws.append(step_index)
+            return noise(plan, step_index)
 
-        monkeypatch.setattr(mission, "_step_seed", counting_seed)
+        def counting_block(seed, base):
+            blocks.append(base)
+            return jitter_block(seed, base)
+
+        monkeypatch.setattr(StepPlan, "noise", counting_noise)
+        monkeypatch.setattr(jitter, "block", counting_block)
         records = scout_run()
         degraded = [
             i for i, r in enumerate(records)
             if CAL.health.status_at(r.alpha) == STATUS_DEGRADED
         ]
         assert degraded
-        assert calls == degraded
+        assert draws == degraded
+        # one block per aligned span of degraded steps, each computed once
+        assert blocks == sorted({i - i % jitter.BLOCK for i in degraded})
+
+        # a run that never degrades computes no block
+        draws.clear()
+        blocks.clear()
+        never_degrades = run(make_mission(benign_world(), (Command("dwell", 5000.0),)), CAL, dt=1.0, seed=3)
+        assert len(never_degrades) == 5000
+        assert draws == blocks == []
+
+
+def plan_and_robot(seed: int):
+    mission = make_mission(benign_world())
+    return StepPlan(mission, make_cal(mobility_loss_alpha=1.0), 1.0, seed=seed), degraded_robot(mission)
+
+
+# aligned block bases around where an index's entropy grows by a word, and far out
+BLOCK_BASES = st.one_of(
+    st.tuples(
+        st.sampled_from([0, 2**32 - jitter.BLOCK, 2**32, 10**8 - 10**8 % jitter.BLOCK]),
+        st.integers(-2, 2),
+    ).map(lambda anchor: max(0, anchor[0] + anchor[1] * jitter.BLOCK)),
+    st.integers(0, 2**80 // jitter.BLOCK).map(lambda k: k * jitter.BLOCK),
+)
+
+
+class TestJitterDraw:
+    """``StepPlan.noise`` is numpy's draw, computed here a block of step indices at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        BLOCK_BASES,
+        st.lists(st.integers(0, jitter.BLOCK - 1), min_size=1, max_size=3),
+    )
+    @example(2**64 - 1, 2**32, [0, jitter.BLOCK - 1])
+    @example(2**130, 2**32 - jitter.BLOCK, [0, jitter.BLOCK - 1])
+    @example(2**130, 0, [0, 1])
+    def test_block_matches_numpy(self, seed, base, offsets):
+        block = jitter.block(seed, base)
+        assert len(block) == jitter.BLOCK
+        for offset in offsets:
+            assert block[offset] == reference_jitter(seed, base + offset), offset
+
+    @pytest.mark.parametrize(
+        "seed, step_index, draw",
+        [
+            (0, 0, -0.9918161464325328),
+            (0, 1, 0.8684016425141077),
+            (11, 28672, -0.7587932283013841),
+            (11, 41271, -0.48872725909739256),
+            (12345, 2**32 - 1, -0.931899248940244),
+            (2**64 - 1, 2**32, -0.9151559070022537),
+            (7, 10**8, -0.16782149166283467),
+        ],
+    )
+    def test_draw_pinned(self, seed, step_index, draw):
+        assert StepPlan(make_mission(benign_world()), CAL, 1.0, seed=seed).noise(step_index) == draw
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.sampled_from([0, 5, jitter.BLOCK - 1, jitter.BLOCK, 3 * jitter.BLOCK + 2, 2**32]), max_size=8))
+    def test_shared_plan_reads_as_fresh_plans(self, indices):
+        shared, robot = plan_and_robot(5)
+        # two runs interleaved on one plan, each at its own indices, in any order
+        for i in indices:
+            for index in (i, i + 1):
+                _, record = step(shared, robot, step_index=index)
+                fresh, _ = plan_and_robot(5)
+                assert record == step(fresh, robot, step_index=index)[1], index
 
 
 class TestMissionFile:

@@ -1,10 +1,15 @@
 """Sensor forward models and the decomposition-driven failure overlay."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transient_kinetics.errors import DomainError, SensorFailedError, ValidityBandError
 from transient_kinetics.sensors import (
+    DEGRADED_JITTER_GAIN,
     FAIL_RESISTANCE_OHM,
     PhotodiodeSpec,
     SensorHealth,
@@ -140,13 +145,19 @@ class TestApplyDegradation:
             assert apply_degradation(reading, "temp", alpha, HEALTH, 5) is reading
             assert apply_degradation(reading, "photo", alpha, HEALTH, 5) is reading
 
-    def test_degraded_strain_is_erratic_and_seeded(self):
-        a = apply_degradation(10.0, "strain", 0.5, HEALTH, noise_seed=123)
-        b = apply_degradation(10.0, "strain", 0.5, HEALTH, noise_seed=123)
-        c = apply_degradation(10.0, "strain", 0.5, HEALTH, noise_seed=124)
-        assert a == b
-        assert a != c
-        assert a != 10.0
+    @given(st.floats(-1.0, 1.0))
+    def test_degraded_strain_is_erratic_and_seeded(self, noise):
+        a = apply_degradation(10.0, "strain", 0.5, HEALTH, noise)
+        assert a == apply_degradation(10.0, "strain", 0.5, HEALTH, noise=noise)
+        assert a == 10.0 * (1.0 + DEGRADED_JITTER_GAIN * noise)
+        # another draw, 1e-3 away, reads otherwise
+        other = noise - 1e-3 if noise > 0.0 else noise + 1e-3
+        assert apply_degradation(10.0, "strain", 0.5, HEALTH, other) != a
+
+    @pytest.mark.parametrize("noise", [None, 1.5, -1.0000000000000002, math.nan, math.inf])
+    def test_degraded_strain_without_a_draw_in_band_refused(self, noise):
+        with pytest.raises(DomainError, match="needs a noise draw in \\[-1, 1\\]"):
+            apply_degradation(10.0, "strain", 0.5, HEALTH, noise)
 
     def test_degraded_temp_and_photo_read_true(self):
         assert apply_degradation(10.15, "temp", 0.5, HEALTH, 1) == 10.15
