@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import import_module
 from itertools import compress, count, islice
@@ -222,8 +221,9 @@ def _read_fit_table(path: Path) -> list[tuple[float, float]]:
     """(temperature_K, k_per_s) of each converged row of a fit table."""
     error = _line_error(path)
     _, rows = read_csv(path, "fit table", error)
+    header = [h.strip() for h in rows[0][1]]
     try:
-        i_temp, i_k, i_conv = map(rows[0][1].index, ("temperature_K", "k_per_s", "converged"))
+        i_temp, i_k, i_conv = map(header.index, ("temperature_K", "k_per_s", "converged"))
     except ValueError:
         raise error("fit table must carry temperature_K,k_per_s,converged columns", rows[0][0]) from None
     points = []
@@ -309,12 +309,6 @@ def _conversion_profile_csv(series) -> str:
 
 def cmd_predict(args) -> int:
     cal = _load_effective_calibration(args)
-    overrides = {}
-    if args.pre_exponential is not None:
-        overrides["pre_exponential"] = args.pre_exponential
-    if args.activation_energy_kj is not None:
-        overrides["activation_energy"] = args.activation_energy_kj * 1000.0
-    params = replace(cal.kinetics, **overrides)
     schedule = _read_schedule_csv(resolve_preset_path(args.schedule))
     if args.assume_triggered:
         photolysis = PhotolysisState.saturated(cal.dpi_initial, cal.photolysis_rate)
@@ -322,15 +316,15 @@ def cmd_predict(args) -> int:
         photolysis = PhotolysisState(dpi_initial=cal.dpi_initial, k_photo=cal.photolysis_rate)
     dt = min(_step_size(args, cal), schedule.min_duration)
     series = integrate_conversion(
-        schedule, params, photolysis, dt, hf_sat=cal.hf_saturation
+        schedule, cal.kinetics, photolysis, dt, hf_sat=cal.hf_saturation
     )
     outdir = _outdir(args)
     _atomic_write(outdir / "conversion_profile.csv", _conversion_profile_csv(series))
     results = {
         "final_alpha": series.alpha[-1],
         "time_to_alpha_s": _times_to_targets(series.t, series.alpha),
-        "pre_exponential_per_s": params.pre_exponential,
-        "activation_energy_j_per_mol": params.activation_energy,
+        "pre_exponential_per_s": cal.kinetics.pre_exponential,
+        "activation_energy_j_per_mol": cal.kinetics.activation_energy,
         "assume_triggered": bool(args.assume_triggered),
         "dt_s": dt,
     }
@@ -469,15 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", parents=[common, stepped], help="predict conversion under a schedule")
     p.add_argument("schedule", help="schedule CSV (duration_s,temperature_C|temperature_K,uv_on)")
-    p.add_argument("--pre-exponential", type=float, default=None, metavar="A", help="1/s")
-    p.add_argument(
-        "--activation-energy-kj",
-        dest="activation_energy_kj",
-        type=float,
-        default=None,
-        metavar="EA",
-        help="kJ/mol",
-    )
     p.add_argument(
         "--assume-triggered",
         action="store_true",

@@ -114,6 +114,7 @@ class SimulationSettings:
                 raise DomainError(f"{name} must lie in (0, 1], got {value!r}")
         if not 0.0 <= self.dose_alarm_fraction <= 1.0:
             raise DomainError(f"dose_alarm_fraction must lie in [0, 1], got {self.dose_alarm_fraction!r}")
+        check_positive("step size", self.dt_s, " s")
         check_positive("timeout_s", self.timeout_s, " s")
         for name, unit in (("body_thermal_lag_s", "s"), ("uv_current_threshold_a", "A")):
             value = getattr(self, name)
@@ -128,7 +129,12 @@ class SimulationSettings:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Full effective configuration for every subsystem."""
+    """Full effective configuration for every subsystem.
+
+    Every check runs when the calibration is built, the actuator wall's
+    against the named material included, so a ``Calibration`` that exists
+    (through an overlay or ``dataclasses.replace``) is valid.
+    """
 
     kinetics: ArrheniusParams = field(
         default_factory=lambda: ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
@@ -145,7 +151,7 @@ class Calibration:
     photodiode: PhotodiodeSpec = PhotodiodeSpec()
     health: SensorHealth = SensorHealth()
     simulation: SimulationSettings = SimulationSettings()
-    wall_material: str = "ecoflex-20wt"  # checked against the actuator after every overlay
+    wall_material: str = "ecoflex-20wt"
 
     def __post_init__(self):
         # a negative rate would make the photolysis dose run away from its saturation
@@ -153,6 +159,9 @@ class Calibration:
             raise DomainError(f"photolysis_rate must be finite and >= 0, got {self.photolysis_rate!r}")
         check_positive("hf_saturation", self.hf_saturation)
         check_positive("dpi_initial", self.dpi_initial)
+        if self.wall_material not in self.materials:
+            raise DomainError(f"actuator wall_material {self.wall_material!r} is not a known material")
+        validate_actuator_wall(self.actuator, self.materials[self.wall_material])
 
     def to_dict(self) -> dict:
         """Echo of the effective configuration, for output summaries."""
@@ -177,8 +186,9 @@ TEXT = "text"
 
 # file section -> rows of (file key, summary echo key or None, Calibration
 # attribute path, unit rule). Each section overlays only the keys it names;
-# the echo of section "a.b" is "a_b". PER_KPA divides by the section's own
-# max_pressure_kpa when given, else by the current one.
+# the echo of section "a.b" is "a_b". PER_KPA divides by the latest
+# max_pressure_kpa of the file (a section's own is read before its slopes),
+# else by the base calibration's.
 CALIBRATION_TABLE: dict[str, tuple[tuple[str, str | None, str, object], ...]] = {
     "kinetics": (
         ("pre_exponential_per_s", "pre_exponential_per_s", "kinetics.pre_exponential", None),
@@ -266,46 +276,36 @@ def _overlay(cal: Calibration, values: dict) -> Calibration:
 def apply_sections(base: Calibration, sections, source: str) -> Calibration:
     """Overlay parsed config sections onto an existing calibration.
 
-    Invalid physical values surface as ConfigError carrying the source. The
-    named actuator wall, from this or an earlier overlay, must survive the
-    actuator's full-pressure strain.
+    The sections are one overlay: their values are gathered first and the
+    calibration is rebuilt once, so its checks (the actuator wall among
+    them) judge the whole result. An invalid value surfaces as a
+    ConfigError carrying the source.
     """
+    values: dict = {}
     try:
-        cal = _apply_sections(base, sections, source)
-        if cal.wall_material not in cal.materials:
-            raise ConfigError(f"{source}: actuator wall_material {cal.wall_material!r} is not a known material")
-        validate_actuator_wall(cal.actuator, cal.materials[cal.wall_material])
-        return cal
-    except ConfigError:
-        raise
+        for name, entries in sections:
+            ctx = f"{source} [{name}]"
+            data = dict(entries)  # a repeated key: the last one wins
+            is_material = name.startswith("material.")
+            rows = MATERIAL_ROWS if is_material else CALIBRATION_TABLE.get(name)
+            if rows is None:
+                raise ConfigError(f"{source}: unknown section [{name}]")
+            unknown = set(data) - {row[0] for row in rows}
+            if unknown:
+                raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+            target = {} if is_material else values
+            for key, _, path, rule in rows:
+                if key in data:
+                    target[path] = _convert(data[key], rule, ctx, values, base)
+                elif is_material:
+                    raise ConfigError(f"{ctx}: missing key {key!r}")
+            if is_material:
+                mat_name = name[len("material.") :]
+                spec = MaterialSpec(name=mat_name, **target)
+                values["materials"] = {**values.get("materials", base.materials), mat_name: spec}
+        return _overlay(base, values)
     except DomainError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-
-
-def _apply_sections(cal: Calibration, sections, source: str) -> Calibration:
-    for name, entries in sections:
-        ctx = f"{source} [{name}]"
-        data = dict(entries)  # a repeated key: the last one wins
-        is_material = name.startswith("material.")
-        rows = MATERIAL_ROWS if is_material else CALIBRATION_TABLE.get(name)
-        if rows is None:
-            raise ConfigError(f"{source}: unknown section [{name}]")
-        unknown = set(data) - {row[0] for row in rows}
-        if unknown:
-            raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-        values = {}
-        for key, _, path, rule in rows:
-            if key in data:
-                values[path] = _convert(data[key], rule, ctx, values, cal)
-            elif is_material:
-                raise ConfigError(f"{ctx}: missing key {key!r}")
-        if is_material:
-            mat_name = name[len("material.") :]
-            spec = MaterialSpec(name=mat_name, **values)
-            cal = replace(cal, materials={**cal.materials, mat_name: spec})
-        else:
-            cal = _overlay(cal, values)
-    return cal
 
 
 def load_calibration_file(path: str | Path, base: Calibration | None = None) -> Calibration:

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -345,6 +347,20 @@ class TestArrhenius:
         assert proc.returncode == 2
         assert "non-numeric" in proc.stderr
 
+    def test_header_cells_are_stripped(self, tmp_path, capsys):
+        table = tmp_path / "fits.csv"
+        table.write_text(
+            "temperature_K, k_per_s, converged\n"
+            f"353.15,{arrhenius_rate(ECOFLEX, 353.15)!r},true\n"
+            f"393.15,{arrhenius_rate(ECOFLEX, 393.15)!r},true\n"
+        )
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
+        assert code == 0, err
+        results = read_summary(out)["results"]
+        assert results["n_points"] == 2
+        assert results["activation_energy_j_per_mol"] == pytest.approx(18090.0, rel=1e-9)
+
     def test_converged_accepts_boolean_words(self, tmp_path, capsys):
         table = tmp_path / "fits.csv"
         table.write_text(
@@ -441,12 +457,11 @@ class TestPredict:
     def test_explicit_parameters_override(self, tmp_path):
         sched = tmp_path / "sched.csv"
         sched.write_text("duration_s,temperature_C,uv_on\n30000,120,true\n")
+        cfg = tmp_path / "kinetics.cfg"
+        cfg.write_text("[kinetics]\npre_exponential_per_s = 0.3\nactivation_energy_kj_per_mol = 20.0\n")
         out = tmp_path / "out"
-        proc = cli(
-            "predict", sched, "--assume-triggered", "--out", out,
-            "--pre-exponential", 0.3, "--activation-energy-kj", 20.0,
-        )
-        assert proc.returncode == 0
+        proc = cli("predict", sched, "--assume-triggered", "--config", cfg, "--out", out)
+        assert proc.returncode == 0, proc.stderr
         k = 0.3 * math.exp(-20000.0 / (8.314 * 393.15))
         t95 = read_summary(out)["results"]["time_to_alpha_s"]["0.95"]
         assert t95 == pytest.approx(-math.log(0.05) / k, rel=1e-3)
@@ -459,12 +474,48 @@ class TestPredict:
         monkeypatch.setattr(cli_module, "default_calibration", lambda: cal)
         sched = tmp_path / "sched.csv"
         sched.write_text("duration_s,temperature_C,uv_on\n100,25,false\n")
+        cfg = tmp_path / "kinetics.cfg"
+        cfg.write_text("[kinetics]\npre_exponential_per_s = 0.3\n")
         out = tmp_path / "out"
-        assert cli_module.main(["predict", str(sched), "--pre-exponential", "0.3", "--out", str(out)]) == 0
+        assert cli_module.main(["predict", str(sched), "--config", str(cfg), "--out", str(out)]) == 0
         summary = read_summary(out)
         assert summary["results"]["pre_exponential_per_s"] == 0.3
         assert summary["results"]["activation_energy_j_per_mol"] == ea
         assert summary["config"]["kinetics"]["activation_energy_j_per_mol"] == ea
+
+    @pytest.mark.parametrize("flag", ["--pre-exponential", "--activation-energy-kj"])
+    def test_kinetics_flags_are_refused(self, tmp_path, capsys, flag):
+        # a [kinetics] overlay sets the law, so summary.json's config echo holds the one that ran
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n100,25,true\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main(["predict", str(sched), flag, "0.3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overlay",
+        [
+            "",
+            "pre_exponential_per_s = 0.3\n",
+            "activation_energy_kj_per_mol = 65.50770429955353\n",
+            "pre_exponential_per_s = 2e3\nactivation_energy_kj_per_mol = 40\n",
+        ],
+        ids=["shipped", "a-only", "ea-only", "both"],
+    )
+    def test_kinetic_results_equal_the_config_echo(self, tmp_path, capsys, overlay):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n100,25,true\n")
+        cfg = tmp_path / "kinetics.cfg"
+        cfg.write_text(f"[kinetics]\n{overlay}")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--config", cfg, "--out", out)
+        assert code == 0, err
+        summary = read_summary(out)
+        echo = summary["config"]["kinetics"]
+        assert summary["results"]["pre_exponential_per_s"] == echo["pre_exponential_per_s"]
+        assert summary["results"]["activation_energy_j_per_mol"] == echo["activation_energy_j_per_mol"]
 
     def test_bad_uv_on_word_exits_2(self, tmp_path):
         sched = tmp_path / "sched.csv"
@@ -1063,6 +1114,29 @@ class TestSimulationRanges:
         assert f"error: {cfg}: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "scout_demo.mission"],
+            ["predict", "sched.csv", "--dt", "1"],
+            ["synth", "--k", "1e-3"],
+            ["fit-dsc", "trace.csv"],
+            ["arrhenius", "fits.csv"],
+        ],
+        ids=["simulate", "predict-dt", "synth", "fit-dsc", "arrhenius"],
+    )
+    def test_step_size_is_checked_at_load(self, tmp_path, capsys, monkeypatch, command, value):
+        # every command, even one that takes its step from --dt or takes none, loads the calibration first
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(f"[simulation]\ndt_s = {value}\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, *command, "--config", cfg, "--out", out)
+        assert code == 2
+        assert f"error: {cfg}: step size must be finite and > 0 s, got {float(value)!r}" in err
+        assert not out.exists()
+
     def test_the_edges_of_each_range_load(self, tmp_path):
         for entries in (
             "monitor_bias_v = -2\ndose_alarm_fraction = 0\nuv_current_threshold_a = 0\n",
@@ -1341,6 +1415,21 @@ class TestGlobalBehavior:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_option_is_documented_in_the_readme(self):
+        # an option counts as documented when an inline code span of README.md names it
+        readme = (SRC.parent / "README.md").read_text()
+        prose = re.sub(r"^```.*?^```", "", readme, flags=re.MULTILINE | re.DOTALL)
+        named = {word.partition("=")[0] for span in re.findall(r"`([^`]+)`", prose) for word in span.split()}
+        subcommands = next(a for a in cli_module.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        undocumented = sorted(
+            f"{name} {option}"
+            for name, parser in subcommands.choices.items()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help" and option not in named
+        )
+        assert undocumented == []
 
     def test_seed_must_be_unsigned_64_bit(self, tmp_path):
         proc = cli("synth", "--k", 1e-3, "--seed", -1, "--out", tmp_path / "out")

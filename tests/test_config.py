@@ -2,12 +2,19 @@
 
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transient_kinetics import cli
 from transient_kinetics.config import (
+    ANCHORS,
+    CALIBRATION_TABLE,
+    PER_KPA,
+    TEXT,
     Calibration,
     apply_sections,
     default_calibration,
@@ -441,6 +448,122 @@ class TestCalibration:
             load_mission(path)
         else:
             pytest.fail(f"{name} is neither a calibration (.cfg) nor a mission (.mission)")
+
+
+WEAK_20WT = replace(MATERIAL_PRESETS["ecoflex-20wt"], elastic_limit_strain=0.4, fracture_strain=0.5)
+
+
+class TestCalibrationThatExistsIsValid:
+    """Every Calibration checks itself, however it is built."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"actuator": replace(DEFAULT_ACTUATOR, strain_per_pressure=80 / 12)},
+                "actuator peak strain 80 reaches fracture strain of 'ecoflex-20wt' (4.933)",
+            ),
+            ({"wall_material": "nope"}, "actuator wall_material 'nope' is not a known material"),
+            (
+                {"materials": {k: v for k, v in MATERIAL_PRESETS.items() if k != "ecoflex-20wt"}},
+                "actuator wall_material 'ecoflex-20wt' is not a known material",
+            ),
+            (
+                {"materials": {**MATERIAL_PRESETS, "ecoflex-20wt": WEAK_20WT}},
+                "actuator peak strain 0.8356 reaches fracture strain of 'ecoflex-20wt' (0.5)",
+            ),
+        ],
+        ids=["strain", "unknown-wall", "wall-dropped", "weaker-wall"],
+    )
+    def test_replace_runs_the_wall_check(self, changes, message):
+        with pytest.raises(DomainError) as err:
+            replace(Calibration(), **changes)
+        assert str(err.value) == message
+
+    def test_unknown_wall_in_a_file_names_the_file(self, tmp_path):
+        cfg = tmp_path / "wall.cfg"
+        cfg.write_text("[actuator]\nwall_material = nope\n")
+        with pytest.raises(ConfigError) as err:
+            load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg}: actuator wall_material 'nope' is not a known material"
+
+    def test_split_health_section_is_one_overlay(self, tmp_path):
+        # the first half alone (alpha_degrade 0.8 over the shipped alpha_fail 0.7) is not valid
+        whole, split = tmp_path / "whole.cfg", tmp_path / "split.cfg"
+        whole.write_text("[sensor.health]\nalpha_degrade = 0.8\nalpha_fail = 0.9\n")
+        split.write_text("[sensor.health]\nalpha_degrade = 0.8\n[sensor.health]\nalpha_fail = 0.9\n")
+        cal = load_calibration_file(split)
+        assert cal == load_calibration_file(whole)
+        assert (cal.health.alpha_degrade, cal.health.alpha_fail) == (0.8, 0.9)
+
+    def test_split_actuator_wall_section_loads(self, tmp_path):
+        # the strain alone would fracture the shipped ecoflex-20wt wall; the later wall holds it
+        whole, split = tmp_path / "whole.cfg", tmp_path / "split.cfg"
+        whole.write_text("[actuator]\nstrain_at_max = 5.5\nwall_material = ecoflex-0wt\n")
+        split.write_text("[actuator]\nstrain_at_max = 5.5\n[actuator]\nwall_material = ecoflex-0wt\n")
+        cal = load_calibration_file(split)
+        assert cal == load_calibration_file(whole)
+        assert cal.wall_material == "ecoflex-0wt"
+
+    def test_a_material_later_in_the_file_can_be_the_wall(self, tmp_path):
+        cfg = tmp_path / "wall.cfg"
+        cfg.write_text(
+            "[actuator]\nstrain_at_max = 7\nwall_material = tough\n"
+            "[material.tough]\nmodulus_pa = 50000\nelastic_limit_strain = 5\nfracture_strain = 9\n"
+            "fracture_stress_pa = 250000\npoisson = 0.4\ndensity_kg_m3 = 1000\ndpi_wt_percent = 0\n"
+        )
+        assert load_calibration_file(cfg).materials["tough"].fracture_strain == 9.0
+
+
+SHIPPED = Calibration()
+# valid anchor tables for the two table keys: the angle table covers any max_pressure_kpa drawn below
+TABLES = {
+    "actuator.angle_table": ("0:0, 6:20, 12:35, 20:40", "0:0, 20:50"),
+    "strain_sensor.capacitance_table": ("0:10, 35:11", "0:10, 20:10.5, 60:12"),
+}
+
+
+def shipped_file_value(path: str, rule) -> float:
+    """The number a file would give for a key's shipped value."""
+    value = attrgetter(path)(SHIPPED)
+    if rule is PER_KPA:
+        return value * SHIPPED.actuator.max_pressure
+    return value if rule is None else value / rule
+
+
+@st.composite
+def section_entries(draw):
+    """A section name and its entries, each a value near the shipped one, in any order."""
+    name = draw(st.sampled_from(sorted(CALIBRATION_TABLE)))
+    entries = []
+    for key, _, path, rule in draw(st.lists(st.sampled_from(CALIBRATION_TABLE[name]), min_size=1, unique=True)):
+        if rule is TEXT:
+            value = draw(st.sampled_from(sorted(MATERIAL_PRESETS)))
+        elif rule is ANCHORS:
+            value = draw(st.sampled_from(TABLES[path]))
+        else:
+            value = repr(shipped_file_value(path, rule) * draw(st.floats(0.25, 4.0)))
+        entries.append((key, value))
+    # the *_at_max keys are read per kPa of the latest max_pressure_kpa, so it goes first
+    entries.sort(key=lambda entry: entry[0] != "max_pressure_kpa")
+    return name, entries
+
+
+def overlay_outcome(sections):
+    try:
+        return apply_sections(SHIPPED, sections, "<test>")
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(section=section_entries(), data=st.data())
+def test_a_section_split_in_consecutive_parts_is_the_same_overlay(section, data):
+    name, entries = section
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(entries) - 1))) if len(entries) > 1 else ())
+    parts = [entries[a:b] for a, b in zip([0, *cuts], [*cuts, len(entries)])]
+    whole = overlay_outcome([(name, entries)])
+    assert overlay_outcome([(name, part) for part in parts]) == whole
 
 
 # each spec field that must be finite and > 0, with a valid spec to replace it in
