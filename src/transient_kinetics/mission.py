@@ -10,11 +10,11 @@ record. Runs are bit-reproducible for a given (inputs, seed) pair.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -22,7 +22,9 @@ from typing import Callable, NamedTuple
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
 from .errors import ConfigError, DomainError, SensorFailedError, SimulationFault
 from .fileio import read_text
-from .kinetics import ZERO_CELSIUS_K, advance, arrhenius_rate, check_positive, check_step_count
+from .kinetics import (
+    ZERO_CELSIUS_K, arrhenius_rate, check_positive, check_step_count, conversion_update, dose_update, trigger_coupling
+)
 from .mechanics import GaitState, gait_advance
 from .sensors import (
     SENSOR_KINDS,
@@ -36,7 +38,7 @@ from .sensors import (
 
 _POSITION_EPS = 1e-9
 
-_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+_OPERATORS = (">", ">=", "<", "<=")
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,11 @@ class Condition:
     use_abs: bool = False
 
     def __post_init__(self):
+        # compile_alarms writes the operator and the field's index into source text
         if self.op not in _OPERATORS:
             raise ConfigError(f"unknown operator {self.op!r}")
         if self.field not in RULE_FIELDS:
             raise ConfigError(f"unknown telemetry field {self.field!r}")
-
-    def compile(self) -> Callable[[tuple], bool]:
-        """A test over a step's field values, as ``rule_values(record)`` gives them.
-
-        An unavailable (None) reading satisfies no condition.
-        """
-        index, compare, threshold = TelemetryRecord._fields.index(self.field), _OPERATORS[self.op], self.value
-        if self.use_abs:
-            return lambda values: (v := values[index]) is not None and compare(abs(v), threshold)
-        return lambda values: (v := values[index]) is not None and compare(v, threshold)
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,6 @@ class AlarmRule:
     message: str
     conditions: tuple[Condition, ...]
     tag: str = "alarm"
-
-    def compile(self) -> Callable[[tuple], bool]:
-        """A test over a step's field values: every condition holds."""
-        tests = [c.compile() for c in self.conditions]
-        return functools.reduce(_both, tests) if tests else lambda values: True
-
-
-def _both(first: Callable[[tuple], bool], second: Callable[[tuple], bool]) -> Callable[[tuple], bool]:
-    return lambda values: first(values) and second(values)
 
 
 @dataclass(frozen=True)
@@ -211,11 +195,7 @@ _CSV_COLUMNS = {
     "capacitance_pf": "capacitance_pF",
     "photocurrent_a": "photocurrent_A",
 }
-
-
-TELEMETRY_CSV_HEADER = ",".join(
-    _CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS
-)
+TELEMETRY_CSV_HEADER = ",".join(_CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS)
 RULE_FIELDS = tuple(name for name in TelemetryRecord._fields if name not in ("zone", "events"))
 # a record's values except its events, the input of compiled alarm rules
 rule_values = operator.itemgetter(slice(-1))
@@ -223,37 +203,45 @@ rule_values = operator.itemgetter(slice(-1))
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
     """UV detection plus the hot-while-dosed hazard warning."""
+    uv = Condition("photocurrent_a", ">", settings.uv_current_threshold_a, use_abs=True)
+    dosed = Condition("hf_fraction", ">=", settings.dose_alarm_fraction)
+    hot = Condition("temp_c", ">=", settings.alarm_temperature_c)
     return (
-        AlarmRule(
-            message="UV detected",
-            tag="uv-detected",
-            conditions=(
-                Condition("photocurrent_a", ">", settings.uv_current_threshold_a, use_abs=True),
-            ),
-        ),
-        AlarmRule(
-            message="accelerated decomposition risk",
-            tag="alarm",
-            conditions=(
-                Condition("hf_fraction", ">=", settings.dose_alarm_fraction),
-                Condition("temp_c", ">=", settings.alarm_temperature_c),
-            ),
-        ),
+        AlarmRule(message="UV detected", tag="uv-detected", conditions=(uv,)),
+        AlarmRule(message="accelerated decomposition risk", tag="alarm", conditions=(dosed, hot)),
     )
 
 
-def compile_alarms(rules) -> tuple[tuple[str, str, Callable[[tuple], bool]], ...]:
-    """(message, tag, test) of each rule, for ``evaluate_alarms``."""
-    return tuple((rule.message, rule.tag, rule.compile()) for rule in rules)
+def compile_alarms(rules) -> Callable[[tuple], list[tuple[str, str]]]:
+    """One function of a step's field values: the (message, tag) of each rule that holds, in rule order.
+
+    It is generated from the rules as ``_JSONL_ROW`` is from the fields.
+    Only field indices and operators, both checked by ``Condition``, become
+    source text; thresholds and (message, tag) pairs are bound as values.
+    An unavailable (None) reading satisfies no condition, and a rule
+    without conditions always holds.
+    """
+    names: dict = {}
+    lines = ["def alarms(values):\n    fired = []\n"]
+    for r, rule in enumerate(rules):
+        names[f"rule{r}"] = (rule.message, rule.tag)
+        tests = []
+        for c, cond in enumerate(rule.conditions):
+            names[f"limit{r}_{c}"] = cond.value
+            v = f"values[{TelemetryRecord._fields.index(cond.field):d}]"
+            tests.append(f"{v} is not None and {f'abs({v})' if cond.use_abs else v} {cond.op} limit{r}_{c}")
+        lines.append(f"    if {' and '.join(tests) or 'True'}:\n        fired.append(rule{r})\n")
+    exec("".join(lines) + "    return fired\n", names)
+    return names["alarms"]
 
 
 def evaluate_alarms(alarms, values: tuple) -> list[tuple[str, str]]:
-    """(message, tag) of every compiled rule that holds on a step's field values.
+    """(message, tag) of every rule that holds on a step's field values.
 
     ``alarms`` comes from ``compile_alarms``; ``values`` are a record's
     values except its events, as ``rule_values(record)`` gives them.
     """
-    return [(message, tag) for message, tag, test in alarms if test(values)]
+    return alarms(values)
 
 
 def validate_world(world) -> tuple[Zone, ...]:
@@ -293,8 +281,9 @@ class StepPlan:
 
     Holds the step size, the seed, the world's bounds, the full-speed move
     ``speed * dt``, each zone's k(T) and temperature in degC, the thermal-lag
-    relaxation factor (0 without lag), the compiled alarm rules and the
-    caches of ``readings`` and ``noise``. It refuses, as a DomainError, a
+    relaxation factor (0 without lag), exp(-k_photo * dt), the sorted alpha
+    thresholds, the compiled alarm rules, the last conversion factors and
+    the caches of ``readings`` and ``noise``. It refuses, as a DomainError, a
     seed that is not an int >= 0, and a step that is not finite and > 0,
     whose move is lost to rounding or overflows, that spans more pressure
     cycles than a float holds, or that needs more than ``MAX_STEPS`` steps
@@ -327,7 +316,13 @@ class StepPlan:
         self.zone_temps_c = tuple(zone.temperature - ZERO_CELSIUS_K for zone in self.zones)
         lag = cal.simulation.body_thermal_lag_s
         self.relax = math.exp(-dt / lag) if lag > 0.0 else 0.0
+        self.photo_decay = math.exp(-cal.photolysis_rate * dt)
+        # the alphas where the sensor status changes, mobility is lost and the robot decomposes
+        limits = (cal.simulation.mobility_loss_alpha, cal.simulation.decomposed_alpha)
+        self.alpha_thresholds = tuple(sorted((cal.health.alpha_degrade, cal.health.alpha_fail, *limits)))
         self.alarms = compile_alarms(mission.alarm_rules)
+        # (zone index, dose, k_eff, exp(-k_eff * dt)) of the last step, one attribute as below
+        self._conversion: tuple = (None, None, None, None)
         self._readings: dict[tuple[int, str, float], tuple[float | None, float]] = {}
         # (body temperature, status, (resistance, temperature reading)), one
         # attribute so that a shared plan never pairs a key with another reading
@@ -418,27 +413,23 @@ def step(
     env_index = robot.zone_index
     env = zones[env_index]
 
-    # photolysis dose as a fraction (hf_max = 1), then first-order
-    # conversion: exact exponential sub-steps at frozen conditions
-    hf, alpha = advance(
-        robot.hf_fraction,
-        robot.alpha,
-        plan.rates[env_index],
-        env.uv_on,
-        dt,
-        cal.photolysis_rate,
-        1.0,
-        cal.hf_saturation,
-    )
-
-    mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
+    # kinetics.advance at frozen conditions, the dose a fraction (hf_max = 1), with the
+    # plan's decay factors: exp(-k_eff * dt) changes only with the zone or the dose
+    hf = robot.hf_fraction
+    if env.uv_on:
+        hf = dose_update(hf, 1.0, plan.photo_decay)
+    last = plan._conversion
+    if last[0] != env_index or last[1] != hf:
+        k_eff = plan.rates[env_index] * trigger_coupling(hf, cal.hf_saturation)
+        last = plan._conversion = (env_index, hf, k_eff, math.exp(-k_eff * dt))
+    alpha = conversion_update(robot.alpha, last[2], last[3])
 
     # locomotion: the pressure cycle runs only while a move is commanded
     gait = robot.gait
     position = robot.position
     here_index = env_index
     if drive != 0.0:
-        advanced = gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
+        advanced = gait_advance(gait, cal.actuator, dt, abs(drive) if alpha < settings.mobility_loss_alpha else 0.0)
         delta = advanced.position - gait.position
         # rounding must not carry a move to the world's edge past it
         position = min(max(robot.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
@@ -446,10 +437,12 @@ def step(
         here_index = locate_zone_index(zones, position)
     here = zones[here_index]
 
-    # all three channels share one set of thresholds, so one status
-    health = cal.health
-    old_status = health.status_at(robot.alpha)
+    # all three channels share one set of thresholds, so one status; a step
+    # that crosses none of the plan's thresholds keeps the status it had and
+    # neither loses mobility nor decomposes
+    health, thresholds = cal.health, plan.alpha_thresholds
     status = health.status_at(alpha)
+    crossing = alpha != robot.alpha and bisect_right(thresholds, alpha) != bisect_right(thresholds, robot.alpha)
 
     # the body relaxes toward the local zone's temperature (at once without lag)
     zone_temp_c = plan.zone_temps_c[here_index]
@@ -464,31 +457,34 @@ def step(
     clock = robot.clock + dt
     # the record's values but its events
     values = (clock, position, alpha, hf, here.name, resistance, temp_reading, capacitance, photocurrent)
-    firing = evaluate_alarms(plan.alarms, values)
+    firing = tuple(evaluate_alarms(plan.alarms, values))
 
-    events: list[Event] = list(pending_events)
-    if here_index != env_index:
-        events.append(Event("zone-exit", env.name))
-        events.append(Event("zone-entry", here.name))
-        if temp_reading is not None:
-            events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
-    if status != old_status:
-        events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
-    if robot.alpha < settings.mobility_loss_alpha <= alpha:
-        events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
-    for message, tag in firing:
-        if (message, tag) not in robot.active_alarms:
-            events.append(Event(tag, message))
-    # leaving a zone while a hazard alarm (any non-detection rule) was
-    # active there counts as an escape
-    if here_index != env_index and any(tag == "alarm" for _, tag in robot.active_alarms):
-        events.append(Event("escape", f"left {env.name} under active alarm"))
-    if robot.alpha < settings.decomposed_alpha <= alpha:
-        events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
+    events = ()
+    if pending_events or here_index != env_index or crossing or firing != robot.active_alarms:
+        events = list(pending_events)
+        if here_index != env_index:
+            events.append(Event("zone-exit", env.name))
+            events.append(Event("zone-entry", here.name))
+            if temp_reading is not None:
+                events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
+        if crossing and status != health.status_at(robot.alpha):
+            events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
+        if crossing and robot.alpha < settings.mobility_loss_alpha <= alpha:
+            events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
+        for message, tag in firing:
+            if (message, tag) not in robot.active_alarms:
+                events.append(Event(tag, message))
+        # leaving a zone while a hazard alarm (any non-detection rule) was
+        # active there counts as an escape
+        if here_index != env_index and any(tag == "alarm" for _, tag in robot.active_alarms):
+            events.append(Event("escape", f"left {env.name} under active alarm"))
+        if crossing and robot.alpha < settings.decomposed_alpha <= alpha:
+            events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
+        events = tuple(events)
 
-    new_robot = RobotState(position, here_index, body_temp_c, alpha, hf, gait, clock, tuple(firing))
-    # what TelemetryRecord(...) runs, given the values as one tuple rather than one argument each
-    return new_robot, tuple.__new__(TelemetryRecord, (*values, tuple(events)))
+    # what RobotState(...) and TelemetryRecord(...) run, given the values as one tuple
+    new_robot = tuple.__new__(RobotState, (position, here_index, body_temp_c, alpha, hf, gait, clock, firing))
+    return new_robot, tuple.__new__(TelemetryRecord, values + (events,))
 
 
 # the tags of the events that end a run

@@ -1,7 +1,10 @@
 """Zone lookup, stepping semantics, mission runs, alarms, telemetry formats."""
 
+import functools
 import json
 import math
+import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 from transient_kinetics import cli, jitter, mission
 from transient_kinetics.config import default_calibration, presets_dir
 from transient_kinetics.errors import ConfigError, DomainError, SimulationFault
-from transient_kinetics.kinetics import arrhenius_rate
+from transient_kinetics.kinetics import advance, arrhenius_rate
 from transient_kinetics.mission import (
+    RULE_FIELDS,
     TELEMETRY_CSV_HEADER,
     AlarmRule,
     Command,
@@ -40,6 +44,7 @@ from transient_kinetics.mission import (
 from transient_kinetics.sensors import (
     SENSOR_KINDS,
     STATUS_DEGRADED,
+    SensorHealth,
     apply_degradation,
     strain_capacitance,
 )
@@ -245,6 +250,12 @@ class TestStep:
         frozen = positions[lost_at]
         assert all(p == frozen for p in positions[lost_at:])
 
+    @pytest.mark.parametrize("drive", [1.5, -1.5, math.nan])
+    def test_drive_outside_unit_range_refused(self, drive):
+        mission = make_mission(benign_world())
+        with pytest.raises(SimulationFault, match=r"drive must lie in \[-1, 1\]"):
+            step(StepPlan(mission, CAL, 1.0), RobotState.at(0.5, mission.zones), drive=drive)
+
 
 class TestAlarms:
     def test_uv_detection_rule(self):
@@ -284,6 +295,95 @@ class TestAlarms:
     def test_unknown_operator_refused_at_construction(self):
         with pytest.raises(ConfigError, match="unknown operator '=='"):
             Condition("alpha", "==", 0.5)
+
+    # compile_alarms writes a condition's operator and field index into source
+    # text, so these refusals keep any other text out of it
+    @pytest.mark.parametrize("op", ["; x", "> 0 or True or", "in", ""])
+    def test_operator_outside_the_four_refused(self, op):
+        with pytest.raises(ConfigError, match="unknown operator"):
+            Condition("alpha", op, 0.5)
+
+    @pytest.mark.parametrize("field", ["zone", "events", "no_such_field", "0]; x = [0"])
+    def test_field_that_is_not_a_rule_field_refused(self, field):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown telemetry field {field!r}")):
+            Condition(field, ">=", 0.5)
+
+
+def reference_alarms(rules):
+    """``compile_alarms`` as closures: one nested test per rule, each condition a lambda."""
+    compare = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+    def condition_test(condition):
+        index = TelemetryRecord._fields.index(condition.field)
+        op, threshold = compare[condition.op], condition.value
+        if condition.use_abs:
+            return lambda values: (v := values[index]) is not None and op(abs(v), threshold)
+        return lambda values: (v := values[index]) is not None and op(v, threshold)
+
+    def both(first, second):
+        return lambda values: first(values) and second(values)
+
+    tests = []
+    for rule in rules:
+        conditions = [condition_test(c) for c in rule.conditions]
+        tests.append((rule.message, rule.tag, functools.reduce(both, conditions) if conditions else lambda values: True))
+    return lambda values: [(message, tag) for message, tag, test in tests if test(values)]
+
+
+# field values: floats of every kind, signed zeros, and missing readings
+FIELD_VALUE = st.one_of(st.none(), st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+# messages and tags that a generated source must never hold as text
+RULE_TEXT = ["it's", 'say "hi"', "back\\slash", "two\nlines", '"""', "'''", "{}", "{alpha}", "100%", "%s", "\\n", ""]
+
+
+@st.composite
+def rules_and_values(draw):
+    """A record's field values and rules over them whose thresholds are often those values."""
+    values = tuple("z" if name == "zone" else draw(FIELD_VALUE) for name in TelemetryRecord._fields[:-1])
+    seen = [v for v in values if isinstance(v, float)]
+    threshold = st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0]), st.sampled_from(seen + [abs(v) for v in seen] or [0.0])
+    )
+    condition = st.builds(Condition, st.sampled_from(RULE_FIELDS), st.sampled_from([">", ">=", "<", "<="]),
+                          threshold, st.booleans())
+    rule = st.builds(
+        AlarmRule,
+        st.one_of(st.sampled_from(RULE_TEXT), st.text(max_size=8)),
+        st.lists(condition, max_size=4).map(tuple),
+        st.sampled_from(["alarm", "uv-detected", "x"]),
+    )
+    return draw(st.lists(rule, max_size=5)), values
+
+
+class TestGeneratedAlarms:
+    """``compile_alarms`` gives the firing list of the closure form, for any rules and field values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rules_and_values())
+    @example(([AlarmRule("always", ())], ("z",) * 9))
+    @example(([AlarmRule("zero", (Condition("alpha", ">=", 0.0), Condition("hf_fraction", "<=", -0.0)))],
+              (1.0, 0.5, -0.0, 0.0, "z", 1.0, None, None, 0.0)))
+    @example(([AlarmRule("abs", (Condition("photocurrent_a", ">=", 5e-8, use_abs=True),)),
+               AlarmRule("none", (Condition("temp_c", "<", math.inf),))],
+              (1.0, 0.5, 0.0, 0.0, "z", 1.0, None, None, -5e-8)))
+    def test_matches_closures(self, case):
+        rules, values = case
+        assert evaluate_alarms(compile_alarms(rules), values) == reference_alarms(rules)(values)
+
+    def test_rule_text_fires_verbatim(self):
+        rules = [AlarmRule(text, (Condition("alpha", ">=", 0.0),), tag=text) for text in RULE_TEXT]
+        parsed = 'a "quoted" {x} % \\ \'\'\' """ end'
+        rules.append(parse_alarm_rule(f"abs(alpha) >= 0 -> {parsed}"))
+        fired = evaluate_alarms(compile_alarms(rules), rule_values(record_with()))
+        assert fired == [(text, text) for text in RULE_TEXT] + [(parsed, "alarm")]
+
+    def test_rule_text_reaches_the_events_verbatim(self):
+        mission = Mission(
+            benign_world(), (Command("dwell", 1.0),),
+            tuple(AlarmRule(text, (), tag=text) for text in RULE_TEXT),
+        )
+        (record,) = run(mission, CAL, dt=1.0)
+        assert record.events == tuple(Event(text, text) for text in RULE_TEXT)
 
 
 class TestRun:
@@ -481,6 +581,125 @@ class TestStepperInvariants:
         monkeypatch.setattr(mission, "evaluate_alarms", recording)
         records = scout_run()
         assert seen == [rule_values(r) for r in records]
+
+
+def reference_step(plan, alarms, robot, drive=0.0, step_index=0, pending_events=()):
+    """``step`` as it was written before its plan held the decay factors and thresholds.
+
+    ``kinetics.advance`` on every step, the status of both alphas, and every
+    event test on every step; ``alarms`` is ``reference_alarms`` of the rules.
+    """
+    if not -1.0 <= drive <= 1.0:
+        raise SimulationFault("drive must lie in [-1, 1]")
+    cal, dt, zones = plan.cal, plan.dt, plan.zones
+    settings, health = cal.simulation, cal.health
+    env_index = robot.zone_index
+    env = zones[env_index]
+    hf, alpha = advance(
+        robot.hf_fraction, robot.alpha, plan.rates[env_index], env.uv_on, dt, cal.photolysis_rate, 1.0,
+        cal.hf_saturation,
+    )
+    mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
+    gait, position, here_index = robot.gait, robot.position, env_index
+    if drive != 0.0:
+        advanced = mission.gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
+        delta = advanced.position - gait.position
+        position = min(max(robot.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
+        gait = replace(advanced, position=position)
+        here_index = locate_zone_index(zones, position)
+    here = zones[here_index]
+    old_status, status = health.status_at(robot.alpha), health.status_at(alpha)
+    zone_temp_c = plan.zone_temps_c[here_index]
+    body_temp_c = zone_temp_c + (robot.body_temperature_c - zone_temp_c) * plan.relax
+    resistance, temp_reading, capacitance, photocurrent = plan.readings(
+        here_index, body_temp_c, gait.current_angle, status, alpha
+    )
+    if status == STATUS_DEGRADED:
+        capacitance = apply_degradation(capacitance, "strain", alpha, health, plan.noise(step_index))
+    clock = robot.clock + dt
+    values = (clock, position, alpha, hf, here.name, resistance, temp_reading, capacitance, photocurrent)
+    firing = alarms(values)
+    events = list(pending_events)
+    if here_index != env_index:
+        events += [Event("zone-exit", env.name), Event("zone-entry", here.name)]
+        if temp_reading is not None:
+            events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
+    if status != old_status:
+        events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
+    if robot.alpha < settings.mobility_loss_alpha <= alpha:
+        events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
+    events.extend(Event(tag, message) for message, tag in firing if (message, tag) not in robot.active_alarms)
+    if here_index != env_index and any(tag == "alarm" for _, tag in robot.active_alarms):
+        events.append(Event("escape", f"left {env.name} under active alarm"))
+    if robot.alpha < settings.decomposed_alpha <= alpha:
+        events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
+    new_robot = RobotState(position, here_index, body_temp_c, alpha, hf, gait, clock, tuple(firing))
+    return new_robot, TelemetryRecord(*values, tuple(events))
+
+
+ALPHA = st.floats(0.01, 1.0)
+
+
+@st.composite
+def stepping_cases(draw):
+    """A calibration, a world, a robot in it and a sequence of (drive, pending events) steps.
+
+    The thresholds often coincide (mobility loss at alpha_degrade,
+    decomposition at alpha_fail), the zones are often hot, and at the large
+    steps one step of a dosed robot can jump past two thresholds.
+    """
+    degrade, fail = sorted(draw(st.lists(ALPHA, min_size=2, max_size=2, unique=True)))
+    mobility = draw(st.one_of(ALPHA, st.just(degrade), st.just(fail)))
+    decomposed = draw(st.one_of(ALPHA, st.just(fail), st.just(degrade), st.just(1.0)))
+    cal = replace(
+        make_cal(mobility_loss_alpha=mobility, decomposed_alpha=decomposed), health=SensorHealth(degrade, fail)
+    )
+    edges = [0.0]
+    for width in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        edges.append(edges[-1] + 0.05 * width)
+    zones = tuple(
+        Zone(lo, hi, draw(st.sampled_from((298.15, 393.15, 393.15))), draw(st.booleans()), f"z{i}")
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    )
+    limit = st.sampled_from((0.0, degrade, fail, 0.5, 1e-9))
+    rules = (
+        *default_alarm_rules(cal.simulation),
+        *draw(st.lists(st.builds(
+            lambda field, value, message: AlarmRule(message, (Condition(field, ">=", value),)),
+            st.sampled_from(("alpha", "hf_fraction", "position")), limit, st.sampled_from(RULE_TEXT[:3]),
+        ), max_size=2)),
+    )
+    mission_ = make_mission(zones, rules=rules, start=draw(st.sampled_from(edges)))
+    dt = draw(st.sampled_from((0.5, 5.0, 500.0, 3000.0)))
+    robot = RobotState.at(mission_.start, zones)._replace(
+        alpha=draw(st.one_of(st.just(0.0), ALPHA, st.sampled_from((degrade, fail)))),
+        hf_fraction=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+        active_alarms=tuple(draw(st.lists(st.sampled_from([(r.message, r.tag) for r in rules]), max_size=2))),
+    )
+    pending = st.lists(st.builds(Event, st.sampled_from(("self-destruct", "timeout")), st.sampled_from(RULE_TEXT)),
+                       max_size=2).map(tuple)
+    steps = draw(st.lists(st.tuples(st.sampled_from((0.0, 1.0, -1.0, 0.3, -0.7)), pending), min_size=1, max_size=12))
+    return cal, mission_, dt, robot, steps
+
+
+class TestStepAgainstReference:
+    """``step`` gives, bit for bit, what the reference stepper gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stepping_cases(), st.integers(0, 2**20))
+    def test_bit_identical(self, case, seed):
+        cal, mission_, dt, robot, steps = case
+        plan = StepPlan(mission_, cal, dt, seed=seed)
+        reference_plan, alarms = StepPlan(mission_, cal, dt, seed=seed), reference_alarms(mission_.alarm_rules)
+        # a second robot on the same plan, in the last zone at full dose, between the steps
+        other = RobotState.at(mission_.zones[-1].x_max, mission_.zones)._replace(hf_fraction=1.0)
+        expected_robot = robot
+        for index, (drive, pending) in enumerate(steps):
+            step(plan, other, step_index=index)
+            robot, record = step(plan, robot, drive, index, pending)
+            expected_robot, expected = reference_step(reference_plan, alarms, expected_robot, drive, index, pending)
+            assert repr((robot, record)) == repr((expected_robot, expected)), index
+            assert (robot, record) == (expected_robot, expected)
 
 
 class TestSensorBand:
