@@ -42,9 +42,11 @@ from .kinetics import (
     integrate_conversion_lists as integrate_conversion,
 )
 
-# The names cli takes from the modules that import numpy. They are loaded by
-# the commands that use them (and by a first lookup of cli.<name>), so that
-# importing cli and running predict leave numpy unloaded.
+# The names cli takes from its two heavy layers, each loaded by the commands
+# that use it (and by a first lookup of one of its names): dscfit imports numpy,
+# for synth, fit-dsc and arrhenius, and mission is compiled only for simulate.
+# So importing cli and running predict load neither, and simulate leaves numpy
+# unloaded.
 _ARRAY_LAYERS = {
     "dscfit": (
         "check_synthesis",
@@ -56,22 +58,23 @@ _ARRAY_LAYERS = {
     ),
     "mission": ("TERMINAL_TAGS", "load_mission", "run", "telemetry_to_jsonl", "telemetry_to_csv"),
 }
-_LAZY_NAMES = frozenset(name for names in _ARRAY_LAYERS.values() for name in names)
+_LAYER_OF = {name: module for module, names in _ARRAY_LAYERS.items() for name in names}
 
 
-def _load_array_layers() -> None:
-    """Bind the names of ``_ARRAY_LAYERS`` in this module; a name already bound
-    (a wrapper put in its place) is kept."""
+def _load_array_layers(*modules: str) -> None:
+    """Bind the names of ``modules``, each a key of ``_ARRAY_LAYERS`` (all of
+    them if none is given), in this module; a name already bound (a wrapper
+    put in its place) is kept."""
     names = globals()
-    for module, layer_names in _ARRAY_LAYERS.items():
+    for module in modules or _ARRAY_LAYERS:
         layer = import_module(f".{module}", __package__)
-        for name in layer_names:
+        for name in _ARRAY_LAYERS[module]:
             names.setdefault(name, getattr(layer, name))
 
 
 def __getattr__(name: str):
-    if name in _LAZY_NAMES:
-        _load_array_layers()
+    if name in _LAYER_OF:
+        _load_array_layers(_LAYER_OF[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -144,7 +147,7 @@ def _csv_cell(value) -> str:
 
 
 def cmd_fit_dsc(args) -> int:
-    _load_array_layers()
+    _load_array_layers("dscfit")
     import numpy as np
 
     cal = _load_effective_calibration(args)
@@ -187,7 +190,7 @@ def cmd_fit_dsc(args) -> int:
 
 
 def cmd_arrhenius(args) -> int:
-    _load_array_layers()
+    _load_array_layers("dscfit")
     cal = _load_effective_calibration(args)
     points = _read_fit_table(Path(args.fit_table))
     temps = {p[0] for p in points}
@@ -333,7 +336,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _load_array_layers()
+    _load_array_layers("mission")
     cal = _load_effective_calibration(args)
     mission_path = resolve_preset_path(args.mission)
     mission = load_mission(mission_path, cal.simulation)
@@ -363,7 +366,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _load_array_layers()
+    _load_array_layers("dscfit")
     cal = _load_effective_calibration(args)
     if args.temperature_c:
         holds = [(t_c + ZERO_CELSIUS_K, f"synth-{t_c:g}C") for t_c in args.temperature_c]

@@ -5,14 +5,25 @@ The draw of step i under a run's seed is numpy's first ``uniform(-1, 1)`` of
 computed here bit for bit, with numpy's ``SeedSequence`` hash (a pool of 4
 uint32 words) and PCG64 (M. E. O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905), on uint32/uint64 arrays: the stream then
-does not depend on the installed numpy's ``Generator``, which numpy does
-not freeze across versions.
+Generation", HMC-CS-2014-0905), on plain Python ints: the stream then
+depends neither on the installed numpy's ``Generator``, which numpy does
+not freeze across versions, nor on numpy being installed.
+
+Lane layout: a block is computed at once. Each value of the kernel, one
+uint32 or uint64 per step, is one int of ``BLOCK`` lanes of 64 bits; lane
+k, the step ``base + k``, is bits 64k to 64k + 63. A uint32 word sits in
+the low half of its lane. Products of two uint32 words fill the lane and
+are masked back to 32 bits, as are right shifts, which pull the next
+lane's low bits into the top of each lane. So one big-int operation hashes,
+mixes or steps every lane. The draws are read out through ``int.to_bytes``
+in little-endian order, lane 0 first, into an ``array("Q")``, whose items
+are swapped to the host's byte order on a big-endian host.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from array import array
 
 # a block never straddles 2**32, where the index's entropy grows by a word
 BLOCK = 4096
@@ -26,6 +37,27 @@ _XSHIFT = 16
 # PCG64's 128-bit multiplier, as 32-bit limbs from the lowest
 _PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for k in range(4))
 
+_ONES = ((1 << 64 * BLOCK) - 1) // ((1 << 64) - 1)  # 1 in every lane
+_LOW32 = _MASK32 * _ONES  # the low 32 bits of every lane
+_TWO32 = _ONES << 32  # 2**32 in every lane
+# for a right rotation of every lane by 2**b: the bits that stay in the lane
+# after the right shift, and the bits that wrap round to its top
+_ROTATIONS = tuple(
+    (1 << b, ((1 << 64 - (1 << b)) - 1) * _ONES, ((1 << (1 << b)) - 1 << 64 - (1 << b)) * _ONES)
+    for b in range(6)
+)
+_LOW53 = ((1 << 53) - 1) * _ONES
+
+
+def _little_endian(lanes: array) -> array:
+    """``lanes`` converted in place between the host's byte order and little-endian."""
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+_IOTA = int.from_bytes(_little_endian(array("Q", range(BLOCK))).tobytes(), "little")  # k in lane k
+
 
 def _int_words(n: int) -> list[int]:
     """The little-endian uint32 words of an int >= 0, one word for 0, as SeedSequence splits it.
@@ -38,22 +70,25 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _seed_pool(entropy: list) -> list:
-    """SeedSequence's pool after mixing in ``entropy`` (uint32 scalars or arrays)."""
+def _xorshift(value: int) -> int:
+    return value ^ (value >> _XSHIFT & _LOW32)
+
+
+def _seed_pool(entropy: list[int]) -> list[int]:
+    """SeedSequence's pool after mixing in ``entropy``, each word a block of lanes."""
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value ^= hash_const * _ONES
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+        return _xorshift(value * hash_const & _LOW32)
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
+        # x * L - y * R, lane-wise mod 2**32: each lane's 2**32 keeps the difference >= 0
+        return _xorshift((x * _MIX_MULT_L & _LOW32) + _TWO32 - (y * _MIX_MULT_R & _LOW32) & _LOW32)
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
@@ -64,44 +99,56 @@ def _seed_pool(entropy: list) -> list:
     return pool
 
 
-def _generate_state(pool: list, n_words: int) -> list:
+def _generate_state(pool: list[int], n_words: int) -> list[int]:
     """SeedSequence.generate_state(n_words) as uint32 words; a uint64 word k is words 2k (low) and 2k + 1."""
     hash_const = _INIT_B
     words = []
     for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[i % _POOL_SIZE] ^ hash_const * _ONES
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> _XSHIFT))
+        words.append(_xorshift(value * hash_const & _LOW32))
     return words
 
 
-def _carry(columns: list) -> list:
-    """The 32-bit limbs, lowest first and held in uint64, of a sum of 32-bit columns, mod 2**128."""
+def _carry(columns: list[int]) -> list[int]:
+    """The 32-bit limbs, lowest first, of a sum of 32-bit columns, mod 2**128."""
     limbs, carry = [], 0
     for column in columns:
         total = column + carry
-        limbs.append(total & _MASK32)
-        carry = total >> 32
+        limbs.append(total & _LOW32)
+        carry = total >> 32 & _LOW32
     return limbs
 
 
-def _add128(a: list, b: list) -> list:
+def _add128(a: list[int], b: list[int]) -> list[int]:
     """a + b mod 2**128, on 32-bit limbs."""
     return _carry([x + y for x, y in zip(a, b)])
 
 
-def _mul128(a: list, b: tuple) -> list:
+def _mul128(a: list[int], b: tuple) -> list[int]:
     """a * b mod 2**128, on 32-bit limbs; ``b`` is constant."""
     # each 64-bit limb product's low half goes to column i + j, its high half to i + j + 1
     columns = [0] * 4
     for i in range(4):
         for j in range(4 - i):
-            product = a[i] * np.uint64(b[j])
-            columns[i + j] = columns[i + j] + (product & _MASK32)
+            product = a[i] * b[j]
+            columns[i + j] += product & _LOW32
             if i + j < 3:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+                columns[i + j + 1] += product >> 32 & _LOW32
     return _carry(columns)
+
+
+def _rotate_right(value: int, rotation: int) -> int:
+    """Each 64-bit lane of ``value`` rotated right by the same lane of ``rotation`` (0 to 63).
+
+    Six fixed rotations, by 1, 2, 4, ..., 32, each kept in the lanes whose
+    rotation has that bit set.
+    """
+    for b, (shift, stays, wraps) in enumerate(_ROTATIONS):
+        rotated = value >> shift & stays | value << 64 - shift & wraps
+        chosen = (rotation >> b & _ONES) * 0xFFFFFFFFFFFFFFFF
+        value ^= (value ^ rotated) & chosen
+    return value
 
 
 def block(seed: int, base: int) -> list[float]:
@@ -111,25 +158,23 @@ def block(seed: int, base: int) -> list[float]:
     splits into as many uint32 words, of which only the lowest varies.
     """
     index_words = _int_words(base)
-    with np.errstate(over="ignore"):
-        low = np.arange(BLOCK, dtype=np.uint32) + np.uint32(index_words[0])
-        entropy = [np.uint32(w) for w in _int_words(seed)] + [low] + [np.uint32(w) for w in index_words[1:]]
-        # the step's seed word, then default_rng's SeedSequence of it, whose
-        # four uint64 words are PCG64's initstate (high, low) and initseq (high, low)
-        (step_seed,) = _generate_state(_seed_pool(entropy), 1)
-        words = [w.astype(np.uint64) for w in _generate_state(_seed_pool([step_seed]), 8)]
-        initstate = [words[2], words[3], words[0], words[1]]
-        initseq = [words[6], words[7], words[4], words[5]]
-        # PCG64 seeding: inc = initseq << 1 | 1; step from 0, add initstate, step
-        inc = [initseq[0] << 1 & _MASK32 | 1] + [
-            initseq[k] << 1 & _MASK32 | initseq[k - 1] >> 31 for k in range(1, 4)
-        ]
-        state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
-        # the first draw: one more step, then the XSL-RR output of the state
-        state = _add128(_mul128(state, _PCG_MULT), inc)
-        folded = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])
-        rotation = state[3] >> 26
-        output = folded >> rotation | folded << (64 - rotation & 63)
-        # next_double, then uniform(-1, 1) = low + (high - low) * draw
-        draws = -1.0 + 2.0 * ((output >> 11).astype(np.float64) * (1.0 / 9007199254740992.0))
-    return draws.tolist()
+    low = _IOTA + index_words[0] * _ONES
+    entropy = [w * _ONES for w in _int_words(seed)] + [low] + [w * _ONES for w in index_words[1:]]
+    # the step's seed word, then default_rng's SeedSequence of it, whose
+    # four uint64 words are PCG64's initstate (high, low) and initseq (high, low)
+    (step_seed,) = _generate_state(_seed_pool(entropy), 1)
+    words = _generate_state(_seed_pool([step_seed]), 8)
+    initstate = [words[2], words[3], words[0], words[1]]
+    initseq = [words[6], words[7], words[4], words[5]]
+    # PCG64 seeding: inc = initseq << 1 | 1; step from 0, add initstate, step
+    inc = [initseq[0] << 1 & _LOW32 | _ONES] + [
+        initseq[k] << 1 & _LOW32 | initseq[k - 1] >> 31 & _ONES for k in range(1, 4)
+    ]
+    state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
+    # the first draw: one more step, then the XSL-RR output of the state
+    state = _add128(_mul128(state, _PCG_MULT), inc)
+    folded = (state[3] ^ state[1]) << 32 | state[2] ^ state[0]
+    output = _rotate_right(folded, state[3] >> 26 & 63 * _ONES)
+    # next_double, then uniform(-1, 1) = low + (high - low) * draw
+    lanes = _little_endian(array("Q", (output >> 11 & _LOW53).to_bytes(8 * BLOCK, "little")))
+    return [-1.0 + 2.0 * (u * (1.0 / 9007199254740992.0)) for u in lanes]

@@ -19,6 +19,7 @@ J/mol; use ``ArrheniusParams.from_kj_per_mol`` for the kJ/mol interface.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,33 @@ def check_step_count(horizon_s: float, dt: float) -> None:
         raise DomainError(
             f"{horizon_s:g} s at a step of {dt!r} s is over {MAX_STEPS:.0e} steps; use a larger step"
         )
+
+
+def interp(x: float, xs: list[float], ys: list[float]) -> float:
+    """``float(np.interp(x, xs, ys))`` for strictly increasing anchors ``xs``, bit for bit, without numpy.
+
+    The anchors are floats (or ints below 2**53, which convert exactly).
+    Below the first anchor it is ``ys[0]``, from the last on ``ys[-1]``, and
+    at an anchor its own value. Between two anchors it follows the line
+    from the left one; should that give NaN (a zero slope times an infinite
+    offset, or infinities of opposite sign added), the line from the right
+    one, and if that is NaN too and the pair is flat, the flat value. A NaN
+    ``x`` gives NaN.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return float(ys[0])
+    if j == len(xs) - 1 or xs[j] == x:
+        return float(ys[j])
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    y = slope * (x - xs[j]) + ys[j]
+    if y != y:
+        y = slope * (x - xs[j + 1]) + ys[j + 1]
+        if y != y and ys[j] == ys[j + 1]:
+            y = ys[j]
+    return y
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ActuationError, DomainError
-from .kinetics import check_positive
+from .kinetics import check_positive, interp
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,9 @@ def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
             f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
         )
     if actuator.angle_table is not None:
-        import numpy as np
-
         xs = [p for p, _ in actuator.angle_table]
         ys = [a for _, a in actuator.angle_table]
-        magnitude = float(np.interp(abs(pressure), xs, ys))
+        magnitude = interp(abs(pressure), xs, ys)
         return math.copysign(magnitude, pressure) if pressure else 0.0
     return actuator.angle_per_pressure * pressure
 

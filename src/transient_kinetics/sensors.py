@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SensorFailedError, ValidityBandError
-from .kinetics import check_positive
+from .kinetics import check_positive, interp
 
 TEMP_BAND_C = (-20.0, 200.0)
 BIAS_BAND_V = (-2.0, 2.0)
@@ -160,11 +160,9 @@ def strain_capacitance(spec: StrainSensorSpec, bending_angle: float) -> float:
             f"(+/-{spec.angle_full:.4g} deg)"
         )
     if spec.capacitance_table is not None:
-        import numpy as np
-
         xs = [a for a, _ in spec.capacitance_table]
         ys = [c for _, c in spec.capacitance_table]
-        return float(np.interp(abs(bending_angle), xs, ys))
+        return interp(abs(bending_angle), xs, ys)
     return spec.c0 + spec.swing * (abs(bending_angle) / spec.angle_full)
 
 

@@ -1437,6 +1437,15 @@ class TestGlobalBehavior:
         proc = cli("synth", "--k", 1e-3, "--seed", 2**64, "--out", tmp_path / "out")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("seed", ["1.5", "abc"])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli_module.main(["simulate", "scout_demo.mission", "--seed", seed, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"argument --seed: seed must be an integer, got {seed!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_overlay_reaches_summary(self, tmp_path):
         overlay = tmp_path / "overlay.cfg"
         overlay.write_text("[sensor.temp]\ntcr_ohm_per_c = 0.2\n")

@@ -1,5 +1,6 @@
 """numpy loads only in the commands that use arrays; the package exports load on first use."""
 
+import csv
 import json
 import os
 import subprocess
@@ -29,13 +30,13 @@ def run_script(script: str, cwd: Path) -> str:
     return proc.stdout.strip()
 
 
-def run_command(argv: list[str], cwd: Path) -> tuple[int, bool]:
-    """``cli.main(argv)`` in a fresh interpreter: its exit code, and whether numpy was loaded."""
+def run_command(argv: list[str], cwd: Path, module: str = "numpy") -> tuple[int, bool]:
+    """``cli.main(argv)`` in a fresh interpreter: its exit code, and whether ``module`` was loaded."""
     out = run_script(
         "import json, sys\n"
         "from transient_kinetics import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n",
+        f"print(json.dumps([code, {module!r} in sys.modules]))\n",
         cwd,
     )
     code, loaded = json.loads(out.splitlines()[-1])
@@ -68,7 +69,7 @@ class TestNumpyFreeCommands:
         assert out == "[]"
 
     def test_jitter_kernel_loads_with_the_first_block(self, tmp_path):
-        # the array commands load mission; only a run that degrades compiles the kernel
+        # simulate loads mission; only a run that degrades compiles the kernel
         out = run_script(
             "import sys\n"
             "from transient_kinetics import cli, config, mission\n"
@@ -92,14 +93,42 @@ class TestNumpyFreeCommands:
         assert (tmp_path / "out" / "conversion_profile.csv").exists()
 
     def test_array_commands_load_numpy_and_exit_0(self, tmp_path):
-        # each command in a fresh interpreter, so that each loads its own layers
+        # each command in a fresh interpreter, so that each loads its own layers;
+        # simulate draws its jitter through the degraded band without numpy
+        for argv, expected in (
+            (["synth", "--temperature-c", "80", "--temperature-c", "120", "--out", "traces"], (0, True)),
+            (["fit-dsc", "traces/trace_synth-80C.csv", "traces/trace_synth-120C.csv", "--out", "fits"], (0, True)),
+            (["arrhenius", "fits/fits.csv", "--out", "arrhenius"], (0, True)),
+            (["simulate", "scout_demo.mission", "--dt", "20", "--out", "simulate"], (0, False)),
+        ):
+            assert run_command(argv, tmp_path) == expected, argv[0]
+        assert "sensor-degraded" in event_tags(tmp_path / "simulate")
+
+    def test_simulate_with_anchor_tables_leaves_numpy_unloaded(self, tmp_path):
+        (tmp_path / "tables.cfg").write_text(
+            "[actuator]\nangle_table = 0:0, 6:20, 12:30\n"
+            "[sensor.strain]\ncapacitance_table = 0:10, 20:10.4, 35:11\n"
+        )
+        argv = ["simulate", "scout_demo.mission", "--dt", "20", "--config", "tables.cfg", "--out", "out"]
+        assert run_command(argv, tmp_path) == (0, False)
+        assert "sensor-degraded" in event_tags(tmp_path / "out")
+        # both tables were read: full pressure bends 30 degrees, read as 10.4 + 10 * 0.6 / 15 pF
+        with open(tmp_path / "out" / "telemetry.csv", newline="") as telemetry:
+            assert "10.8" in {row["capacitance_pF"] for row in csv.DictReader(telemetry)}
+
+    def test_commands_other_than_simulate_leave_mission_unloaded(self, tmp_path):
+        (tmp_path / "sched.csv").write_text("duration_s,temperature_C,uv_on\n600,25,true\n")
         for argv in (
+            ["predict", "sched.csv", "--dt", "7", "--out", "predict"],
             ["synth", "--temperature-c", "80", "--temperature-c", "120", "--out", "traces"],
             ["fit-dsc", "traces/trace_synth-80C.csv", "traces/trace_synth-120C.csv", "--out", "fits"],
             ["arrhenius", "fits/fits.csv", "--out", "arrhenius"],
-            ["simulate", "scout_demo.mission", "--dt", "50", "--out", "simulate"],
         ):
-            assert run_command(argv, tmp_path) == (0, True), argv[0]
+            assert run_command(argv, tmp_path, "transient_kinetics.mission") == (0, False), argv[0]
+
+
+def event_tags(outdir: Path) -> list[str]:
+    return [event["tag"] for event in json.loads((outdir / "summary.json").read_text())["results"]["events"]]
 
 
 class TestLazyExports:

@@ -26,6 +26,7 @@ from transient_kinetics.kinetics import (
     hf_concentration,
     integrate_conversion,
     integrate_conversion_lists,
+    interp,
     isothermal_conversion,
     time_to_conversion,
     trigger_coupling,
@@ -284,6 +285,43 @@ class TestCheckStepCount:
     def test_over_max_steps_refused(self, horizon_s, dt):
         with pytest.raises(DomainError, match="steps; use a larger step"):
             check_step_count(horizon_s, dt)
+
+
+# strictly increasing anchors with any values, flat or steep
+ANCHOR_XS = st.lists(st.floats(allow_nan=False), min_size=2, max_size=6, unique=True).map(sorted)
+ANCHOR_YS = st.one_of(
+    st.floats(allow_nan=False).map(lambda y: [y] * 6),
+    st.lists(st.floats(allow_nan=False), min_size=6, max_size=6),
+    st.lists(st.floats(-1e-300, 1e-300) | st.sampled_from([-1.7e308, 1.7e308]), min_size=6, max_size=6),
+)
+
+
+class TestInterp:
+    """``interp`` is ``np.interp`` at one point, bit for bit, so a table calibration runs without numpy."""
+
+    @staticmethod
+    def assert_same(x, xs, ys):
+        expected = float(np.interp(x, xs, ys))
+        assert interp(x, xs, ys).hex() == expected.hex(), (x, xs, ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANCHOR_XS, ANCHOR_YS, st.floats())
+    @example([-1.5e308, 1.5e308], [2.0, 3.0] + [0.0] * 4, 1e308)  # 0 * inf on the left line: the right one
+    @example([0.0, 1.0], [math.inf, math.inf] + [0.0] * 4, 0.5)  # NaN both ways on a flat pair
+    @example([0.0, 1e-300], [-1.7e308, 1.7e308] + [0.0] * 4, 5e-301)  # an infinite slope
+    def test_matches_numpy(self, xs, ys, x):
+        ys = ys[: len(xs)]
+        points = [x, 0.0, -0.0, *xs, math.nan, math.inf, -math.inf]
+        points += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        for point in points:
+            self.assert_same(point, xs, ys)
+
+    def test_anchors_and_ends(self):
+        xs, ys = [0.0, 6.0, 12.0], [0.0, 25.0, 35.0]
+        assert [interp(x, xs, ys) for x in (-1.0, 0.0, 3.0, 6.0, 12.0, 20.0)] == [0.0, 0.0, 12.5, 25.0, 35.0, 35.0]
+        assert math.isnan(interp(math.nan, xs, ys))
+        # int anchors give floats, as numpy's float64 do
+        assert [repr(interp(x, [0, 10], [1, 2])) for x in (-1, 0, 5, 10)] == ["1.0", "1.0", "1.5", "2.0"]
 
 
 class TestScheduleTypes:

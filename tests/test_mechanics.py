@@ -73,6 +73,18 @@ class TestBendAngle:
         with pytest.raises(DomainError):
             ActuatorSpec(1.0, 12.0, 0.07, 0.025, 1.0, angle_table=((1.0, 5.0), (12.0, 35.0)))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (((0.0, 0.0), (6.0, 25.0), (12.0, 20.0)), "angle_table must be monotone in angle"),
+            (((0.0, 0.0), (6.0, 25.0)), "angle_table must cover max_pressure"),
+        ],
+        ids=["falling-angle", "short-of-max-pressure"],
+    )
+    def test_table_shape_rules(self, table, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ActuatorSpec(1.0, 12.0, 0.07, 0.025, 1.0, angle_table=table)
+
 
 class TestMaxChannelStrain:
     def test_full_pressure_anchor(self):

@@ -1,11 +1,14 @@
 """Zone lookup, stepping semantics, mission runs, alarms, telemetry formats."""
 
+import ast
 import functools
 import json
 import math
 import operator
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,92 @@ def reference_jitter(seed: int, step_index: int) -> float:
     """numpy's jitter draw: default_rng(SeedSequence([seed, step_index]).generate_state(1)[0]).uniform(-1, 1)."""
     step_seed = int(np.random.SeedSequence([seed, step_index]).generate_state(1)[0])
     return np.random.default_rng(step_seed).uniform(-1.0, 1.0)
+
+
+def reference_block(seed: int, base: int) -> list[float]:
+    """The jitter draws of steps ``base`` to ``base + 4095`` by the numpy kernel that ``jitter.block`` replaced.
+
+    SeedSequence's hash and PCG64 on uint32/uint64 arrays, one element per step.
+    """
+    mask32, mult = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+    pcg_mult = [(mult >> (32 * k)) & mask32 for k in range(4)]
+
+    def int_words(n):
+        words = [n & mask32]
+        while n := n >> 32:
+            words.append(n & mask32)
+        return words
+
+    def seed_pool(entropy):
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * 0x931E8875 & mask32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+            return result ^ (result >> 16)
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(4)]
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[4:]:
+            for i_dst in range(4):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        return pool
+
+    def generate_state(pool, n_words):
+        hash_const, words = 0x8B51F9DD, []
+        for i in range(n_words):
+            value = pool[i % 4] ^ np.uint32(hash_const)
+            hash_const = hash_const * 0x58F38DED & mask32
+            value = value * np.uint32(hash_const)
+            words.append(value ^ (value >> 16))
+        return words
+
+    def carry(columns):
+        limbs, carried = [], 0
+        for column in columns:
+            total = column + carried
+            limbs.append(total & mask32)
+            carried = total >> 32
+        return limbs
+
+    def add128(a, b):
+        return carry([x + y for x, y in zip(a, b)])
+
+    def mul128(a, b):
+        columns = [0] * 4
+        for i in range(4):
+            for j in range(4 - i):
+                product = a[i] * np.uint64(b[j])
+                columns[i + j] = columns[i + j] + (product & mask32)
+                if i + j < 3:
+                    columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+        return carry(columns)
+
+    index_words = int_words(base)
+    with np.errstate(over="ignore"):
+        low = np.arange(4096, dtype=np.uint32) + np.uint32(index_words[0])
+        entropy = [np.uint32(w) for w in int_words(seed)] + [low] + [np.uint32(w) for w in index_words[1:]]
+        (step_seed,) = generate_state(seed_pool(entropy), 1)
+        words = [w.astype(np.uint64) for w in generate_state(seed_pool([step_seed]), 8)]
+        initstate = [words[2], words[3], words[0], words[1]]
+        initseq = [words[6], words[7], words[4], words[5]]
+        inc = [initseq[0] << 1 & mask32 | 1] + [initseq[k] << 1 & mask32 | initseq[k - 1] >> 31 for k in range(1, 4)]
+        state = add128(mul128(add128(inc, initstate), pcg_mult), inc)
+        state = add128(mul128(state, pcg_mult), inc)
+        folded = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])
+        rotation = state[3] >> 26
+        output = folded >> rotation | folded << (64 - rotation & 63)
+        draws = -1.0 + 2.0 * ((output >> 11).astype(np.float64) * (1.0 / 9007199254740992.0))
+    return draws.tolist()
 
 
 def degraded_robot(mission):
@@ -846,6 +935,39 @@ class TestJitterDraw:
                 _, record = step(shared, robot, step_index=index)
                 fresh, _ = plan_and_robot(5)
                 assert record == step(fresh, robot, step_index=index)[1], index
+
+
+# seeds of 1 to 5 uint32 words
+SEEDS_BY_WORDS = st.integers(1, 5).flatmap(lambda n: st.integers(2 ** (32 * n - 32) if n > 1 else 0, 2 ** (32 * n) - 1))
+# aligned bases just below and above 2**32, and at or above 2**64
+WIDE_BLOCK_BASES = st.one_of(
+    st.integers(-3, 2).map(lambda k: 2**32 + k * jitter.BLOCK),
+    st.integers(2**64 // jitter.BLOCK, 2**100 // jitter.BLOCK).map(lambda k: k * jitter.BLOCK),
+)
+
+
+class TestJitterBlock:
+    """``jitter.block`` on plain ints equals the numpy kernel it replaced, in every lane."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS_BY_WORDS, WIDE_BLOCK_BASES)
+    @example(0, 0)
+    @example(2**64 - 1, 2**32 - jitter.BLOCK)
+    @example(2**160 - 1, 2**64)
+    @example(2**40, 2**40)
+    def test_block_matches_the_numpy_kernel(self, seed, base):
+        draws = jitter.block(seed, base)
+        expected = reference_block(seed, base)
+        assert [d.hex() for d in draws] == [e.hex() for e in expected]
+        # the reference itself is numpy's generator at the first and the last lane
+        for lane in (0, jitter.BLOCK - 1):
+            assert draws[lane] == reference_jitter(seed, base + lane), lane
+
+    def test_kernel_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(jitter.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported <= set(sys.stdlib_module_names) | {"__future__"}, imported
 
 
 class TestMissionFile:

@@ -106,6 +106,19 @@ class TestStrainSensor:
         assert strain_capacitance(spec, 20.0) == 10.3
         assert strain_capacitance(spec, 10.0) == pytest.approx(10.15, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (((5.0, 10.0), (35.0, 11.0)), "capacitance_table must start at angle 0"),
+            (((0.0, 10.0), (20.0, 10.0), (35.0, 11.0)), "capacitance_table must be strictly increasing in pF"),
+            (((0.0, 10.0), (20.0, 10.5)), "capacitance_table must cover angle_full"),
+        ],
+        ids=["late-start", "flat-capacitance", "short-of-angle-full"],
+    )
+    def test_table_shape_rules(self, table, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            StrainSensorSpec(capacitance_table=table)
+
 
 class TestPhotodiode:
     def test_reverse_bias_uv_anchor(self):
