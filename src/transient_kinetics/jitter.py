@@ -12,12 +12,13 @@ not freeze across versions, nor on numpy being installed.
 Lane layout: a block is computed at once. Each value of the kernel, one
 uint32 or uint64 per step, is one int of ``BLOCK`` lanes of 64 bits; lane
 k, the step ``base + k``, is bits 64k to 64k + 63. A uint32 word sits in
-the low half of its lane. Products of two uint32 words fill the lane and
-are masked back to 32 bits, as are right shifts, which pull the next
-lane's low bits into the top of each lane. So one big-int operation hashes,
-mixes or steps every lane. The draws are read out through ``int.to_bytes``
-in little-endian order, lane 0 first, into an ``array("Q")``, whose items
-are swapped to the host's byte order on a big-endian host.
+the low half of its lane. The product of two uint32 words fills the lane
+and is masked back to 32 bits (or split into its two halves), as is a
+right shift, which pulls the next lane's low bits into the top of each
+lane. So one big-int operation hashes, mixes or steps every lane. The
+draws are read out through ``int.to_bytes`` in little-endian order, lane 0
+first, into an ``array("Q")``, whose items are swapped to the host's byte
+order on a big-endian host.
 """
 
 from __future__ import annotations
