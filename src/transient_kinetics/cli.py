@@ -3,7 +3,8 @@
 Subcommands: fit-dsc, arrhenius, predict, simulate, synth. Every command
 writes a summary.json that echoes the fully resolved configuration and
 the tool version, plus machine-readable CSV/JSONL outputs. Files are
-written atomically (write-then-rename). Exit codes are stable: 0
+written atomically (write-then-rename); the large ones stream into their
+temp file one chunk at a time. Exit codes are stable: 0
 success, 1 computation failure, 2 input error, 3 insufficient data,
 4 I/O error.
 """
@@ -18,6 +19,7 @@ from datetime import datetime, timezone
 from importlib import import_module
 from itertools import compress, count, islice
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .config import (
@@ -27,9 +29,10 @@ from .config import (
     resolve_preset_path,
 )
 from .errors import ConfigError, DomainError
-# every output goes through cli._atomic_write, the write boundary that
-# perfbench/tracer.py times
-from .fileio import atomic_write as _atomic_write, parse_bool, read_csv
+# every whole-text output goes through cli._atomic_write, the write boundary
+# that perfbench/tracer.py times; the telemetry and the conversion profile
+# stream through atomic_writer instead
+from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, read_csv
 # predict takes its series as lists, with no numpy; the list core keeps the
 # name integrate_conversion, the boundary that perfbench/tracer.py times
 from .kinetics import (
@@ -86,6 +89,10 @@ EXIT_INSUFFICIENT = 3
 EXIT_IO = 4
 
 ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
+
+# records or samples formatted per chunk of a streamed output, so that the
+# text held at once stays a few hundred KB however long the run
+CHUNK_ROWS = 4096
 
 
 class InsufficientDataError(Exception):
@@ -292,22 +299,29 @@ def _times_to_targets(t: list[float], alpha: list[float]) -> dict[str, float | N
     return out
 
 
-def _conversion_profile_csv(series) -> str:
-    """conversion_profile.csv: one row per sample, each cell the repr of its float.
+def _conversion_profile_csv(series) -> Iterator[str]:
+    """conversion_profile.csv, as joined chunks of ``CHUNK_ROWS`` rows (the
+    header rides on the first): one row per sample, each cell the repr of
+    its float.
 
     ``hf_fraction`` is constant in the dark, so its text is formatted once
-    per run of equal values. Equal is not enough: 0.0 and -0.0 compare
-    equal but print differently, so the sign of a zero must match too.
-    The columns are lists of floats or numpy arrays: ``str`` of a float64
-    is the repr of the float it holds.
+    per run of equal values, across chunks. Equal is not enough: 0.0 and
+    -0.0 compare equal but print differently, so the sign of a zero must
+    match too. The columns are lists of floats or numpy arrays: ``str`` of
+    a float64 is the repr of the float it holds.
     """
+    samples = zip(series.t, series.alpha, series.hf_fraction)
     rows = ["t_s,alpha,hf_fraction\n"]
     last_hf, hf_text = None, ""
-    for t, alpha, hf in zip(series.t, series.alpha, series.hf_fraction):
-        if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
-            last_hf, hf_text = hf, str(hf)
-        rows.append("%s,%s,%s\n" % (t, alpha, hf_text))
-    return "".join(rows)
+    while True:
+        for t, alpha, hf in islice(samples, CHUNK_ROWS):
+            if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
+                last_hf, hf_text = hf, str(hf)
+            rows.append("%s,%s,%s\n" % (t, alpha, hf_text))
+        if not rows:
+            return
+        yield "".join(rows)
+        rows = []
 
 
 def cmd_predict(args) -> int:
@@ -322,7 +336,8 @@ def cmd_predict(args) -> int:
         schedule, cal.kinetics, photolysis, dt, hf_sat=cal.hf_saturation
     )
     outdir = _outdir(args)
-    _atomic_write(outdir / "conversion_profile.csv", _conversion_profile_csv(series))
+    with atomic_writer(outdir / "conversion_profile.csv") as fh:
+        fh.writelines(_conversion_profile_csv(series))
     results = {
         "final_alpha": series.alpha[-1],
         "time_to_alpha_s": _times_to_targets(series.t, series.alpha),
@@ -343,8 +358,13 @@ def cmd_simulate(args) -> int:
     dt = _step_size(args, cal)
     records = run(mission, cal, dt=dt, seed=args.seed)
     outdir = _outdir(args)
-    _atomic_write(outdir / "telemetry.jsonl", telemetry_to_jsonl(records))
-    _atomic_write(outdir / "telemetry.csv", telemetry_to_csv(records))
+    # each file is written a slice of records at a time, and a fault in any
+    # slice leaves neither; a run of no step still writes the CSV header
+    with atomic_writer(outdir / "telemetry.jsonl") as jsonl, atomic_writer(outdir / "telemetry.csv") as csv:
+        for start in range(0, len(records) or 1, CHUNK_ROWS):
+            chunk = records[start:start + CHUNK_ROWS]
+            jsonl.write(telemetry_to_jsonl(chunk))
+            csv.write(telemetry_to_csv(chunk, header=not start))
     terminal = [e.tag for r in records for e in r.events if e.tag in TERMINAL_TAGS]
     if records:
         final_alpha, final_position = records[-1].alpha, records[-1].position

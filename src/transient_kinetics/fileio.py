@@ -6,8 +6,9 @@ Depends only on ``errors``, so every other module of the package can import it.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from .errors import ConfigError
 
@@ -81,20 +82,24 @@ def parse_csv(text: str, error: Callable[[str, int], Exception]):
     return metadata, rows
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with LF newlines to ``path`` via write-then-rename.
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A text handle (UTF-8, LF newlines) whose bytes appear at ``path`` only
+    once the ``with`` block ends without an exception, by write-then-rename.
 
-    The temp file gets a unique name in the target directory, so concurrent
-    writers and stray ``*.tmp`` files never collide, and it is removed if
-    anything fails. It is created like a plain ``open``, so the output keeps
-    the usual umask-derived permission bits.
+    Large outputs are written into it as they are formatted, one chunk at a
+    time. The temp file gets a unique name in the target directory, so
+    concurrent writers and stray ``*.tmp`` files never collide, and it is
+    removed if anything fails, the block included. It is created like a
+    plain ``open``, so the output keeps the usual umask-derived permission
+    bits.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -102,3 +107,9 @@ def atomic_write(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with LF newlines to ``path`` through ``atomic_writer``."""
+    with atomic_writer(path) as fh:
+        fh.write(text)

@@ -698,14 +698,16 @@ def telemetry_to_jsonl(records) -> str:
     return "".join(lines)
 
 
-def telemetry_to_csv(records) -> str:
+def telemetry_to_csv(records, *, header: bool = True) -> str:
     """The telemetry.csv text: a float cell is its repr, a missing reading nan.
 
     As in ``telemetry_to_jsonl``, a cell whose value is the same object as
-    in the row before reuses that row's text.
+    in the row before reuses that row's text. ``header=False`` leaves out
+    the header line, for each slice of a file written one slice at a time
+    after the first.
     """
     last_position = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
-    rows = [TELEMETRY_CSV_HEADER + "\n"]
+    rows = [TELEMETRY_CSV_HEADER + "\n"] if header else []
     # the fields unpacked by name are those of _CSV_COLUMNS, in the header's order
     for t, position, alpha, _, _, _, temp_c, capacitance, photocurrent, _ in records:
         if position is not last_position:

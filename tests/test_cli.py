@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -31,7 +32,7 @@ from transient_kinetics.kinetics import (
     arrhenius_rate,
     integrate_conversion,
 )
-from transient_kinetics.mission import TELEMETRY_CSV_HEADER, TelemetryRecord
+from transient_kinetics.mission import TELEMETRY_CSV_HEADER, TelemetryRecord, telemetry_to_csv, telemetry_to_jsonl
 from transient_kinetics.mission import run as mission_run
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
@@ -546,7 +547,7 @@ class TestConversionProfileBytes:
 
     @staticmethod
     def assert_cells_are_reprs(series):
-        lines = cli_module._conversion_profile_csv(series).split("\n")
+        lines = "".join(cli_module._conversion_profile_csv(series)).split("\n")
         assert lines[0] == "t_s,alpha,hf_fraction"
         assert lines[-1] == ""
         columns = (series.t, series.alpha, series.hf_fraction)
@@ -584,7 +585,7 @@ class TestConversionProfileBytes:
         schedule = ExposureSchedule.from_tuples([(300.0, 298.15, True), (900.0, 393.15, False)])
         arrays = integrate_conversion(schedule, ECOFLEX, PhotolysisState(100.0), 0.7)
         lists = ConversionSeries(*(column.tolist() for column in (arrays.t, arrays.alpha, arrays.hf_fraction)))
-        assert cli_module._conversion_profile_csv(lists) == cli_module._conversion_profile_csv(arrays)
+        assert list(cli_module._conversion_profile_csv(lists)) == list(cli_module._conversion_profile_csv(arrays))
 
 
 def reference_times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict:
@@ -749,6 +750,23 @@ class TestSimulate:
             "telemetry.csv": "2e6aa2018d86e97504e044bdd87037c110836544994d3cc18f233fc3c11edf63",
         }
 
+    def test_anchor_tables_are_read_between_anchors(self, tmp_path, capsys):
+        # the gait bends to 0 and to its full angle only, and the tables above
+        # equal the linear maps there; here the full bend, 30 degrees, falls
+        # between two strain anchors, where only interpolation reads 10.8 pF
+        cfg = tmp_path / "overlay.cfg"
+        cfg.write_text(
+            "[actuator]\nangle_table = 0:0, 6:20, 12:30\n"
+            "[sensor.strain]\ncapacitance_table = 0:10, 20:10.4, 35:11\n"
+        )
+        self.telemetry_digests(capsys, tmp_path / "out", "--config", cfg)
+        lines = (tmp_path / "out" / "telemetry.csv").read_text().splitlines()
+        readings = collections.Counter(line.split(",")[4] for line in lines[1:])
+        del readings["nan"]
+        # the linear map would read 10 + 30/35 pF, the nearest anchor 10.4 or 11
+        assert readings.most_common(1) == [("10.8", 2215)]
+        assert not readings.keys() & {repr(10 + 30 / 35), "10.4", "11.0", "10.0"}
+
     def test_scout_telemetry_is_its_reference_forms(self, tmp_path, capsys, monkeypatch):
         runs = []
 
@@ -891,6 +909,107 @@ class TestAtomicOutputs:
         proc = cli("synth", "--k", 1e-3, "--out", out)
         assert proc.returncode == 4
         assert list(out.glob("*.tmp")) == []
+
+
+# a predict run of 241 samples, across a UV step and a dark hold
+STREAM_SCHEDULE = "duration_s,temperature_C,uv_on\n100,120,true\n140,25,false\n"
+
+
+def recording(fn, calls):
+    """``fn``, appending the arguments and the result of each call to ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    return wrapper
+
+
+class TestStreamedOutputs:
+    """simulate's telemetry and predict's profile are written a chunk at a time."""
+
+    def test_simulate_fault_midway_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "CHUNK_ROWS", 100)
+        cli_module._load_array_layers("mission")
+        calls = []
+
+        def failing_csv(records, **kwargs):
+            calls.append(len(records))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return telemetry_to_csv(records, **kwargs)
+
+        monkeypatch.setattr(cli_module, "telemetry_to_csv", failing_csv)
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--dt", 10, "--out", out)
+        assert (code, err, calls) == (4, "error: disk full\n", [100, 100])
+        assert list(out.iterdir()) == []  # no telemetry file, no *.tmp, no summary.json
+
+    def test_predict_fault_midway_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "CHUNK_ROWS", 10)
+        profile = cli_module._conversion_profile_csv
+
+        def failing_profile(series):
+            chunks = profile(series)
+            yield next(chunks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module, "_conversion_profile_csv", failing_profile)
+        sched = tmp_path / "sched.csv"
+        sched.write_text(STREAM_SCHEDULE)
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--out", out)
+        assert (code, err) == (4, "error: disk full\n")
+        assert list(out.iterdir()) == []  # no profile, no *.tmp, no summary.json
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_simulate_bytes_do_not_depend_on_the_chunk(self, tmp_path, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli_module, "CHUNK_ROWS", chunk)
+        cli_module._load_array_layers("mission")
+        runs, jsonl_calls, csv_calls = [], [], []
+        monkeypatch.setattr(cli_module, "run", recording(mission_run, runs))
+        monkeypatch.setattr(cli_module, "telemetry_to_jsonl", recording(telemetry_to_jsonl, jsonl_calls))
+        monkeypatch.setattr(cli_module, "telemetry_to_csv", recording(telemetry_to_csv, csv_calls))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--dt", 20, "--out", out)
+        assert code == 0, err
+        ((_, records),) = runs
+        assert len(records) > 3
+        assert (out / "telemetry.jsonl").read_text() == telemetry_to_jsonl(records)
+        assert (out / "telemetry.csv").read_text() == telemetry_to_csv(records)
+        # each writer call formats one chunk, and the chunks are the records in order
+        for calls in (jsonl_calls, csv_calls):
+            assert len(calls) == -(-len(records) // chunk)
+            assert all(len(args[0]) <= chunk for args, _ in calls)
+            assert [r for args, _ in calls for r in args[0]] == records
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_predict_bytes_do_not_depend_on_the_chunk(self, tmp_path, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli_module, "CHUNK_ROWS", chunk)
+        runs, chunks = [], []
+        monkeypatch.setattr(cli_module, "integrate_conversion", recording(cli_module.integrate_conversion, runs))
+        profile = cli_module._conversion_profile_csv
+
+        def recording_profile(series):
+            for text in profile(series):
+                chunks.append(text)
+                yield text
+
+        monkeypatch.setattr(cli_module, "_conversion_profile_csv", recording_profile)
+        sched = tmp_path / "sched.csv"
+        sched.write_text(STREAM_SCHEDULE)
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--out", out)
+        assert code == 0, err
+        ((_, series),) = runs
+        samples = list(zip(series.t, series.alpha, series.hf_fraction))
+        assert len(samples) == 241
+        want = "t_s,alpha,hf_fraction\n" + "".join("%r,%r,%r\n" % sample for sample in samples)
+        assert (out / "conversion_profile.csv").read_text() == want
+        # each chunk holds at most CHUNK_ROWS samples; the header rides on the first
+        rows = [text.count("\n") for text in chunks]
+        assert rows[0] == min(chunk, len(samples)) + 1
+        assert all(n <= chunk for n in rows[1:])
+        assert sum(rows) == len(samples) + 1
 
 
 class TestUndecodableInput:

@@ -290,6 +290,17 @@ class TestTraceCsv:
         assert back.uv_on is True
         assert back.label == "hot-hold"
 
+    @pytest.mark.parametrize("rows_per_write", [1, 7, 256, 4096])
+    def test_bytes_do_not_depend_on_the_slice(self, tmp_path, monkeypatch, rows_per_write):
+        monkeypatch.setattr(dscfit, "TRACE_ROWS_PER_WRITE", rows_per_write)
+        trace = synthesize_trace(1e-3, 10.0, (20000.0 / 1500, 20000.0), noise_fraction=0.02, seed=3, label="x")
+        assert len(trace.time_s) % 7 and len(trace.time_s) % 256  # a short last slice
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        rows = "".join(f"{float(t)!r},{float(q)!r}\n" for t, q in zip(trace.time_s, trace.heat_flow_w))
+        head = f"# temperature_K={trace.temperature_k!r}\n# uv_on=true\n# label=x\ntime_s,heat_flow_W\n"
+        assert path.read_text() == head + rows
+
     @pytest.mark.parametrize("label", ["", "hot-hold", "run 1, 120 C", "# 5 = a", "dpi 20 wt% \u00e9"])
     def test_label_round_trip(self, tmp_path, label):
         trace = DscTrace(np.array([0.0, 1.0]), np.array([2.0, 1.0]), 300.0, True, label=label)

@@ -1,7 +1,9 @@
-"""The shared CSV reader, and the error contract of every input parser on any bytes."""
+"""The shared CSV reader and atomic writer, and the error contract of every input parser on any bytes."""
 
 import dataclasses
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from transient_kinetics.cli import _read_fit_table, _read_schedule_csv
 from transient_kinetics.config import load_calibration_file
 from transient_kinetics.dscfit import read_trace_csv
 from transient_kinetics.errors import ConfigError, TraceParseError
-from transient_kinetics.fileio import read_csv
+from transient_kinetics.fileio import atomic_write, atomic_writer, read_csv
 from transient_kinetics.mission import load_mission
 
 
@@ -31,6 +33,45 @@ class TestReadCsv:
             read_csv(path, "trace", TraceParseError)
         assert err.value.line_number == 4
         assert "expected 3 columns, got 2" in str(err.value)
+
+
+class TestAtomicWriter:
+    def test_a_write_that_raises_midway_keeps_the_old_bytes(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(OSError, match="disk gone"):
+            with atomic_writer(target) as fh:
+                fh.write("first chunk\n" * 1000)
+                fh.flush()  # the chunk is on disk, in the temp file
+                raise OSError("disk gone")
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_success_renames_the_file_into_place(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        with atomic_writer(target) as fh:
+            fh.write("a\n")
+            fh.flush()
+            # until the block ends, only the temp file exists
+            (tmp,) = tmp_path.iterdir()
+            assert tmp.name.startswith("out.jsonl.") and tmp.name.endswith(".tmp")
+            fh.writelines(["b\r\n", "\u00e9\n"])
+        assert target.read_bytes() == "a\nb\r\n\u00e9\n".encode()
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_bits_are_those_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            atomic_write(tmp_path / "whole", "text\n")
+            with atomic_writer(tmp_path / "streamed") as fh:
+                fh.write("text\n")
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "whole", "streamed")}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
 
 
 # Files are drawn as blocks: a head line (a header, a metadata line or a
