@@ -59,7 +59,7 @@ _ARRAY_LAYERS = {
         "synthesize_trace",
         "write_trace_csv",
     ),
-    "mission": ("TERMINAL_TAGS", "load_mission", "run", "telemetry_to_jsonl", "telemetry_to_csv"),
+    "mission": ("TERMINAL_TAGS", "TelemetryChunk", "load_mission", "run", "telemetry_to_jsonl", "telemetry_to_csv"),
 }
 _LAYER_OF = {name: module for module, names in _ARRAY_LAYERS.items() for name in names}
 
@@ -358,14 +358,15 @@ def cmd_simulate(args) -> int:
     dt = _step_size(args, cal)
     records = run(mission, cal, dt=dt, seed=args.seed)
     outdir = _outdir(args)
-    # each file is written a slice of records at a time, and a fault in any
-    # slice leaves neither; a run of no step still writes the CSV header
+    # each file is written a chunk of records at a time, both from the chunk's one pass, and
+    # a fault in any chunk leaves neither; a run of no step still writes the CSV header
     with atomic_writer(outdir / "telemetry.jsonl") as jsonl, atomic_writer(outdir / "telemetry.csv") as csv:
         for start in range(0, len(records) or 1, CHUNK_ROWS):
-            chunk = records[start:start + CHUNK_ROWS]
+            chunk = TelemetryChunk(records[start:start + CHUNK_ROWS])
             jsonl.write(telemetry_to_jsonl(chunk))
             csv.write(telemetry_to_csv(chunk, header=not start))
-    terminal = [e.tag for r in records for e in r.events if e.tag in TERMINAL_TAGS]
+    events = [{"t": r.t, "tag": e.tag, "message": e.message} for r in records for e in r.events]
+    terminal = [e["tag"] for e in events if e["tag"] in TERMINAL_TAGS]
     if records:
         final_alpha, final_position = records[-1].alpha, records[-1].position
     else:  # a script that needs no step leaves the robot pristine at its start
@@ -377,9 +378,7 @@ def cmd_simulate(args) -> int:
         "final_alpha": final_alpha,
         "final_position_m": final_position,
         "terminal_events": terminal or ["script-complete"],
-        "events": [
-            {"t": r.t, "tag": e.tag, "message": e.message} for r in records for e in r.events
-        ],
+        "events": events,
     }
     _write_summary(outdir, "simulate", cal, results, extra={"seed": args.seed, "dt_s": dt})
     return EXIT_OK

@@ -16,6 +16,7 @@ import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -637,88 +638,88 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
 # one telemetry.jsonl line: each field's key, in order, with a slot for its JSON text
 _JSONL_ROW = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in TelemetryRecord._fields) + "}\n"
 _float_repr = float.__repr__  # json's form of a finite float, of a float subclass too
-# the writers' "value before" at the start: no field value, not even None, is this object
+# the pass's "value before" at the start: no field value, not even None, is this object
 _NO_VALUE = object()
 
 
-def telemetry_to_jsonl(records) -> str:
-    """One JSON object per record, in the bytes ``json.dumps`` gives it.
+def _format_telemetry(records) -> tuple[str, str]:
+    """The telemetry.jsonl text of ``records`` and their telemetry.csv rows, from one pass.
 
-    Each line fills ``_JSONL_ROW``: a float is its repr, a missing reading
-    null, and a zone name is encoded once per call. A field whose value is
-    the same object as on the line before reuses that line's text; ``t``
-    and ``alpha`` change on every step and are always formatted. A record
-    holding a NaN or infinite float, or a value that is not a float, is
-    written by ``json.dumps`` itself.
+    A float is its ``float.__repr__`` in both, a missing reading null in the
+    JSONL and nan in the CSV. A record of finite floats fills ``_JSONL_ROW``
+    and its CSV row from the same cell texts; a field whose value is the
+    same object as in the record before reuses that record's text (``t`` and
+    ``alpha`` change on every step), and a zone name is encoded once per
+    call. Any other record's line is ``json.dumps``' own, and its CSV cells
+    that are neither a float nor None are their ``repr``.
     """
+    float_repr, isfinite = _float_repr, math.isfinite
     zones: dict[str, str] = {}
     last_position = last_hf = last_resistance = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
-    lines = []
+    lines, rows = [], []
     for r in records:
         t, position, alpha, hf, zone, resistance, temp_c, capacitance, photocurrent, events = r
         try:
             # one sum is non-finite when any of its terms is
-            finite = math.isfinite(
-                t + position + alpha + hf + resistance + photocurrent
-                + (temp_c or 0.0) + (capacitance or 0.0)
+            finite = isfinite(
+                t + position + alpha + hf + resistance + photocurrent + (temp_c or 0.0) + (capacitance or 0.0)
             )
             if finite:
                 if position is not last_position:
-                    last_position, position_text = position, _float_repr(position)
+                    last_position, position_text = position, float_repr(position)
                 if hf is not last_hf:
-                    last_hf, hf_text = hf, _float_repr(hf)
+                    last_hf, hf_text = hf, float_repr(hf)
                 if resistance is not last_resistance:
-                    last_resistance, resistance_text = resistance, _float_repr(resistance)
+                    last_resistance, resistance_text = resistance, float_repr(resistance)
+                # a missing reading's text is None here, and null or nan in the line and row
                 if temp_c is not last_temp:
-                    last_temp, temp_text = temp_c, "null" if temp_c is None else _float_repr(temp_c)
+                    last_temp, temp_text = temp_c, None if temp_c is None else float_repr(temp_c)
                 if capacitance is not last_capacitance:
-                    last_capacitance, capacitance_text = (
-                        capacitance, "null" if capacitance is None else _float_repr(capacitance)
-                    )
+                    last_capacitance, cap_text = capacitance, None if capacitance is None else float_repr(capacitance)
                 if photocurrent is not last_photocurrent:
-                    last_photocurrent, photocurrent_text = photocurrent, _float_repr(photocurrent)
+                    last_photocurrent, photo_text = photocurrent, float_repr(photocurrent)
+                t_text, alpha_text = float_repr(t), float_repr(alpha)
+                zone_text = zones.get(zone) or zones.setdefault(zone, json.dumps(zone))
                 line = _JSONL_ROW % (
-                    _float_repr(t),
-                    position_text,
-                    _float_repr(alpha),
-                    hf_text,
-                    zones.get(zone) or zones.setdefault(zone, json.dumps(zone)),
-                    resistance_text,
-                    temp_text,
-                    capacitance_text,
-                    photocurrent_text,
-                    json.dumps([vars(e) for e in events]) if events else "[]",
+                    t_text, position_text, alpha_text, hf_text, zone_text, resistance_text, temp_text or "null",
+                    cap_text or "null", photo_text, json.dumps([vars(e) for e in events]) if events else "[]",
                 )
+                # the cells of _CSV_COLUMNS, in the header's order
+                row = f"{t_text},{position_text},{alpha_text},{temp_text or 'nan'},{cap_text or 'nan'},{photo_text}\n"
         except TypeError:  # a value that is not a float, or None where no reading may be missing
             finite = False
         if not finite:
-            row = dict(zip(TelemetryRecord._fields, r), events=[vars(e) for e in events])
-            line = json.dumps(row) + "\n"
+            line = json.dumps(dict(zip(TelemetryRecord._fields, r), events=[vars(e) for e in events])) + "\n"
+            cells = (t, position, alpha, temp_c, capacitance, photocurrent)
+            cells = ("nan" if v is None else float_repr(v) if isinstance(v, float) else repr(v) for v in cells)
+            row = ",".join(cells) + "\n"
         lines.append(line)
-    return "".join(lines)
+        rows.append(row)
+    return "".join(lines), "".join(rows)
+
+
+class TelemetryChunk(tuple):
+    """An immutable slice of records; its first writer call formats both files' texts and keeps them."""
+
+    @cached_property
+    def texts(self) -> tuple[str, str]:
+        return _format_telemetry(self)
+
+
+def telemetry_to_jsonl(records) -> str:
+    """One JSON object per record, in the bytes ``json.dumps`` gives it, a float being its ``float.__repr__``.
+
+    The lines come from the one pass that formats the CSV rows as well, a
+    ``TelemetryChunk``'s kept one or, for any other iterable, a pass of its own.
+    """
+    return (records.texts if isinstance(records, TelemetryChunk) else _format_telemetry(records))[0]
 
 
 def telemetry_to_csv(records, *, header: bool = True) -> str:
-    """The telemetry.csv text: a float cell is its repr, a missing reading nan.
+    """The telemetry.csv text, from the cell texts of ``telemetry_to_jsonl``'s lines, None being nan.
 
-    As in ``telemetry_to_jsonl``, a cell whose value is the same object as
-    in the row before reuses that row's text. ``header=False`` leaves out
-    the header line, for each slice of a file written one slice at a time
-    after the first.
+    ``header=False`` leaves out the header line, for each slice of a file
+    written one slice at a time after the first.
     """
-    last_position = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
-    rows = [TELEMETRY_CSV_HEADER + "\n"] if header else []
-    # the fields unpacked by name are those of _CSV_COLUMNS, in the header's order
-    for t, position, alpha, _, _, _, temp_c, capacitance, photocurrent, _ in records:
-        if position is not last_position:
-            last_position, position_text = position, repr(position)
-        if temp_c is not last_temp:
-            last_temp, temp_text = temp_c, "nan" if temp_c is None else repr(temp_c)
-        if capacitance is not last_capacitance:
-            last_capacitance, capacitance_text = capacitance, "nan" if capacitance is None else repr(capacitance)
-        if photocurrent is not last_photocurrent:
-            last_photocurrent, photocurrent_text = photocurrent, repr(photocurrent)
-        rows.append(
-            "%r,%s,%r,%s,%s,%s\n" % (t, position_text, alpha, temp_text, capacitance_text, photocurrent_text)
-        )
-    return "".join(rows)
+    rows = (records.texts if isinstance(records, TelemetryChunk) else _format_telemetry(records))[1]
+    return TELEMETRY_CSV_HEADER + "\n" + rows if header else rows

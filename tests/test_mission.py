@@ -29,6 +29,7 @@ from transient_kinetics.mission import (
     Mission,
     RobotState,
     StepPlan,
+    TelemetryChunk,
     TelemetryRecord,
     Zone,
     compile_alarms,
@@ -1022,15 +1023,24 @@ class TestMissionFile:
              "move_to target 9 outside world [0, 1]"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
              "[robot]\nposition = 5\n", "robot start position 5 outside world"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_k = 0\n[script]\ndwell = 5\n",
+             "zone '1': temperature must be finite and > 0 K"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
+             "[alarms]\nrule = alpha > 0.5 ->\n", "[alarms]: rule message is empty"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n[bogus]\nx = 1\n",
+             "unknown section [bogus]"),
         ],
-        ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start"],
+        ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start", "zero-kelvin", "empty-message",
+             "unknown-section"],
     )
     def test_every_load_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.mission"
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
             load_mission(path)
-        assert str(err.value) == f"{path}: {message}"
+        # an error of one section names it after the file
+        separator = " " if message.startswith("[") else ": "
+        assert str(err.value) == f"{path}{separator}{message}"
 
     def test_empty_script_rejected(self, tmp_path):
         mission = tmp_path / "m.mission"
@@ -1124,9 +1134,68 @@ class TestTelemetryBytes:
     @example(SIGNED_ZEROS)
     @example(NON_FINITE_BETWEEN)
     def test_csv_cells_are_reprs_and_none_is_nan(self, records):
+        def cell(v):
+            return "nan" if v is None else float.__repr__(v) if isinstance(v, float) else repr(v)
+
         def reference(r):
-            values = (r.t, r.position, r.alpha, r.temp_c, r.capacitance_pf, r.photocurrent_a)
-            return ",".join("nan" if v is None else repr(v) for v in values)
+            return ",".join(map(cell, (r.t, r.position, r.alpha, r.temp_c, r.capacitance_pf, r.photocurrent_a)))
 
         expected = "\n".join([TELEMETRY_CSV_HEADER, *map(reference, records)]) + "\n"
         assert telemetry_to_csv(records) == expected
+
+
+class LoudFloat(float):
+    """A float subclass whose repr is not the float's."""
+
+    def __repr__(self):
+        return f"LoudFloat({float(self)!r})"
+
+
+class TestTelemetryChunk:
+    """A chunk's two texts come from one pass and are the bytes a plain list of its records gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(telemetry_records(), max_size=4), st.booleans())
+    @example(MISSING_FIRST, True)
+    @example(REPEATED_OBJECT, False)
+    @example(SIGNED_ZEROS, True)
+    @example(NON_FINITE_BETWEEN, False)
+    def test_chunk_gives_the_bytes_of_a_list(self, records, header):
+        want = {"jsonl": telemetry_to_jsonl(records), "csv": telemetry_to_csv(records, header=header)}
+        writers = {"jsonl": telemetry_to_jsonl, "csv": functools.partial(telemetry_to_csv, header=header)}
+        for order in (("jsonl", "csv"), ("csv", "jsonl"), ("jsonl",), ("csv",)):
+            chunk = TelemetryChunk(records)
+            for name in order * 2:  # a second call takes the texts the first kept
+                assert writers[name](chunk) == want[name], (order, name)
+        assert telemetry_to_csv(TelemetryChunk(records)) == telemetry_to_csv(iter(records))
+
+    def test_one_chunk_formats_each_t_and_alpha_once(self, monkeypatch):
+        formatted = []
+
+        def counting_repr(value):
+            formatted.append(value)
+            return float.__repr__(value)
+
+        monkeypatch.setattr(mission, "_float_repr", counting_repr)
+        records = [record_with(t=1.0 + i, alpha=i / 7, temp_c=None if i == 2 else 25.0) for i in range(5)]
+        records.append(record_with(t=9.0, alpha=0.75, hf_fraction=math.nan))  # json.dumps writes this line
+        chunk = TelemetryChunk(records)
+        telemetry_to_jsonl(chunk)
+        telemetry_to_csv(chunk, header=False)
+        telemetry_to_csv(chunk)
+        for r in records:
+            assert [v is r.t for v in formatted].count(True) == 1
+            assert [v is r.alpha for v in formatted].count(True) == 1
+
+    @pytest.mark.parametrize("value", [np.float64(0.1), LoudFloat(0.1)], ids=["float64", "own-repr"])
+    def test_a_float_subclass_is_its_float_repr_in_both_files(self, value):
+        finite = record_with(t=value, position=value, alpha=value, temp_c=value, capacitance_pf=value,
+                             photocurrent_a=value)
+        non_finite = finite._replace(hf_fraction=type(value)(math.inf), capacitance_pf=None)
+        assert telemetry_to_csv([finite, non_finite], header=False) == (
+            "0.1,0.1,0.1,0.1,0.1,0.1\n0.1,0.1,0.1,0.1,nan,0.1\n"
+        )
+        # json.dumps writes a float subclass by float.__repr__ too
+        assert telemetry_to_jsonl([finite, non_finite]) == "".join(
+            json.dumps(dict(zip(TelemetryRecord._fields, r), events=[])) + "\n" for r in (finite, non_finite)
+        )
