@@ -19,10 +19,7 @@ _EXPORTS = {
             "PhotolysisState",
             "ScheduleSegment",
             "arrhenius_rate",
-            "conversion_from_heat",
-            "conversion_rate",
             "dsc_heat_flow",
-            "hf_concentration",
             "integrate_conversion",
             "isothermal_conversion",
             "time_to_conversion",

@@ -64,12 +64,11 @@ _ARRAY_LAYERS = {
 _LAYER_OF = {name: module for module, names in _ARRAY_LAYERS.items() for name in names}
 
 
-def _load_array_layers(*modules: str) -> None:
-    """Bind the names of ``modules``, each a key of ``_ARRAY_LAYERS`` (all of
-    them if none is given), in this module; a name already bound (a wrapper
-    put in its place) is kept."""
+def _load_array_layers(first: str, *rest: str) -> None:
+    """Bind the names of each named layer, a key of ``_ARRAY_LAYERS``, in this
+    module; a name already bound (a wrapper put in its place) is kept."""
     names = globals()
-    for module in modules or _ARRAY_LAYERS:
+    for module in (first, *rest):
         layer = import_module(f".{module}", __package__)
         for name in _ARRAY_LAYERS[module]:
             names.setdefault(name, getattr(layer, name))

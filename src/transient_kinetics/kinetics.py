@@ -5,8 +5,7 @@ Pure functions built around four laws:
   * first-order photolysis of the fluoride generator,
     [HF](t) = [DPI-HFP]0 * (1 - exp(-k_photo * t))
   * first-order phase conversion, alpha(t) = 1 - exp(-k * t), with the
-    rate form d(alpha)/dt = k(T) * (1 - alpha) (``conversion_rate`` also
-    evaluates other orders n, which no integrator uses)
+    rate form d(alpha)/dt = k(T) * (1 - alpha)
   * the Arrhenius temperature dependence k(T) = A * exp(-Ea / (R * T))
   * the isothermal DSC heat flow of that first-order conversion,
     q(t) = k * dH_total * exp(-k * t), the one form that trace synthesis
@@ -119,10 +118,6 @@ class PhotolysisState:
         if not 0.0 <= self.k_photo < math.inf:
             raise DomainError(f"k_photo must be finite and >= 0, got {self.k_photo!r}")
 
-    @property
-    def hf_fraction(self) -> float:
-        return self.hf / self.dpi_initial
-
     @classmethod
     def saturated(cls, dpi_initial: float = 1.0, k_photo: float = DEFAULT_K_PHOTO) -> "PhotolysisState":
         """Fully photolyzed state; forces the trigger coupling to 1."""
@@ -204,26 +199,6 @@ def time_to_conversion(k: float, alpha_target: float) -> float:
     return -math.log1p(-alpha_target) / k
 
 
-def conversion_rate(k: float, alpha: float, order: float = 1.0) -> float:
-    """Instantaneous rate d(alpha)/dt = k * (1 - alpha)^n."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    if order < 0:
-        raise DomainError(f"reaction order must be >= 0, got {order}")
-    if k < 0:
-        raise DomainError(f"rate constant must be >= 0, got {k}")
-    if alpha == 1.0:
-        return 0.0
-    return k * (1.0 - alpha) ** order
-
-
-def hf_concentration(state: PhotolysisState, uv_time: float) -> float:
-    """Fluoride released after a UV dose of the given duration (mol/m^3)."""
-    if uv_time < 0:
-        raise DomainError(f"uv_time must be >= 0, got {uv_time}")
-    return state.dpi_initial * -math.expm1(-state.k_photo * uv_time)
-
-
 def dsc_heat_flow(k: float, total_enthalpy: float, t: float | np.ndarray) -> float | np.ndarray:
     """Isothermal DSC heat flow q(t) = k * dH_total * exp(-k t) in W.
 
@@ -239,15 +214,6 @@ def dsc_heat_flow(k: float, total_enthalpy: float, t: float | np.ndarray) -> flo
     if k < 0:
         raise DomainError(f"rate constant must be >= 0, got {k}")
     return k * total_enthalpy * np.exp(-k * t)
-
-
-def conversion_from_heat(partial_enthalpy: float, total_enthalpy: float) -> float:
-    """Conversion as the released-heat fraction dH_t / dH_total."""
-    if total_enthalpy <= 0:
-        raise DomainError(f"total_enthalpy must be > 0, got {total_enthalpy}")
-    if partial_enthalpy < 0 or partial_enthalpy > total_enthalpy:
-        raise DomainError("partial_enthalpy must lie in [0, total_enthalpy]")
-    return partial_enthalpy / total_enthalpy
 
 
 def trigger_coupling(hf_fraction: float, hf_sat: float = DEFAULT_HF_SAT) -> float:
@@ -283,31 +249,6 @@ def conversion_update(alpha: float, k_eff: float, decay: float) -> float:
     return 1.0 - u * decay
 
 
-def advance(
-    hf: float,
-    alpha: float,
-    k_thermal: float,
-    uv_on: bool,
-    dt: float,
-    k_photo: float,
-    hf_max: float,
-    hf_sat: float,
-) -> tuple[float, float]:
-    """One exact step of the coupled dose and conversion laws at frozen conditions.
-
-    Under UV the fluoride dose approaches ``hf_max`` first-order at
-    ``k_photo`` (the dose persists in the dark); alpha then advances at
-    ``k_thermal`` scaled by the trigger coupling of the updated dose
-    fraction hf / hf_max. The step's decay factors are computed here and
-    applied by ``dose_update`` and ``conversion_update``. Returns the new
-    (hf, alpha).
-    """
-    if uv_on:
-        hf = dose_update(hf, hf_max, math.exp(-k_photo * dt))
-    k_eff = k_thermal * trigger_coupling(hf / hf_max, hf_sat)
-    return hf, conversion_update(alpha, k_eff, math.exp(-k_eff * dt))
-
-
 def integrate_conversion(
     schedule: ExposureSchedule,
     params: ArrheniusParams,
@@ -333,8 +274,9 @@ def integrate_conversion_lists(
 
     Each step applies ``dose_update`` (under UV) and ``conversion_update``
     at the frozen segment conditions, with the dose in mol/m^3 (hf_max =
-    dpi_initial), and gives the bits a loop of ``advance`` calls gives.
-    The decay factors are computed once per segment and step length:
+    dpi_initial). It gives the bits of the per-step reference kept in
+    ``tests/``, which computes both decay factors afresh on every step,
+    but computes each factor once per segment and step length:
     exp(-k_photo * dt) under UV, and exp(-k_thermal * g * dt) while the
     coupling g holds, which it does on every dark step and on UV steps
     once the dose saturates. Only the short last step of a segment, or a

@@ -414,8 +414,9 @@ def step(
     env_index = robot.zone_index
     env = zones[env_index]
 
-    # kinetics.advance at frozen conditions, the dose a fraction (hf_max = 1), with the
-    # plan's decay factors: exp(-k_eff * dt) changes only with the zone or the dose
+    # dose_update and conversion_update at frozen conditions, the dose a fraction
+    # (hf_max = 1), with the plan's decay factors: exp(-k_eff * dt) changes only
+    # with the zone or the dose
     hf = robot.hf_fraction
     if env.uv_on:
         hf = dose_update(hf, 1.0, plan.photo_decay)

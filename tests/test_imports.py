@@ -1,5 +1,6 @@
-"""numpy loads only in the commands that use arrays; the package exports load on first use."""
+"""numpy loads only in the commands that use arrays; the package exports load on first use and each is needed."""
 
+import ast
 import csv
 import json
 import os
@@ -13,6 +14,7 @@ import transient_kinetics
 from transient_kinetics import cli, dscfit, kinetics, mission
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def run_script(script: str, cwd: Path) -> str:
@@ -73,7 +75,7 @@ class TestNumpyFreeCommands:
         out = run_script(
             "import sys\n"
             "from transient_kinetics import cli, config, mission\n"
-            "cli._load_array_layers()\n"
+            "cli._load_array_layers('dscfit', 'mission')\n"
             "scout = mission.load_mission(config.presets_dir() / 'scout_demo.mission')\n"
             "plan = mission.StepPlan(scout, config.default_calibration(), 1.0)\n"
             "before = 'transient_kinetics.jitter' in sys.modules\n"
@@ -168,6 +170,55 @@ class TestLazyExports:
 
         for name in ("run", "read_trace_csv", "TERMINAL_TAGS"):
             monkeypatch.setattr(cli, name, wrapper)
-        cli._load_array_layers()
+        cli._load_array_layers("dscfit", "mission")
         assert cli.run is cli.read_trace_csv is cli.TERMINAL_TAGS is wrapper
         assert cli.load_mission is mission.load_mission
+
+
+def code_references(node: ast.AST, enclosing: frozenset = frozenset()):
+    """Yield each name the code under ``node`` refers to (a loaded name, an
+    attribute, an imported name), except a name inside its own def or class
+    and the names in the ``_EXPORTS`` table."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in child.targets):
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = enclosing | {child.name}
+        else:
+            inner = enclosing
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        elif isinstance(child, ast.alias):
+            name = child.name
+        else:
+            name = None
+        if name is not None and name not in inner:
+            yield name
+        yield from code_references(child, inner)
+
+
+def src_references() -> set[str]:
+    """The names ``code_references`` finds in the package's modules; a name an
+    ``import ... as`` binds to another object counts only under that object's name."""
+    found = set()
+    for path in (SRC / "transient_kinetics").glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        renamed = {a.asname for a in ast.walk(tree) if isinstance(a, ast.alias) and a.asname not in (None, a.name)}
+        found.update(set(code_references(tree)) - renamed)
+    return found
+
+
+class TestExportsAreNeeded:
+    def test_each_export_is_used_in_src_or_by_an_acceptance_test(self):
+        acceptance = ast.parse(ACCEPTANCE.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(acceptance)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "transient_kinetics"
+            for alias in node.names
+        }
+        used = src_references() | imported
+        unneeded = [name for name in transient_kinetics.__all__ if name != "__version__" and name not in used]
+        assert not unneeded, f"exported, but no code in src/ and no acceptance test uses: {unneeded}"

@@ -1,6 +1,7 @@
 """Kinetics core: rate laws, conversion laws, photolysis, schedule integration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from transient_kinetics.kinetics import (
     ExposureSchedule,
     PhotolysisState,
     ScheduleSegment,
-    advance,
     arrhenius_rate,
     check_step_count,
-    conversion_from_heat,
-    conversion_rate,
+    conversion_update,
+    dose_update,
     dsc_heat_flow,
-    hf_concentration,
     integrate_conversion,
     integrate_conversion_lists,
     interp,
@@ -31,6 +30,8 @@ from transient_kinetics.kinetics import (
     time_to_conversion,
     trigger_coupling,
 )
+
+from reference import advance
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
@@ -47,7 +48,7 @@ def reference_integrate(schedule, params, photolysis, dt, hf_sat):
     """``integrate_conversion`` as one ``advance`` call per step, each
     computing its own decay factors: the reference the hoisted loop must
     match bit for bit."""
-    hf_frac = photolysis.hf_fraction
+    hf_frac = photolysis.hf / photolysis.dpi_initial
     times, alphas, hf_fracs = [0.0], [0.0], [hf_frac]
     t = 0.0
     alpha = 0.0
@@ -184,44 +185,45 @@ class TestTimeToConversion:
             assert back == pytest.approx(alpha, rel=1e-10, abs=1e-12)
 
 
-class TestConversionRate:
-    def test_fully_converted(self):
-        assert conversion_rate(0.01, 1.0, 1.0) == 0.0
-
-    def test_fresh_sample(self):
-        assert conversion_rate(0.01, 0.0, 1.0) == 0.01
-
-    def test_second_order(self):
-        assert conversion_rate(0.01, 0.5, 2.0) == pytest.approx(0.0025, rel=1e-12)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            conversion_rate(0.01, 1.5)
-        with pytest.raises(DomainError):
-            conversion_rate(0.01, 0.5, order=-1.0)
-
-
 class TestHfConcentration:
+    """The fluoride dose that ``integrate_conversion`` marches through a UV hold from a zero dose."""
+
+    @staticmethod
+    def uv_hold(state, duration, dt):
+        schedule = ExposureSchedule.from_tuples([(duration, 300.0, True)])
+        return integrate_conversion(schedule, ECOFLEX, state, dt)
+
     def test_no_dose(self):
         state = PhotolysisState(dpi_initial=50.0, k_photo=1e-3)
-        assert hf_concentration(state, 0.0) == 0.0
+        assert self.uv_hold(state, 100.0, 1.0).hf_fraction[0] == 0.0
+        dark = ExposureSchedule.from_tuples([(100.0, 300.0, False)])
+        assert np.all(integrate_conversion(dark, ECOFLEX, state, 1.0).hf_fraction == 0.0)
 
     def test_half_life_dose(self):
         state = PhotolysisState(dpi_initial=50.0, k_photo=1e-3)
         t_half = math.log(2) / 1e-3
-        assert hf_concentration(state, t_half) == pytest.approx(25.0, rel=1e-12)
+        dose = self.uv_hold(state, t_half, t_half / 64).hf_fraction[-1] * state.dpi_initial
+        assert dose == pytest.approx(25.0, rel=1e-12)
 
     def test_saturation(self):
         state = PhotolysisState(dpi_initial=50.0, k_photo=1e-3)
-        assert hf_concentration(state, 1e7) == pytest.approx(50.0, rel=1e-9)
+        assert self.uv_hold(state, 1e7, 1e5).hf_fraction[-1] * state.dpi_initial == pytest.approx(50.0, rel=1e-9)
 
-    def test_never_exceeds_initial_and_concave(self):
-        state = PhotolysisState(dpi_initial=2.0, k_photo=5e-4)
-        times = np.linspace(0, 2e4, 300)
-        values = np.array([hf_concentration(state, t) for t in times])
-        assert np.all(values <= state.dpi_initial)
-        second_diff = np.diff(values, 2)
-        assert np.all(second_diff <= 1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dpi_initial=st.floats(min_value=1e-3, max_value=1e3),
+        k_photo=st.floats(min_value=1e-6, max_value=10.0),
+        dt=st.floats(min_value=0.01, max_value=100.0),
+        steps=st.integers(min_value=1, max_value=400),
+    )
+    def test_never_exceeds_initial_and_concave(self, dpi_initial, k_photo, dt, steps):
+        # first-order photolysis: hf / dpi_initial = 1 - exp(-k_photo * t) at every sample
+        series = self.uv_hold(PhotolysisState(dpi_initial, k_photo=k_photo), dt * steps, dt)
+        dose = series.hf_fraction
+        assert np.max(np.abs(dose + np.expm1(-k_photo * series.t))) <= 1e-12
+        assert np.all(dose <= 1.0)
+        assert np.all(np.diff(dose) >= 0.0)
+        assert np.all(np.diff(dose, 2) <= 1e-12)
 
     def test_default_rate_and_saturation_constants(self):
         # a 30 min dose at the default rate photolyzes 95%
@@ -263,17 +265,31 @@ class TestDscHeatFlow:
         assert trapezoid(dsc_heat_flow(k, dh, t), t) == pytest.approx(dh, rel=1e-5)
 
 
-class TestConversionFromHeat:
-    def test_anchors(self):
-        assert conversion_from_heat(0.0, 10.0) == 0.0
-        assert conversion_from_heat(10.0, 10.0) == 1.0
-        assert conversion_from_heat(2.5, 10.0) == 0.25
+class TestLibraryRefusals:
+    """Refusals that no command reaches, each raised with its message head."""
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            conversion_from_heat(11.0, 10.0)
-        with pytest.raises(DomainError):
-            conversion_from_heat(1.0, 0.0)
+    @pytest.mark.parametrize(
+        "law, args, head",
+        [
+            (isothermal_conversion, (-1e-3, 10.0), "rate constant must be >= 0"),
+            (time_to_conversion, (1e-3, -0.1), "alpha_target must lie in [0, 1)"),
+            (time_to_conversion, (1e-3, 1.5), "alpha_target must lie in [0, 1)"),
+            (time_to_conversion, (1e-3, math.nan), "alpha_target must lie in [0, 1)"),
+            (dsc_heat_flow, (1e-3, 0.0, 1.0), "total_enthalpy must be > 0"),
+            (dsc_heat_flow, (-1e-3, 10.0, 1.0), "rate constant must be >= 0"),
+        ],
+        ids=[
+            "isothermal-negative-rate",
+            "target-below-0",
+            "target-above-1",
+            "target-nan",
+            "heat-zero-enthalpy",
+            "heat-negative-rate",
+        ],
+    )
+    def test_refused_with_its_message(self, law, args, head):
+        with pytest.raises(DomainError, match=re.escape(head)):
+            law(*args)
 
 
 class TestCheckStepCount:
@@ -504,24 +520,28 @@ class TestListCore:
 
 
 class TestAdvance:
+    """The two laws each step of the reference ``advance`` applies, pinned where ``src/`` calls them."""
+
     def test_fraction_dose_matches_complement_form(self):
         # hf_max = 1 (the mission's dose fraction) reproduces
         # 1 - (1 - hf) * exp(-k dt) bit for bit
         for hf in (0.0, 0.1, 0.5, 0.93, 0.999):
             for dt in (0.1, 1.0, 37.5):
                 decay = math.exp(-DEFAULT_K_PHOTO * dt)
-                new_hf, _ = advance(hf, 0.0, 1e-3, True, dt, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT)
-                assert new_hf == 1.0 - (1.0 - hf) * decay
+                assert dose_update(hf, 1.0, decay) == 1.0 - (1.0 - hf) * decay
 
     def test_dark_step_keeps_dose(self):
-        assert advance(0.4, 0.2, 1e-3, False, 10.0, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT)[0] == 0.4
-        assert advance(0.0, 0.2, 1e-3, False, 10.0, DEFAULT_K_PHOTO, 1.0, DEFAULT_HF_SAT) == (0.0, 0.2)
+        # no photolysis (a decay factor of 1) keeps the dose, and an undosed
+        # sample (g = 0, so k_eff = 0) keeps its alpha
+        assert dose_update(0.4, 1.0, 1.0) == 0.4
+        k_eff = 1e-3 * trigger_coupling(0.0, DEFAULT_HF_SAT)
+        assert conversion_update(0.2, k_eff, math.exp(-k_eff * 10.0)) == 0.2
 
     def test_saturated_dose_gives_exact_first_order_step(self):
         # a concentration dose at saturation couples fully (g = 1)
-        hf, alpha = advance(95.0, 0.3, 2e-3, False, 50.0, DEFAULT_K_PHOTO, 100.0, DEFAULT_HF_SAT)
-        assert hf == 95.0
-        assert alpha == 1.0 - 0.7 * math.exp(-2e-3 * 50.0)
+        k_eff = 2e-3 * trigger_coupling(95.0 / 100.0, DEFAULT_HF_SAT)
+        assert k_eff == 2e-3
+        assert conversion_update(0.3, k_eff, math.exp(-k_eff * 50.0)) == 1.0 - 0.7 * math.exp(-2e-3 * 50.0)
 
 
 class TestTriggerCoupling:

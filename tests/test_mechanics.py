@@ -1,5 +1,8 @@
 """Material presets and fracture checks, actuator calibration, gait kinematics."""
 
+import math
+import re
+
 import pytest
 
 from transient_kinetics.errors import ActuationError, DomainError
@@ -39,6 +42,22 @@ class TestFractureCheck:
             MaterialSpec("bad", 1e4, 6.0, 4.0, 1e5, 0.43, 1070.0, 0.0)
         with pytest.raises(DomainError):
             MaterialSpec("bad", 1e4, 4.0, 6.0, 1e5, 0.5, 1070.0, 0.0)
+
+
+class TestLibraryRefusals:
+    """Refusals that no command reaches, each raised with its message head."""
+
+    @pytest.mark.parametrize(
+        "call, args, head",
+        [
+            (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -1e-9), "strain must be >= 0"),
+            (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -math.inf), "strain must be >= 0"),
+        ],
+        ids=["fracture-negative-strain", "fracture-minus-inf-strain"],
+    )
+    def test_refused_with_its_message(self, call, args, head):
+        with pytest.raises(DomainError, match=re.escape(head)):
+            call(*args)
 
 
 class TestBendAngle:

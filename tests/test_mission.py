@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from transient_kinetics import cli, jitter, mission
 from transient_kinetics.config import default_calibration, presets_dir
 from transient_kinetics.errors import ConfigError, DomainError, SimulationFault
-from transient_kinetics.kinetics import advance, arrhenius_rate
+from transient_kinetics.kinetics import arrhenius_rate
 from transient_kinetics.mission import (
     RULE_FIELDS,
     TELEMETRY_CSV_HEADER,
@@ -52,6 +52,8 @@ from transient_kinetics.sensors import (
     apply_degradation,
     strain_capacitance,
 )
+
+from reference import advance
 
 CAL = default_calibration()
 
@@ -213,6 +215,25 @@ class TestWorldGeometry:
             locate_zone_index(world, -0.1)
         with pytest.raises(SimulationFault):
             locate_zone_index(world, 2.1)
+
+
+class TestMissionRefusals:
+    """A ``Mission`` built directly, not through ``load_mission``, is refused as ``load_mission`` would."""
+
+    @pytest.mark.parametrize(
+        "command, head",
+        [
+            (Command("move_to"), "command 'move_to' needs a value"),
+            (Command("dwell", 0.0), "dwell duration must be finite and > 0"),
+            (Command("dwell", math.inf), "dwell duration must be finite and > 0"),
+            (Command("await_uv_dose", 1.0), "await_uv_dose fraction must lie in [0, 1)"),
+            (Command("bogus", 1.0), "unknown command 'bogus'"),
+        ],
+        ids=["valueless-move", "zero-dwell", "endless-dwell", "full-dose-await", "unknown-kind"],
+    )
+    def test_refused_with_its_message(self, command, head):
+        with pytest.raises(ConfigError, match=re.escape(head)):
+            make_mission(benign_world(), commands=(command,))
 
 
 class TestStepPlanRefusals:
@@ -676,7 +697,7 @@ class TestStepperInvariants:
 def reference_step(plan, alarms, robot, drive=0.0, step_index=0, pending_events=()):
     """``step`` as it was written before its plan held the decay factors and thresholds.
 
-    ``kinetics.advance`` on every step, the status of both alphas, and every
+    ``reference.advance`` on every step, the status of both alphas, and every
     event test on every step; ``alarms`` is ``reference_alarms`` of the rules.
     """
     if not -1.0 <= drive <= 1.0:

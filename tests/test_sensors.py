@@ -1,6 +1,7 @@
 """Sensor forward models and the decomposition-driven failure overlay."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ class TestTempSensor:
             TempSensorSpec(r0=0.0)
         with pytest.raises(DomainError):
             TempSensorSpec(fail_resistance=1e5)
+
+
+class TestLibraryRefusals:
+    """Refusals that no command reaches, each raised with its message head."""
+
+    @pytest.mark.parametrize(
+        "call, args, head",
+        [
+            (read_temperature, (TEMP, 0.0), "resistance must be > 0"),
+            (read_temperature, (TEMP, -1.0), "resistance must be > 0"),
+            (apply_degradation, (10.0, "temp", -0.1, HEALTH, 0.0), "alpha must lie in [0, 1]"),
+            (apply_degradation, (10.0, "temp", 1.5, HEALTH, 0.0), "alpha must lie in [0, 1]"),
+            (apply_degradation, (10.0, "strain", math.nan, HEALTH, 0.0), "alpha must lie in [0, 1]"),
+        ],
+        ids=["zero-resistance", "negative-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan"],
+    )
+    def test_refused_with_its_message(self, call, args, head):
+        with pytest.raises(DomainError, match=re.escape(head)):
+            call(*args)
 
 
 class TestStrainSensor:
