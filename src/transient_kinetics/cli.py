@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from importlib import import_module
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import __version__
 from .config import (
@@ -33,7 +33,7 @@ from .errors import ConfigError, DomainError
 # that perfbench/tracer.py times; the telemetry and the conversion profile
 # stream through atomic_writer instead
 from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, read_csv
-# predict takes its series as lists, with no numpy; the list core keeps the
+# predict takes its series as array('d') columns, with no numpy; that core keeps the
 # name integrate_conversion, the boundary that perfbench/tracer.py times
 from .kinetics import (
     ZERO_CELSIUS_K,
@@ -281,7 +281,7 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _times_to_targets(t: list[float], alpha: list[float]) -> dict[str, float | None]:
+def _times_to_targets(t: Sequence[float], alpha: Sequence[float]) -> dict[str, float | None]:
     """The time at which alpha first reaches each target, interpolated between
     the samples around it; None for a target it never reaches."""
     out: dict[str, float | None] = dict.fromkeys(f"{target:g}" for target in ALPHA_TARGETS)
@@ -303,20 +303,24 @@ def _conversion_profile_csv(series) -> Iterator[str]:
     header rides on the first): one row per sample, each cell the repr of
     its float.
 
-    ``hf_fraction`` is constant in the dark, so its text is formatted once
-    per run of equal values, across chunks. Equal is not enough: 0.0 and
-    -0.0 compare equal but print differently, so the sign of a zero must
-    match too. The columns are lists of floats or numpy arrays: ``str`` of
-    a float64 is the repr of the float it holds.
+    ``hf_fraction`` is constant in the dark, and ``alpha`` once it
+    saturates, so each is formatted once per run of equal values, across
+    chunks. Equal is not enough: 0.0 and -0.0 compare equal but print
+    differently, so the sign of a zero must match too; a NaN equals nothing
+    and is formatted every time. The columns are any sequences of floats,
+    such as ``array('d')``s or numpy arrays: ``str`` of a float64 is the
+    repr of the float it holds.
     """
     samples = zip(series.t, series.alpha, series.hf_fraction)
     rows = ["t_s,alpha,hf_fraction\n"]
-    last_hf, hf_text = None, ""
+    last_alpha = last_hf = None
     while True:
         for t, alpha, hf in islice(samples, CHUNK_ROWS):
+            if alpha != last_alpha or not alpha and math.copysign(1.0, alpha) != math.copysign(1.0, last_alpha):
+                last_alpha, alpha_text = alpha, str(alpha)
             if hf != last_hf or not hf and math.copysign(1.0, hf) != math.copysign(1.0, last_hf):
                 last_hf, hf_text = hf, str(hf)
-            rows.append("%s,%s,%s\n" % (t, alpha, hf_text))
+            rows.append("%s,%s,%s\n" % (t, alpha_text, hf_text))
         if not rows:
             return
         yield "".join(rows)

@@ -148,8 +148,8 @@ DEFAULT_ACTUATOR = ActuatorSpec(
 
 def fracture_check(material: MaterialSpec, strain: float) -> bool:
     """True iff the strain exceeds the material's fracture strain."""
-    if strain < 0:
-        raise DomainError("strain must be >= 0")
+    if not strain >= 0:
+        raise DomainError(f"strain must be >= 0, got {strain}")
     return strain > material.fracture_strain
 
 

@@ -147,8 +147,8 @@ def read_temperature(spec: TempSensorSpec, resistance: float) -> float:
         raise SensorFailedError(
             f"resistance {resistance:.4g} ohm is at or above the failure clamp"
         )
-    if resistance <= 0:
-        raise DomainError("resistance must be > 0")
+    if not resistance > 0:
+        raise DomainError(f"resistance must be > 0, got {resistance}")
     return spec.t_ref + (resistance - spec.r0) / spec.slope
 
 

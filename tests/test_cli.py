@@ -31,6 +31,7 @@ from transient_kinetics.kinetics import (
     PhotolysisState,
     arrhenius_rate,
     integrate_conversion,
+    integrate_conversion_lists,
 )
 from transient_kinetics.mission import TELEMETRY_CSV_HEADER, TelemetryRecord, telemetry_to_csv, telemetry_to_jsonl
 from transient_kinetics.mission import run as mission_run
@@ -567,25 +568,36 @@ class TestConversionProfileBytes:
         assert series.hf_fraction[-1] > 0.0
         self.assert_cells_are_reprs(series)
 
+    # alpha and hf_fraction each print once per run of equal values: draw runs
+    RUNS = st.sampled_from([0.0, -0.0, 0.5]) | st.floats()
+
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(), st.floats(), st.sampled_from([0.0, -0.0, 0.5]) | st.floats()),
-            min_size=1,
-            max_size=12,
-        )
-    )
+    @given(st.lists(st.tuples(st.floats(), RUNS, RUNS), min_size=1, max_size=12))
     @example([(0.0, 0.0, 0.0), (1.0, 0.0, -0.0), (2.0, 0.0, -0.0), (3.0, 0.0, 0.0)])
     @example([(0.0, 0.0, math.nan), (1.0, 0.0, math.nan), (2.0, 0.5, 0.5), (3.0, 0.5, 0.5)])
+    # alpha runs of 0.0, -0.0 and 0.0 again, which compare equal
+    @example([(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (2.0, -0.0, 0.5), (3.0, -0.0, 0.5), (4.0, 0.0, 0.5)])
+    # a run of NaN alphas, each unequal to the one before
+    @example([(0.0, math.nan, 0.5), (1.0, math.nan, 0.5), (2.0, math.nan, 0.5), (3.0, 0.5, 0.5)])
+    # a saturated alpha run that crosses the first chunk boundary, then changes
+    @example(
+        [(float(i), 0.25, 0.0) for i in range(cli_module.CHUNK_ROWS - 3)]
+        + [(float(i), 1.0, 0.0) for i in range(cli_module.CHUNK_ROWS - 3, cli_module.CHUNK_ROWS + 3)]
+        + [(cli_module.CHUNK_ROWS + 3.0, 0.5, 0.0)]
+    )
     def test_cells_are_reprs_for_any_series(self, rows):
         t, alpha, hf = (np.array(column, dtype=float) for column in zip(*rows))
         self.assert_cells_are_reprs(ConversionSeries(t, alpha, hf))
 
     def test_lists_and_arrays_give_the_same_bytes(self):
+        # predict's array('d') columns, numpy arrays and plain lists
         schedule = ExposureSchedule.from_tuples([(300.0, 298.15, True), (900.0, 393.15, False)])
+        packed = integrate_conversion_lists(schedule, ECOFLEX, PhotolysisState(100.0), 0.7)
         arrays = integrate_conversion(schedule, ECOFLEX, PhotolysisState(100.0), 0.7)
         lists = ConversionSeries(*(column.tolist() for column in (arrays.t, arrays.alpha, arrays.hf_fraction)))
-        assert list(cli_module._conversion_profile_csv(lists)) == list(cli_module._conversion_profile_csv(arrays))
+        expected = list(cli_module._conversion_profile_csv(arrays))
+        assert list(cli_module._conversion_profile_csv(packed)) == expected
+        assert list(cli_module._conversion_profile_csv(lists)) == expected
 
 
 def reference_times_to_targets(t: np.ndarray, alpha: np.ndarray) -> dict:

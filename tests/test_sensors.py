@@ -88,11 +88,12 @@ class TestLibraryRefusals:
         [
             (read_temperature, (TEMP, 0.0), "resistance must be > 0"),
             (read_temperature, (TEMP, -1.0), "resistance must be > 0"),
+            (read_temperature, (TEMP, math.nan), "resistance must be > 0"),
             (apply_degradation, (10.0, "temp", -0.1, HEALTH, 0.0), "alpha must lie in [0, 1]"),
             (apply_degradation, (10.0, "temp", 1.5, HEALTH, 0.0), "alpha must lie in [0, 1]"),
             (apply_degradation, (10.0, "strain", math.nan, HEALTH, 0.0), "alpha must lie in [0, 1]"),
         ],
-        ids=["zero-resistance", "negative-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan"],
+        ids=["zero-resistance", "negative-resistance", "nan-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan"],
     )
     def test_refused_with_its_message(self, call, args, head):
         with pytest.raises(DomainError, match=re.escape(head)):
