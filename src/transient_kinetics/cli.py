@@ -28,7 +28,7 @@ from .config import (
     load_calibration_file,
     resolve_preset_path,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InsufficientDataError
 # every whole-text output goes through cli._atomic_write, the write boundary
 # that perfbench/tracer.py times; the telemetry and the conversion profile
 # stream through atomic_writer instead
@@ -51,27 +51,19 @@ from .kinetics import (
 # So importing cli and running predict load neither, and simulate leaves numpy
 # unloaded.
 _ARRAY_LAYERS = {
-    "dscfit": (
-        "check_synthesis",
-        "fit_arrhenius",
-        "fit_rate_constant",
-        "read_trace_csv",
-        "synthesize_trace",
-        "write_trace_csv",
-    ),
+    "dscfit": ("fit_arrhenius", "fit_rate_constant", "read_trace_csv", "synthesize_trace", "write_trace_csv"),
     "mission": ("TERMINAL_TAGS", "TelemetryChunk", "load_mission", "run", "telemetry_to_jsonl", "telemetry_to_csv"),
 }
 _LAYER_OF = {name: module for module, names in _ARRAY_LAYERS.items() for name in names}
 
 
-def _load_array_layers(first: str, *rest: str) -> None:
-    """Bind the names of each named layer, a key of ``_ARRAY_LAYERS``, in this
+def _load_array_layers(module: str) -> None:
+    """Bind the names of one layer, a key of ``_ARRAY_LAYERS``, in this
     module; a name already bound (a wrapper put in its place) is kept."""
     names = globals()
-    for module in (first, *rest):
-        layer = import_module(f".{module}", __package__)
-        for name in _ARRAY_LAYERS[module]:
-            names.setdefault(name, getattr(layer, name))
+    layer = import_module(f".{module}", __package__)
+    for name in _ARRAY_LAYERS[module]:
+        names.setdefault(name, getattr(layer, name))
 
 
 def __getattr__(name: str):
@@ -92,10 +84,6 @@ ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
 # records or samples formatted per chunk of a streamed output, so that the
 # text held at once stays a few hundred KB however long the run
 CHUNK_ROWS = 4096
-
-
-class InsufficientDataError(Exception):
-    pass
 
 
 def _write_summary(outdir: Path, command: str, cal: Calibration, results, extra=None) -> None:
@@ -198,14 +186,7 @@ def cmd_fit_dsc(args) -> int:
 def cmd_arrhenius(args) -> int:
     _load_array_layers("dscfit")
     cal = _load_effective_calibration(args)
-    points = _read_fit_table(Path(args.fit_table))
-    temps = {p[0] for p in points}
-    if len(points) < 2 or len(temps) < 2:
-        raise InsufficientDataError(
-            f"need >= 2 converged rows at distinct temperatures, found {len(points)}"
-        )
-
-    fit = fit_arrhenius(points)
+    fit = fit_arrhenius(_read_fit_table(Path(args.fit_table)))
     plot_lines = ["inv_temperature_per_K,ln_k"]
     for temp, k in fit.points:
         plot_lines.append(f"{1.0 / temp!r},{math.log(k)!r}")
@@ -396,47 +377,40 @@ def cmd_synth(args) -> int:
         holds = [(298.15, "synth")]
     else:
         raise ConfigError("give --k or at least one --temperature-c")
-    jobs = []
-    for temp_k, label in holds:
+    jobs = {}  # file name -> the arguments of its synthesize_trace call
+    for index, (temp_k, label) in enumerate(holds):
         name = f"trace_{label}.csv"
-        if name in (job[-1] for job in jobs):  # temperatures that print alike would overwrite one trace
+        if name in jobs:  # temperatures that print alike would overwrite one trace
             raise ConfigError(f"two --temperature-c holds would both write {name}")
         check_positive("temperature", temp_k, " K")  # with --k no k(T) is computed to check it
         k = args.k if args.k is not None else arrhenius_rate(cal.kinetics, temp_k)
         check_positive("k", k)  # before the default t_end divides by it
         t_end = args.t_end if args.t_end is not None else 20.0 / k
         dt = args.dt_sample if args.dt_sample is not None else t_end / 1500.0
-        check_synthesis(k, args.enthalpy, (dt, t_end), args.noise)
-        jobs.append((k, temp_k, label, (dt, t_end), name))
-
-    def synthesize(index):
-        k, temp_k, label, sampling, _ = jobs[index]
-        return synthesize_trace(
-            k,
-            args.enthalpy,
-            sampling,
+        jobs[name] = dict(
+            k=k,
+            total_enthalpy=args.enthalpy,
+            sampling=(dt, t_end),
             noise_fraction=args.noise,
             seed=args.seed + index,
             temperature_k=temp_k,
             uv_on=True,
             label=label,
         )
-
-    # a noise draw can overflow a finite scale: synthesizing refuses that before
-    # --out exists; each trace is dropped, so one is held at a time
-    for index in range(len(jobs)):
-        synthesize(index)
+        # synthesizing checks the job and refuses a noise draw that overflows,
+        # before --out exists; the trace is dropped, so one is held at a time
+        synthesize_trace(**jobs[name])
 
     outdir = _outdir(args)
     written = []
-    for index, (k, temp_k, _, _, name) in enumerate(jobs):
-        trace = synthesize(index)
+    for name, job in jobs.items():
+        trace = synthesize_trace(**job)
         write_trace_csv(trace, outdir / name)
         written.append(
             {
                 "file": name,
-                "k_per_s": k,
-                "temperature_K": temp_k,
+                "k_per_s": job["k"],
+                "temperature_K": job["temperature_k"],
                 "total_enthalpy_J": args.enthalpy,
                 "noise_fraction": args.noise,
                 "samples": int(trace.time_s.size),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    InsufficientDataError,
     TraceParseError,
     UntriggeredTraceError,
     ZeroEnthalpyError,
@@ -225,20 +226,22 @@ def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResu
 def fit_arrhenius(points) -> ArrheniusFit:
     """Ordinary least squares of ln k on 1/T.
 
-    The slope is -Ea/R and the intercept ln A. Needs at least two points
-    at distinct temperatures, all with k > 0.
+    The slope is -Ea/R and the intercept ln A. Needs points at two or more
+    distinct temperatures (else ``InsufficientDataError``), all with T > 0
+    and k > 0.
     """
     pts = tuple((float(T), float(k)) for T, k in points)
-    if len(pts) < 2:
-        raise DomainError("Arrhenius regression needs at least 2 points")
     temps = np.array([p[0] for p in pts])
     ks = np.array([p[1] for p in pts])
+    distinct = np.unique(temps).size
+    if distinct < 2:
+        raise InsufficientDataError(
+            f"Arrhenius regression needs >= 2 distinct temperatures, found {distinct} among {len(pts)} point(s)"
+        )
     if np.any(temps <= 0):
         raise DomainError("temperatures must be > 0 K")
     if np.any(ks <= 0):
         raise DomainError("all rate constants must be > 0")
-    if np.unique(temps).size < 2:
-        raise DomainError("Arrhenius regression needs >= 2 distinct temperatures")
 
     # an overflow is refused below, by name, rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):

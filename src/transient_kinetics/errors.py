@@ -9,6 +9,10 @@ class UnreachableTargetError(DomainError):
     """A conversion target cannot be reached (alpha = 1 or zero rate)."""
 
 
+class InsufficientDataError(DomainError):
+    """Too few distinct points to fit: an Arrhenius line needs two temperatures."""
+
+
 class ZeroEnthalpyError(DomainError):
     """A trace released no heat, so conversion is undefined."""
 

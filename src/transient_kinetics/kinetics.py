@@ -188,7 +188,10 @@ def isothermal_conversion(k: float, t: float) -> float:
         raise DomainError(f"time must be >= 0, got {t}")
     if not k >= 0:
         raise DomainError(f"rate constant must be >= 0, got {k}")
-    return -math.expm1(-k * t)
+    kt = k * t
+    if math.isnan(kt):  # 0 * inf, though each alone is >= 0
+        raise DomainError(f"k * t is undefined for k = {k} and t = {t}")
+    return -math.expm1(-kt)
 
 
 def time_to_conversion(k: float, alpha_target: float) -> float:

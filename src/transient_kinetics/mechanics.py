@@ -178,7 +178,7 @@ def max_channel_strain(actuator: ActuatorSpec, pressure: float) -> float:
 
 def validate_actuator_wall(actuator: ActuatorSpec, wall_material: MaterialSpec) -> None:
     """Reject calibrations whose full-pressure strain would fracture the wall."""
-    peak = actuator.max_pressure * actuator.strain_per_pressure
+    peak = max_channel_strain(actuator, actuator.max_pressure)
     if peak >= wall_material.fracture_strain:
         raise DomainError(
             f"actuator peak strain {peak:.4g} reaches fracture strain of "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -198,8 +197,6 @@ _CSV_COLUMNS = {
 }
 TELEMETRY_CSV_HEADER = ",".join(_CSV_COLUMNS[name] for name in TelemetryRecord._fields if name in _CSV_COLUMNS)
 RULE_FIELDS = tuple(name for name in TelemetryRecord._fields if name not in ("zone", "events"))
-# a record's values except its events, the input of compiled alarm rules
-rule_values = operator.itemgetter(slice(-1))
 
 
 def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
@@ -240,7 +237,7 @@ def evaluate_alarms(alarms, values: tuple) -> list[tuple[str, str]]:
     """(message, tag) of every rule that holds on a step's field values.
 
     ``alarms`` comes from ``compile_alarms``; ``values`` are a record's
-    values except its events, as ``rule_values(record)`` gives them.
+    values except its events, ``record[:-1]``.
     """
     return alarms(values)
 
@@ -266,7 +263,7 @@ def validate_world(world) -> tuple[Zone, ...]:
 
 def locate_zone_index(world, position: float) -> int:
     """Index of the zone containing the point; shared boundaries belong to the left zone."""
-    if position < world[0].x_min or position > world[-1].x_max:
+    if not world[0].x_min <= position <= world[-1].x_max:  # a NaN position too
         raise SimulationFault(
             f"position {position:.6g} m escapes world bounds "
             f"[{world[0].x_min:.6g}, {world[-1].x_max:.6g}]"
@@ -274,7 +271,6 @@ def locate_zone_index(world, position: float) -> int:
     for index, zone in enumerate(world):
         if position <= zone.x_max:
             return index
-    return len(world) - 1
 
 
 class StepPlan:

@@ -221,6 +221,7 @@ class TestFitDsc:
 
 class TestArrhenius:
     HEADER = "label,temperature_K,k_per_s,total_enthalpy_J,residual_rms_W,iterations,converged,error"
+    TOO_FEW = "Arrhenius regression needs >= 2 distinct temperatures,"
 
     @classmethod
     def write_fit_table(cls, path: Path, points, converged="true"):
@@ -317,6 +318,31 @@ class TestArrhenius:
         self.write_fit_table(table, [(393.15, 6.7e-4)])
         proc = cli("arrhenius", table, "--out", tmp_path / "out")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "points, code, message",
+        [
+            ([(393.15, 6.7e-4), (393.15, 7e-4)], 3, f"{TOO_FEW} found 1 among 2 point(s)"),
+            ([(-5.0, 0.0), (-5.0, 1e-3)], 3, f"{TOO_FEW} found 1 among 2 point(s)"),
+            ([(0.0, 1e-3), (393.15, 6.7e-4)], 2, "temperatures must be > 0 K"),
+            ([(353.15, 0.0), (393.15, 6.7e-4)], 2, "all rate constants must be > 0"),
+        ],
+        ids=["one-temperature", "one-bad-temperature", "zero-kelvin", "zero-rate"],
+    )
+    def test_too_little_data_exits_3_before_a_bad_value_exits_2(self, tmp_path, capsys, points, code, message):
+        # fit_arrhenius counts the temperatures before it checks their values
+        table = tmp_path / "fits.csv"
+        self.write_fit_table(table, points)
+        out = tmp_path / "out"
+        assert main_in_process(capsys, "arrhenius", table, "--out", out) == (code, f"error: {message}\n")
+        assert not out.exists()
+
+    def test_fit_table_without_its_columns_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "fits.csv"
+        table.write_text("# hand-made\nlabel,temperature_K,k\na,353.15,1e-4\n")
+        code, err = main_in_process(capsys, "arrhenius", table, "--out", tmp_path / "out")
+        assert code == 2
+        assert err == f"error: {table}:2: fit table must carry temperature_K,k_per_s,converged columns\n"
 
     def test_noisy_energy_within_ten_percent(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -455,6 +481,15 @@ class TestPredict:
         sched.write_text("duration_s,temperature_C,uv_on\n0,120,true\n")
         proc = cli("predict", sched, "--out", tmp_path / "out")
         assert proc.returncode == 2
+
+    def test_header_only_schedule_exits_2(self, tmp_path, capsys):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n# no segment yet\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--out", out)
+        assert code == 2
+        assert err == f"error: {sched}: schedule must contain at least one segment\n"
+        assert not out.exists()
 
     def test_explicit_parameters_override(self, tmp_path):
         sched = tmp_path / "sched.csv"

@@ -320,6 +320,7 @@ class TestCalibration:
         "section, entry, message",
         [
             ("actuator", "angle_table = 0:0", "angle_table needs at least 2 anchor pairs"),
+            ("actuator", "angle_table = 0:0, 6 20", "[actuator]: table entries need 'x:y', got '6 20'"),
             ("actuator", "angle_table = 0:0, 12:35, 6:40", "angle_table pressures must be strictly increasing"),
             ("sensor.strain", "capacitance_table = 0:10", "capacitance_table needs at least 2 anchor pairs"),
             (
@@ -328,7 +329,9 @@ class TestCalibration:
                 "capacitance_table angles must be strictly increasing",
             ),
         ],
-        ids=["angle-one-pair", "angle-decreasing", "capacitance-one-pair", "capacitance-decreasing"],
+        ids=[
+            "angle-one-pair", "angle-no-colon", "angle-decreasing", "capacitance-one-pair", "capacitance-decreasing",
+        ],
     )
     def test_bad_anchor_table_names_its_file(self, tmp_path, section, entry, message):
         # the spec that takes the table is the one place its shape is checked
@@ -336,7 +339,9 @@ class TestCalibration:
         cfg.write_text(f"[{section}]\n{entry}\n")
         with pytest.raises(ConfigError) as err:
             load_calibration_file(cfg)
-        assert str(err.value) == f"{cfg}: {message}"
+        # an entry the parser refuses names its section after the file
+        separator = " " if message.startswith("[") else ": "
+        assert str(err.value) == f"{cfg}{separator}{message}"
 
     @pytest.mark.parametrize(
         "section, entries, message",

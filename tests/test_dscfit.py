@@ -25,6 +25,7 @@ from transient_kinetics.dscfit import (
 )
 from transient_kinetics.errors import (
     DomainError,
+    InsufficientDataError,
     TraceParseError,
     UntriggeredTraceError,
     ZeroEnthalpyError,
@@ -220,16 +221,24 @@ class TestFitArrhenius:
         )
 
     def test_duplicate_temperatures_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InsufficientDataError, match=r"distinct temperatures, found 1 among 2 point\(s\)"):
             fit_arrhenius([(300.0, 1e-3), (300.0, 2e-3)])
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="all rate constants must be > 0"):
             fit_arrhenius([(300.0, 1e-3), (350.0, 0.0)])
 
     def test_single_point_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InsufficientDataError, match=r"distinct temperatures, found 1 among 1 point\(s\)"):
             fit_arrhenius([(300.0, 1e-3)])
+
+    def test_two_temperatures_are_checked_before_their_signs(self):
+        # a fit table of one temperature is too little data (exit 3), whatever its values
+        with pytest.raises(InsufficientDataError, match="found 1 among 2"):
+            fit_arrhenius([(-5.0, 0.0), (-5.0, 1e-3)])
+        with pytest.raises(InsufficientDataError, match="found 0 among 0"):
+            fit_arrhenius([])
+        assert issubclass(InsufficientDataError, DomainError)
 
     def test_overflowing_pre_exponential_rejected(self):
         # ln A is about 6.9e4, far past the largest finite float
@@ -327,7 +336,7 @@ class TestTraceCsv:
         path.write_text("# temperature_K=300\n1.0,2.0\n")
         with pytest.raises(TraceParseError) as err:
             read_trace_csv(path)
-        assert "line 2" in str(err.value)
+        assert str(err.value) == "line 2: expected header 'time_s,heat_flow_W', got '1.0,2.0'"
 
     def test_non_numeric_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

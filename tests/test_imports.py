@@ -75,7 +75,8 @@ class TestNumpyFreeCommands:
         out = run_script(
             "import sys\n"
             "from transient_kinetics import cli, config, mission\n"
-            "cli._load_array_layers('dscfit', 'mission')\n"
+            "cli._load_array_layers('dscfit')\n"
+            "cli._load_array_layers('mission')\n"
             "scout = mission.load_mission(config.presets_dir() / 'scout_demo.mission')\n"
             "plan = mission.StepPlan(scout, config.default_calibration(), 1.0)\n"
             "before = 'transient_kinetics.jitter' in sys.modules\n"
@@ -125,7 +126,8 @@ class TestNumpyFreeCommands:
         out = run_script(
             "import sys\n"
             "from transient_kinetics import cli\n"
-            "cli._load_array_layers('dscfit', 'mission')\n"
+            "cli._load_array_layers('dscfit')\n"
+            "cli._load_array_layers('mission')\n"
             "print('array' in sys.modules)\n",
             tmp_path,
         )
@@ -183,7 +185,8 @@ class TestLazyExports:
 
         for name in ("run", "read_trace_csv", "TERMINAL_TAGS"):
             monkeypatch.setattr(cli, name, wrapper)
-        cli._load_array_layers("dscfit", "mission")
+        cli._load_array_layers("dscfit")
+        cli._load_array_layers("mission")
         assert cli.run is cli.read_trace_csv is cli.TERMINAL_TAGS is wrapper
         assert cli.load_mission is mission.load_mission
 
@@ -212,26 +215,79 @@ def code_references(node: ast.AST, enclosing: frozenset = frozenset()):
         yield from code_references(child, inner)
 
 
+def package_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by its file's stem."""
+    paths = sorted((SRC / "transient_kinetics").glob("*.py"))
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
 def src_references() -> set[str]:
     """The names ``code_references`` finds in the package's modules; a name an
     ``import ... as`` binds to another object counts only under that object's name."""
     found = set()
-    for path in (SRC / "transient_kinetics").glob("*.py"):
-        tree = ast.parse(path.read_text(), str(path))
+    for tree in package_trees().values():
         renamed = {a.asname for a in ast.walk(tree) if isinstance(a, ast.alias) and a.asname not in (None, a.name)}
         found.update(set(code_references(tree)) - renamed)
     return found
 
 
+def table_names() -> set[str]:
+    """The names held as strings by the ``_EXPORTS`` and ``_ARRAY_LAYERS``
+    tables, which bind each on first use."""
+    tables = ("_EXPORTS", "_ARRAY_LAYERS")
+    return {
+        const.value
+        for tree in package_trees().values()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in tables for t in node.targets)
+        for const in ast.walk(node.value)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+
+
+def module_level_names() -> list[str]:
+    """``module.name`` of each def, class and assignment target at the top
+    level of a package module, dunder names aside."""
+    found = []
+    for module, tree in package_trees().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def acceptance_imports() -> set[str]:
+    """The names ``test_acceptance.py`` imports from the package."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "transient_kinetics"
+        for alias in node.names
+    }
+
+
 class TestExportsAreNeeded:
     def test_each_export_is_used_in_src_or_by_an_acceptance_test(self):
-        acceptance = ast.parse(ACCEPTANCE.read_text())
-        imported = {
-            alias.name
-            for node in ast.walk(acceptance)
-            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "transient_kinetics"
-            for alias in node.names
-        }
-        used = src_references() | imported
+        used = src_references() | acceptance_imports()
         unneeded = [name for name in transient_kinetics.__all__ if name != "__version__" and name not in used]
         assert not unneeded, f"exported, but no code in src/ and no acceptance test uses: {unneeded}"
+
+    def test_each_module_level_name_is_used_in_src_or_by_an_acceptance_test(self):
+        # a name the tables bind by its string is used; whether an export is
+        # needed is the test above
+        used = src_references() | table_names() | acceptance_imports()
+        unneeded = [name for name in module_level_names() if name.partition(".")[2] not in used]
+        assert not unneeded, f"defined, but no code in src/ and no acceptance test uses: {unneeded}"
+
+    def test_the_scan_sees_module_level_names_and_table_strings(self):
+        names = module_level_names()
+        for name in ("cli.main", "cli.CHUNK_ROWS", "mission.TelemetryRecord", "kinetics.MAX_STEPS"):
+            assert name in names
+        assert not [name for name in names if name.endswith("__")]
+        assert {"synthesize_trace", "TERMINAL_TAGS", "ConversionSeries"} <= table_names()

@@ -276,6 +276,8 @@ class TestLibraryRefusals:
             (isothermal_conversion, (-1e-3, 10.0), "rate constant must be >= 0"),
             (isothermal_conversion, (math.nan, 10.0), "rate constant must be >= 0"),
             (isothermal_conversion, (1e-3, math.nan), "time must be >= 0"),
+            (isothermal_conversion, (0.0, math.inf), "k * t is undefined for k = 0.0 and t = inf"),
+            (isothermal_conversion, (math.inf, 0.0), "k * t is undefined for k = inf and t = 0.0"),
             (time_to_conversion, (math.nan, 0.5), "rate constant must be > 0"),
             (time_to_conversion, (1e-3, -0.1), "alpha_target must lie in [0, 1)"),
             (time_to_conversion, (1e-3, 1.5), "alpha_target must lie in [0, 1)"),
@@ -287,6 +289,8 @@ class TestLibraryRefusals:
             "isothermal-negative-rate",
             "isothermal-nan-rate",
             "isothermal-nan-time",
+            "isothermal-zero-rate-infinite-time",
+            "isothermal-infinite-rate-zero-time",
             "target-time-nan-rate",
             "target-below-0",
             "target-above-1",

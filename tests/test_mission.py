@@ -38,7 +38,6 @@ from transient_kinetics.mission import (
     load_mission,
     locate_zone_index,
     parse_alarm_rule,
-    rule_values,
     run,
     step,
     telemetry_to_csv,
@@ -54,6 +53,9 @@ from transient_kinetics.sensors import (
 )
 
 from reference import advance
+
+# a record's values except its events, the input of compiled alarm rules
+rule_values = operator.itemgetter(slice(-1))
 
 CAL = default_calibration()
 
@@ -215,6 +217,12 @@ class TestWorldGeometry:
             locate_zone_index(world, -0.1)
         with pytest.raises(SimulationFault):
             locate_zone_index(world, 2.1)
+
+    def test_nan_position_faults(self):
+        # a NaN position lies in no zone, rather than in the last
+        world = (Zone(0, 1, 300, False, "left"), Zone(1, 2, 300, False, "right"))
+        with pytest.raises(SimulationFault, match=r"position nan m escapes world bounds \[0, 2\]"):
+            locate_zone_index(world, math.nan)
 
 
 class TestMissionRefusals:
@@ -396,11 +404,17 @@ class TestAlarms:
         assert len(compound.conditions) == 2
 
     def test_malformed_rules_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_alarm_rule("photocurrent_a > 1e-9")  # missing message
-        with pytest.raises(ConfigError):
+        missing = "<rule>: rule needs '-> message', got 'photocurrent_a > 1e-9'"
+        with pytest.raises(ConfigError, match=re.escape(missing)):
+            parse_alarm_rule("photocurrent_a > 1e-9")
+        # the parser names the valid fields, which Condition's own refusal does not
+        unknown = (
+            "<rule>: unknown telemetry field 'no_such_field' (valid: t, position, alpha, hf_fraction, "
+            "temp_resistance_ohm, temp_c, capacitance_pf, photocurrent_a)"
+        )
+        with pytest.raises(ConfigError, match=re.escape(unknown)):
             parse_alarm_rule("no_such_field > 1 -> boom")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("<rule>: malformed condition 'temp_c >> 1'")):
             parse_alarm_rule("temp_c >> 1 -> boom")
 
     def test_unknown_operator_refused_at_construction(self):
@@ -1050,9 +1064,17 @@ class TestMissionFile:
              "[alarms]\nrule = alpha > 0.5 ->\n", "[alarms]: rule message is empty"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n[bogus]\nx = 1\n",
              "unknown section [bogus]"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\nwidth = 2\ncolour = red\n[script]\ndwell = 5\n",
+             "[zone.1]: unknown keys ['colour', 'width']"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\nwait = 5\n",
+             "[script]: unknown command 'wait'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n[robot]\nspeed = 1\n",
+             "[robot]: unknown keys ['speed']"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
+             "[alarms]\nwhen = alpha > 0.5 -> late\n", "[alarms]: only 'rule = ...' entries are allowed"),
         ],
         ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start", "zero-kelvin", "empty-message",
-             "unknown-section"],
+             "unknown-section", "zone-keys", "unknown-command", "robot-keys", "non-rule-entry"],
     )
     def test_every_load_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.mission"
