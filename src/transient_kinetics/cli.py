@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from importlib import import_module
@@ -32,7 +33,7 @@ from .errors import ConfigError, DomainError, InsufficientDataError
 # every whole-text output goes through cli._atomic_write, the write boundary
 # that perfbench/tracer.py times; the telemetry and the conversion profile
 # stream through atomic_writer instead
-from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, read_csv
+from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, parse_csv, read_text
 # predict takes its series as array('d') columns, with no numpy; that core keeps the
 # name integrate_conversion, the boundary that perfbench/tracer.py times
 from .kinetics import (
@@ -61,7 +62,15 @@ def _load_array_layers(module: str) -> None:
     """Bind the names of one layer, a key of ``_ARRAY_LAYERS``, in this
     module; a name already bound (a wrapper put in its place) is kept."""
     names = globals()
-    layer = import_module(f".{module}", __package__)
+    # a numpy first loaded here gets one OpenBLAS thread: no BLAS call of the commands is worth a worker
+    one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        layer = import_module(f".{module}", __package__)
+    finally:
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     for name in _ARRAY_LAYERS[module]:
         names.setdefault(name, getattr(layer, name))
 
@@ -210,7 +219,7 @@ def _line_error(path: Path):
 def _read_fit_table(path: Path) -> list[tuple[float, float]]:
     """(temperature_K, k_per_s) of each converged row of a fit table."""
     error = _line_error(path)
-    _, rows = read_csv(path, "fit table", error)
+    _, rows = parse_csv(read_text(path, "fit table"), error)
     header = [h.strip() for h in rows[0][1]]
     try:
         i_temp, i_k, i_conv = map(header.index, ("temperature_K", "k_per_s", "converged"))
@@ -236,7 +245,7 @@ def _read_fit_table(path: Path) -> list[tuple[float, float]]:
 
 def _read_schedule_csv(path: Path) -> ExposureSchedule:
     error = _line_error(path)
-    _, rows = read_csv(path, "schedule", error)
+    _, rows = parse_csv(read_text(path, "schedule"), error)
     header = [h.strip() for h in rows[0][1]]
     if header not in (["duration_s", "temperature_C", "uv_on"], ["duration_s", "temperature_K", "uv_on"]):
         raise error("schedule header must be duration_s,temperature_C|temperature_K,uv_on", rows[0][0])
@@ -498,15 +507,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientDataError as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, InsufficientDataError):  # a DomainError with its own code
+            return EXIT_INSUFFICIENT
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

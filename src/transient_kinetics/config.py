@@ -61,6 +61,19 @@ def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, Secti
     return sections
 
 
+def section_data(entries: Section, keys, ctx: str, required=()) -> dict[str, str]:
+    """A section's entries as key -> text, the last of a repeated key winning; refuses a
+    key not among ``keys``, then the first key of ``required`` that is absent."""
+    data = dict(entries)
+    unknown = data.keys() - keys
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{ctx}: missing key {key!r}")
+    return data
+
+
 def as_float(value: str, context: str) -> float:
     """The finite number ``value`` spells; NaN and +-inf are refused too."""
     try:
@@ -285,20 +298,16 @@ def apply_sections(base: Calibration, sections, source: str) -> Calibration:
     try:
         for name, entries in sections:
             ctx = f"{source} [{name}]"
-            data = dict(entries)  # a repeated key: the last one wins
             is_material = name.startswith("material.")
             rows = MATERIAL_ROWS if is_material else CALIBRATION_TABLE.get(name)
             if rows is None:
                 raise ConfigError(f"{source}: unknown section [{name}]")
-            unknown = set(data) - {row[0] for row in rows}
-            if unknown:
-                raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+            keys = [row[0] for row in rows]
+            data = section_data(entries, keys, ctx, required=keys if is_material else ())
             target = {} if is_material else values
             for key, _, path, rule in rows:
                 if key in data:
                     target[path] = _convert(data[key], rule, ctx, values, base)
-                elif is_material:
-                    raise ConfigError(f"{ctx}: missing key {key!r}")
             if is_material:
                 mat_name = name[len("material.") :]
                 spec = MaterialSpec(name=mat_name, **target)
@@ -309,9 +318,8 @@ def apply_sections(base: Calibration, sections, source: str) -> Calibration:
 
 
 def load_calibration_file(path: str | Path, base: Calibration | None = None) -> Calibration:
-    base = base if base is not None else Calibration()
-    text = read_text(path, "config")
-    return apply_sections(base, parse_sections(text, str(path)), str(path))
+    sections = parse_sections(read_text(path, "config"), str(path))
+    return apply_sections(base if base is not None else Calibration(), sections, str(path))
 
 
 def presets_dir() -> Path:

@@ -46,11 +46,6 @@ class Metadata(dict):
         self.lines: dict[str, int] = {}
 
 
-def read_csv(path: str | Path, what: str, error: Callable[[str, int], Exception]):
-    """Read a comma-separated input file into ``(metadata, rows)``; see ``parse_csv``."""
-    return parse_csv(read_text(path, what), error)
-
-
 def parse_csv(text: str, error: Callable[[str, int], Exception]):
     """Split comma-separated text into ``(metadata, rows)``.
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections
+from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections, section_data
 from .errors import ConfigError, DomainError, SensorFailedError, SimulationFault
 from .fileio import read_text
 from .kinetics import (
@@ -78,7 +78,7 @@ class Condition:
         if self.op not in _OPERATORS:
             raise ConfigError(f"unknown operator {self.op!r}")
         if self.field not in RULE_FIELDS:
-            raise ConfigError(f"unknown telemetry field {self.field!r}")
+            raise ConfigError(f"unknown telemetry field {self.field!r} (valid: {', '.join(RULE_FIELDS)})")
 
 
 @dataclass(frozen=True)
@@ -534,9 +534,10 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     return records
 
 
+# the operators longest first: an alternation takes the first branch that matches
 _RULE_RE = re.compile(
     r"^\s*(?P<abs>abs\()?\s*(?P<field>[a-z_]+)\s*(?(abs)\))\s*"
-    r"(?P<op><=|>=|<|>)\s*(?P<value>[-+0-9.eE]+)\s*$"
+    rf"(?P<op>{'|'.join(sorted(_OPERATORS, key=len, reverse=True))})\s*(?P<value>[-+0-9.eE]+)\s*$"
 )
 
 
@@ -553,13 +554,11 @@ def parse_alarm_rule(text: str, context: str = "<rule>") -> AlarmRule:
         m = _RULE_RE.match(chunk)
         if not m:
             raise ConfigError(f"{context}: malformed condition {chunk.strip()!r}")
-        fld = m.group("field")
-        if fld not in RULE_FIELDS:
-            raise ConfigError(
-                f"{context}: unknown telemetry field {fld!r} (valid: {', '.join(RULE_FIELDS)})"
-            )
-        value = as_float(m.group("value"), f"{context}: condition {chunk.strip()!r}")
-        conditions.append(Condition(fld, m.group("op"), value, use_abs=bool(m.group("abs"))))
+        try:
+            value = as_float(m.group("value"), f"condition {chunk.strip()!r}")
+            conditions.append(Condition(m.group("field"), m.group("op"), value, use_abs=bool(m.group("abs"))))
+        except ConfigError as exc:
+            raise ConfigError(f"{context}: {exc}") from None
     return AlarmRule(message=message, conditions=tuple(conditions))
 
 
@@ -579,19 +578,14 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
     for name, entries in sections:
         ctx = f"{path} [{name}]"
         if name.startswith("zone."):
-            data = {k: v for k, v in entries}
-            unknown = set(data) - {"name", "x_min", "x_max", "temperature_c", "temperature_k", "uv_on"}
-            if unknown:
-                raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+            keys = ("name", "x_min", "x_max", "temperature_c", "temperature_k", "uv_on")
+            data = section_data(entries, keys, ctx, required=("x_min", "x_max"))
             if ("temperature_c" in data) == ("temperature_k" in data):
                 raise ConfigError(f"{ctx}: give exactly one of temperature_c / temperature_k")
             if "temperature_c" in data:
                 temperature = as_float(data["temperature_c"], ctx) + ZERO_CELSIUS_K
             else:
                 temperature = as_float(data["temperature_k"], ctx)
-            for key in ("x_min", "x_max"):
-                if key not in data:
-                    raise ConfigError(f"{ctx}: missing key {key!r}")
             zones.append(
                 dict(
                     x_min=as_float(data["x_min"], ctx),
@@ -610,10 +604,7 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
                 else:
                     raise ConfigError(f"{ctx}: unknown command {key!r}")
         elif name == "robot":
-            data = {k: v for k, v in entries}
-            unknown = set(data) - {"position"}
-            if unknown:
-                raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+            data = section_data(entries, ("position",), ctx)
             if "position" in data:
                 start_position = as_float(data["position"], ctx)
         elif name == "alarms":

@@ -22,6 +22,7 @@ from transient_kinetics.config import (
     parse_sections,
     presets_dir,
     resolve_preset_path,
+    section_data,
 )
 from transient_kinetics.dscfit import DscTrace
 from transient_kinetics.errors import ConfigError, DomainError
@@ -253,8 +254,27 @@ class TestCalibration:
     def test_material_missing_key(self, tmp_path):
         cfg = tmp_path / "mat.cfg"
         cfg.write_text("[material.custom]\nmodulus_pa = 50000\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             load_calibration_file(cfg)
+        assert str(err.value) == f"{cfg} [material.custom]: missing key 'elastic_limit_strain'"
+
+    def test_section_data_keeps_the_last_of_a_repeated_key(self):
+        entries = [("a", "1"), ("b", "2"), ("a", "3")]
+        assert section_data(entries, ("a", "b", "c"), "<ctx>", required=("a",)) == {"a": "3", "b": "2"}
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("z", "1"), ("y", "2")], "<ctx>: unknown keys ['y', 'z']"),
+            ([("c", "1"), ("z", "1")], "<ctx>: unknown keys ['z']"),  # before the missing keys
+            ([("c", "1")], "<ctx>: missing key 'a'"),  # the first of required that is absent
+            ([("a", "1")], "<ctx>: missing key 'b'"),
+        ],
+    )
+    def test_section_data_refusals(self, entries, message):
+        with pytest.raises(ConfigError) as err:
+            section_data(entries, ("a", "b", "c"), "<ctx>", required=("a", "b"))
+        assert str(err.value) == message
 
     def test_actuator_wall_check(self, tmp_path):
         cfg = tmp_path / "act.cfg"

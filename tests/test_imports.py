@@ -133,6 +133,27 @@ class TestNumpyFreeCommands:
         )
         assert out == "False"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/status")
+    @pytest.mark.parametrize("caller, expected", [(None, "1 None"), ("2", "2")])
+    def test_dscfit_layer_loads_numpy_with_one_blas_thread(self, tmp_path, caller, expected):
+        # no BLAS call is worth a worker thread; a caller's own choice is kept, and the
+        # environment is left as it was found either way
+        setup = "os.environ.pop('OPENBLAS_NUM_THREADS', None)" if caller is None else (
+            f"os.environ['OPENBLAS_NUM_THREADS'] = {caller!r}"
+        )
+        out = run_script(
+            f"import os, sys\n{setup}\n"
+            "from transient_kinetics import cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "cli._load_array_layers('dscfit')\n"
+            "assert 'numpy' in sys.modules\n"
+            "threads = [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]\n"
+            "print(*threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n",
+            tmp_path,
+        )
+        # the thread count a caller's 2 gives depends on the CPUs
+        assert (out if caller is None else out.split()[-1]) == expected
+
     def test_commands_other_than_simulate_leave_mission_unloaded(self, tmp_path):
         (tmp_path / "sched.csv").write_text("duration_s,temperature_C,uv_on\n600,25,true\n")
         for argv in (

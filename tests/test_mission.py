@@ -407,7 +407,7 @@ class TestAlarms:
         missing = "<rule>: rule needs '-> message', got 'photocurrent_a > 1e-9'"
         with pytest.raises(ConfigError, match=re.escape(missing)):
             parse_alarm_rule("photocurrent_a > 1e-9")
-        # the parser names the valid fields, which Condition's own refusal does not
+        # Condition's refusal names the valid fields; the parser adds its context
         unknown = (
             "<rule>: unknown telemetry field 'no_such_field' (valid: t, position, alpha, hf_fraction, "
             "temp_resistance_ohm, temp_c, capacitance_pf, photocurrent_a)"
@@ -430,8 +430,14 @@ class TestAlarms:
 
     @pytest.mark.parametrize("field", ["zone", "events", "no_such_field", "0]; x = [0"])
     def test_field_that_is_not_a_rule_field_refused(self, field):
-        with pytest.raises(ConfigError, match=re.escape(f"unknown telemetry field {field!r}")):
+        with pytest.raises(ConfigError) as err:
             Condition(field, ">=", 0.5)
+        assert str(err.value) == f"unknown telemetry field {field!r} (valid: {', '.join(RULE_FIELDS)})"
+
+    @pytest.mark.parametrize("op", [">", ">=", "<", "<="])
+    def test_parser_reads_each_operator_whole(self, op):
+        (cond,) = parse_alarm_rule(f"alpha {op} 0.5 -> late").conditions
+        assert cond == Condition("alpha", op, 0.5)
 
 
 def reference_alarms(rules):
@@ -1072,9 +1078,26 @@ class TestMissionFile:
              "[robot]: unknown keys ['speed']"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
              "[alarms]\nwhen = alpha > 0.5 -> late\n", "[alarms]: only 'rule = ...' entries are allowed"),
+            ("[zone.1]\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n", "[zone.1]: missing key 'x_min'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\ntemperature_k = 300\n[script]\ndwell = 5\n",
+             "[zone.1]: give exactly one of temperature_c / temperature_k"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\n[script]\ndwell = 5\n",
+             "[zone.1]: give exactly one of temperature_c / temperature_k"),
+            ("[zone.1]\nx_min = 0\nx_max = far\ntemperature_c = 25\n[script]\ndwell = 5\n",
+             "[zone.1]: expected a finite number, got 'far'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\nuv_on = maybe\n[script]\ndwell = 5\n",
+             "[zone.1]: expected a boolean, got 'maybe'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n[robot]\nposition = left\n",
+             "[robot]: expected a finite number, got 'left'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
+             "[alarms]\nrule = speed > 1 -> fast\n",
+             "[alarms]: unknown telemetry field 'speed' (valid: t, position, alpha, hf_fraction, "
+             "temp_resistance_ohm, temp_c, capacitance_pf, photocurrent_a)"),
         ],
         ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start", "zero-kelvin", "empty-message",
-             "unknown-section", "zone-keys", "unknown-command", "robot-keys", "non-rule-entry"],
+             "unknown-section", "zone-keys", "unknown-command", "robot-keys", "non-rule-entry", "zone-no-x-min",
+             "zone-both-temperatures", "zone-no-temperature", "zone-text-x-max", "zone-bad-uv", "robot-text-position",
+             "rule-unknown-field"],
     )
     def test_every_load_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.mission"
