@@ -29,7 +29,7 @@ from .config import (
     load_calibration_file,
     resolve_preset_path,
 )
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import ConfigError, DomainError, InsufficientDataError, LineError
 # every whole-text output goes through cli._atomic_write, the write boundary
 # that perfbench/tracer.py times; the telemetry and the conversion profile
 # stream through atomic_writer instead
@@ -212,43 +212,37 @@ def cmd_arrhenius(args) -> int:
     return EXIT_OK
 
 
-def _line_error(path: Path):
-    return lambda message, n: ConfigError(f"{path}:{n}: {message}")
-
-
 def _read_fit_table(path: Path) -> list[tuple[float, float]]:
     """(temperature_K, k_per_s) of each converged row of a fit table."""
-    error = _line_error(path)
-    _, rows = parse_csv(read_text(path, "fit table"), error)
+    _, rows = parse_csv(read_text(path, "fit table"), path)
     header = [h.strip() for h in rows[0][1]]
     try:
         i_temp, i_k, i_conv = map(header.index, ("temperature_K", "k_per_s", "converged"))
     except ValueError:
-        raise error("fit table must carry temperature_K,k_per_s,converged columns", rows[0][0]) from None
+        raise LineError(path, rows[0][0], "fit table must carry temperature_K,k_per_s,converged columns") from None
     points = []
     for n, cells in rows[1:]:
         try:
             converged = parse_bool(cells[i_conv])
         except ValueError:
-            raise error(f"bad converged value {cells[i_conv].strip()!r}", n) from None
+            raise LineError(path, n, f"bad converged value {cells[i_conv].strip()!r}") from None
         if not converged or not cells[i_k].strip():
             continue
         try:
             point = (float(cells[i_temp]), float(cells[i_k]))
         except ValueError:
-            raise error("non-numeric fit-table row", n) from None
+            raise LineError(path, n, "non-numeric fit-table row") from None
         if not all(map(math.isfinite, point)):
-            raise error("non-finite number in fit-table row", n)
+            raise LineError(path, n, "non-finite number in fit-table row")
         points.append(point)
     return points
 
 
 def _read_schedule_csv(path: Path) -> ExposureSchedule:
-    error = _line_error(path)
-    _, rows = parse_csv(read_text(path, "schedule"), error)
+    _, rows = parse_csv(read_text(path, "schedule"), path)
     header = [h.strip() for h in rows[0][1]]
     if header not in (["duration_s", "temperature_C", "uv_on"], ["duration_s", "temperature_K", "uv_on"]):
-        raise error("schedule header must be duration_s,temperature_C|temperature_K,uv_on", rows[0][0])
+        raise LineError(path, rows[0][0], "schedule header must be duration_s,temperature_C|temperature_K,uv_on")
     celsius = header[1] == "temperature_C"
     segments = []
     for n, cells in rows[1:]:
@@ -256,15 +250,15 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
             duration = float(cells[0])
             temperature = float(cells[1]) + (ZERO_CELSIUS_K if celsius else 0.0)
         except ValueError:
-            raise error("non-numeric schedule row", n) from None
+            raise LineError(path, n, "non-numeric schedule row") from None
         try:
             uv = parse_bool(cells[2])
         except ValueError:
-            raise error(f"bad uv_on value {cells[2].strip()!r}", n) from None
+            raise LineError(path, n, f"bad uv_on value {cells[2].strip()!r}") from None
         try:
             segments.append(ScheduleSegment(duration, temperature, uv))
         except DomainError as exc:
-            raise error(str(exc), n) from None
+            raise LineError(path, n, str(exc)) from None
     try:
         return ExposureSchedule(tuple(segments))
     except DomainError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, LineError
 from .fileio import parse_bool, read_text
 from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams, check_positive
 from .mechanics import (
@@ -46,12 +46,12 @@ def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, Secti
             continue
         if line.startswith("["):
             if not line.endswith("]") or len(line) < 3:
-                raise ConfigError(f"{source}:{line_number}: malformed section header {line!r}")
+                raise LineError(source, line_number, f"malformed section header {line!r}")
             current = []
             sections.append((line[1:-1].strip(), current))
             continue
         if current is None:
-            raise ConfigError(f"{source}:{line_number}: entry outside any section")
+            raise LineError(source, line_number, "entry outside any section")
         if "=" in line:
             key, _, value = line.partition("=")
             current.append((key.strip(), value.strip()))

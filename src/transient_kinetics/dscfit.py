@@ -10,6 +10,7 @@ parameters.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InsufficientDataError,
-    TraceParseError,
+    LineError,
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
@@ -364,12 +365,12 @@ def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
             fh.write("".join([f"{t!r},{q!r}\n" for t, q in rows]))
 
 
-def _parse_trace_lines(text: str):
+def _parse_trace_lines(text: str, source):
     """``(metadata, time_s, heat_flow_w, last line number)`` of a trace, one line at a time."""
-    meta, rows = parse_csv(text, TraceParseError)
+    meta, rows = parse_csv(text, source)
     header = ",".join(rows[0][1])
     if header.replace(" ", "") != TRACE_HEADER:
-        raise TraceParseError(f"expected header {TRACE_HEADER!r}, got {header!r}", rows[0][0])
+        raise LineError(source, rows[0][0], f"expected header {TRACE_HEADER!r}, got {header!r}")
     times: list[float] = []
     heats: list[float] = []
     for line_number, cells in rows[1:]:
@@ -377,24 +378,26 @@ def _parse_trace_lines(text: str):
             times.append(float(cells[0]))
             heats.append(float(cells[1]))
         except ValueError:
-            raise TraceParseError(f"non-numeric row {','.join(cells)!r}", line_number) from None
+            raise LineError(source, line_number, f"non-numeric row {','.join(cells)!r}") from None
     if len(times) < 2:
-        raise TraceParseError("trace needs at least 2 data rows", rows[-1][0])
+        raise LineError(source, rows[-1][0], "trace needs at least 2 data rows")
     time_s, heat_flow_w = np.array(times), np.array(heats)
     finite = np.isfinite(time_s) & np.isfinite(heat_flow_w)
     if not finite.all():
         line_number, cells = rows[1 + int(np.argmin(finite))]
-        raise TraceParseError(f"non-finite row {','.join(cells)!r}", line_number)
+        raise LineError(source, line_number, f"non-finite row {','.join(cells)!r}")
     return meta, time_s, heat_flow_w, rows[-1][0]
 
 
-def _parse_trace_block(text: str):
-    """What ``_parse_trace_lines`` gives for a trace whose data block is regular, else None.
+def _parse_trace_block(text: str, source):
+    """What ``_parse_trace_lines`` gives for a trace, read by numpy; None leaves it to that reader.
 
-    Regular means that each of at least 2 lines after the header holds one
-    comma between two finite numbers, with lines broken as ``str.splitlines``
-    breaks them. The block is then parsed with one split and one float pass
-    instead of a loop over lines.
+    numpy reads the lines after the header. Its parser takes a strict subset
+    of what ``float`` takes, with the same bits: it refuses ``1_0`` and
+    non-ASCII digits. The trace is left to the line reader when the block
+    has fewer than 2 lines, when numpy refuses it, when numpy skips a line
+    (it skips blank ones, which would shift the line numbers), or when a
+    cell is not finite.
     """
     lines = text.splitlines()
     for n, line in enumerate(lines, start=1):  # the header: the first line neither blank nor '#'
@@ -403,50 +406,45 @@ def _parse_trace_block(text: str):
             break
     else:
         return None
-    meta, rows = parse_csv("\n".join(lines[:n]), TraceParseError)
+    meta, rows = parse_csv("\n".join(lines[:n]), source)
     if ",".join(rows[0][1]).replace(" ", "") != TRACE_HEADER:
         return None
-    data = "\n".join(lines[n:])
-    # per line, not in total: commas and line ends alternate, starting and
-    # ending with a comma; UTF-8 holds neither byte inside a wider character
-    raw = np.frombuffer(data.encode(), np.uint8)
-    seps = raw.compress((raw == ord(",")) | (raw == ord("\n")))
-    commas, ends = seps[0::2], seps[1::2]
-    if seps.size < 3 or seps.size % 2 == 0 or (commas != ord(",")).any() or (ends != ord("\n")).any():
+    data = lines[n:]
+    if len(data) < 2:
         return None
-    try:  # numpy reads each str cell with float(), as the line reader does
-        cells = np.array(data.replace("\n", ",").split(","), dtype=float)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-blank block warns that it holds no data
+            cells = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(cells).all():
+    if cells.shape != (len(data), 2) or not np.isfinite(cells).all():
         return None
-    time_s, heat_flow_w = cells.reshape(-1, 2).T.copy()
-    return meta, time_s, heat_flow_w, n + time_s.size
+    time_s, heat_flow_w = cells.T.copy()
+    return meta, time_s, heat_flow_w, n + len(data)
 
 
 def read_trace_csv(path: str | Path) -> DscTrace:
-    """Parse a trace CSV; parse failures report the offending line number.
+    """Parse a trace CSV; a parse failure is a ``LineError`` naming the file and line.
 
-    A file whose data block is regular is parsed in bulk; any other goes
-    line by line, so every error comes from the line parser with its line.
+    numpy reads the data block when it can; any other file goes line by
+    line, so every error comes from the line parser with its line.
     """
     text = read_text(path, "trace")
-    meta, time_s, heat_flow_w, last_line = _parse_trace_block(text) or _parse_trace_lines(text)
+    meta, time_s, heat_flow_w, last_line = _parse_trace_block(text, path) or _parse_trace_lines(text, path)
 
     if "temperature_K" not in meta:
-        raise TraceParseError("missing '# temperature_K=' metadata", 1)
+        raise LineError(path, 1, "missing '# temperature_K=' metadata")
     try:
         temperature_k = float(meta["temperature_K"])
     except ValueError:
         temperature_k = math.nan
     if not 0.0 < temperature_k < math.inf:
-        raise TraceParseError(
-            f"bad temperature_K value {meta['temperature_K']!r}", meta.lines["temperature_K"]
-        )
+        raise LineError(path, meta.lines["temperature_K"], f"bad temperature_K value {meta['temperature_K']!r}")
     try:
         uv_on = parse_bool(meta.get("uv_on", "false"))
     except ValueError as exc:
-        raise TraceParseError(str(exc), meta.lines["uv_on"]) from None
+        raise LineError(path, meta.lines["uv_on"], str(exc)) from None
     label = meta.get("label", "")
     try:
         return DscTrace(
@@ -457,4 +455,4 @@ def read_trace_csv(path: str | Path) -> DscTrace:
             label=label,
         )
     except DomainError as exc:
-        raise TraceParseError(str(exc), last_line) from None
+        raise LineError(path, last_line, str(exc)) from None

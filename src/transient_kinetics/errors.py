@@ -37,12 +37,12 @@ class ConfigError(ValueError):
     """A configuration, mission, or alarm-rule file is malformed."""
 
 
-class TraceParseError(ConfigError):
-    """A trace CSV could not be parsed; carries the offending line number."""
+class LineError(ConfigError):
+    """An input file is malformed at one line: reads ``<source>:<line>: <message>``."""
 
-    def __init__(self, message: str, line_number: int):
+    def __init__(self, source, line_number: int, message: str):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(f"{source}:{line_number}: {message}")
 
 
 class SimulationFault(RuntimeError):

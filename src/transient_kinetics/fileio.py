@@ -8,9 +8,9 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
-from .errors import ConfigError
+from .errors import ConfigError, LineError
 
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
@@ -46,7 +46,7 @@ class Metadata(dict):
         self.lines: dict[str, int] = {}
 
 
-def parse_csv(text: str, error: Callable[[str, int], Exception]):
+def parse_csv(text: str, source):
     """Split comma-separated text into ``(metadata, rows)``.
 
     ``rows`` lists ``(file line number, cells)`` of the stripped lines, header
@@ -70,10 +70,10 @@ def parse_csv(text: str, error: Callable[[str, int], Exception]):
             continue
         cells = line.split(",")
         if rows and len(cells) != len(rows[0][1]):
-            raise error(f"expected {len(rows[0][1])} columns, got {len(cells)}", n)
+            raise LineError(source, n, f"expected {len(rows[0][1])} columns, got {len(cells)}")
         rows.append((n, cells))
     if not rows:
-        raise error("file contains no header row", 1)
+        raise LineError(source, 1, "file contains no header row")
     return metadata, rows
 
 

@@ -60,10 +60,27 @@ class Zone:
 
 @dataclass(frozen=True)
 class Command:
-    """One script step: move_to(x), dwell(s), await_uv_dose(frac), self_destruct."""
+    """One script step: move_to(x), dwell(s), await_uv_dose(frac), self_destruct.
+
+    The kind and value rules run when it is built, so a ``Command`` that
+    exists is valid; the ``Mission`` checks a ``move_to`` target against its world.
+    """
 
     kind: str
     value: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("move_to", "dwell", "await_uv_dose", "self_destruct"):
+            raise ConfigError(f"unknown command {self.kind!r}")
+        if self.kind == "self_destruct":
+            if self.value is not None:
+                raise ConfigError("self_destruct takes no value")
+        elif self.value is None:
+            raise ConfigError(f"command {self.kind!r} needs a value")
+        elif self.kind == "dwell" and not 0.0 < self.value < math.inf:
+            raise ConfigError("dwell duration must be finite and > 0")
+        elif self.kind == "await_uv_dose" and not 0.0 <= self.value < 1.0:
+            raise ConfigError("await_uv_dose fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -109,21 +126,8 @@ class Mission:
             raise ConfigError("mission script must contain at least one command")
         x_lo, x_hi = zones[0].x_min, zones[-1].x_max
         for command in self.commands:
-            if command.kind != "self_destruct" and command.value is None:
-                raise ConfigError(f"command {command.kind!r} needs a value")
-            if command.kind == "move_to":
-                if not x_lo <= command.value <= x_hi:
-                    raise ConfigError(
-                        f"move_to target {command.value:g} outside world [{x_lo:g}, {x_hi:g}]"
-                    )
-            elif command.kind == "dwell":
-                if not 0.0 < command.value < math.inf:
-                    raise ConfigError("dwell duration must be finite and > 0")
-            elif command.kind == "await_uv_dose":
-                if not 0.0 <= command.value < 1.0:
-                    raise ConfigError("await_uv_dose fraction must lie in [0, 1)")
-            elif command.kind != "self_destruct":
-                raise ConfigError(f"unknown command {command.kind!r}")
+            if command.kind == "move_to" and not x_lo <= command.value <= x_hi:
+                raise ConfigError(f"move_to target {command.value:g} outside world [{x_lo:g}, {x_hi:g}]")
         start = 0.5 * (zones[0].x_min + zones[0].x_max) if self.start is None else self.start
         if not x_lo <= start <= x_hi:
             raise ConfigError(f"robot start position {start:g} outside world")
@@ -597,12 +601,11 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
             )
         elif name == "script":
             for key, value in entries:
-                if key == "self_destruct":
-                    commands.append(Command("self_destruct"))
-                elif key in ("move_to", "dwell", "await_uv_dose"):
-                    commands.append(Command(key, as_float(value, ctx)))
-                else:
-                    raise ConfigError(f"{ctx}: unknown command {key!r}")
+                number = as_float(value, ctx) if value else None
+                try:
+                    commands.append(Command(key, number))
+                except ConfigError as exc:
+                    raise ConfigError(f"{ctx}: {exc}") from None
         elif name == "robot":
             data = section_data(entries, ("position",), ctx)
             if "position" in data:

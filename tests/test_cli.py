@@ -151,6 +151,18 @@ class TestFitDsc:
         assert fits[1]["error"] == "fitting needs at least 8 samples"
         assert (out / "fits.csv").read_text().splitlines()[2].endswith(",fitting needs at least 8 samples")
 
+    def test_malformed_trace_is_named_with_its_line(self, tmp_path, capsys):
+        # of several traces, the error names the one that is malformed
+        good = tmp_path / "good.csv"
+        write_trace_csv(synthesize_trace(1e-3, 10.0, (20000.0 / 1500, 20000.0), label="good"), good)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# temperature_K=298.15\n# uv_on=true\ntime_s,heat_flow_W\n0,1.0\n1,abc\n2,0.25\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "fit-dsc", good, bad, "--out", out)
+        assert code == 2
+        assert err == f"error: {bad}:5: non-numeric row '1,abc'\n"
+        assert not out.exists()
+
     def test_trace_spanning_the_float_range_warns_of_nothing(self, tmp_path, capsys):
         # the step from -1e308 to 1e308 overflows a float; the order of the two does not
         times = [-1e308, *(1e308 + 1e306 * i for i in range(8))]
@@ -1179,7 +1191,7 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "fit-dsc", trace, "--out", out)
         assert code == 2
-        assert "line 11: non-finite row '7,nan'" in err
+        assert f"{trace}:11: non-finite row '7,nan'" in err
         assert not out.exists()
 
     def test_nan_fit_table_temperature_exits_2(self, tmp_path, capsys):

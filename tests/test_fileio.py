@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from transient_kinetics.cli import _read_fit_table, _read_schedule_csv
 from transient_kinetics.config import load_calibration_file
 from transient_kinetics.dscfit import read_trace_csv
-from transient_kinetics.errors import ConfigError, TraceParseError
+from transient_kinetics.errors import ConfigError, LineError
 from transient_kinetics.fileio import atomic_write, atomic_writer, parse_csv, read_text
 from transient_kinetics.mission import load_mission
 
@@ -22,17 +22,17 @@ class TestReadCsv:
     def test_rows_carry_file_lines_and_comments_fill_metadata(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# temperature_K = 300\n\n  # note\n a,b \n#uv_on=true\n1,2\n")
-        meta, rows = parse_csv(read_text(path, "trace"), TraceParseError)
+        meta, rows = parse_csv(read_text(path, "trace"), path)
         assert meta == {"temperature_K": "300", "uv_on": "true"}
         assert rows == [(4, ["a", "b"]), (6, ["1", "2"])]
 
     def test_cell_count_differs_from_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n1,2,3\n\n1,2\n")
-        with pytest.raises(TraceParseError) as err:
-            parse_csv(read_text(path, "trace"), TraceParseError)
+        with pytest.raises(LineError) as err:
+            parse_csv(read_text(path, "trace"), path)
         assert err.value.line_number == 4
-        assert "expected 3 columns, got 2" in str(err.value)
+        assert str(err.value) == f"{path}:4: expected 3 columns, got 2"
 
 
 class TestAtomicWriter:

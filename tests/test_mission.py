@@ -229,19 +229,25 @@ class TestMissionRefusals:
     """A ``Mission`` built directly, not through ``load_mission``, is refused as ``load_mission`` would."""
 
     @pytest.mark.parametrize(
-        "command, head",
+        "kind, value, head",
         [
-            (Command("move_to"), "command 'move_to' needs a value"),
-            (Command("dwell", 0.0), "dwell duration must be finite and > 0"),
-            (Command("dwell", math.inf), "dwell duration must be finite and > 0"),
-            (Command("await_uv_dose", 1.0), "await_uv_dose fraction must lie in [0, 1)"),
-            (Command("bogus", 1.0), "unknown command 'bogus'"),
+            ("move_to", None, "command 'move_to' needs a value"),
+            ("dwell", 0.0, "dwell duration must be finite and > 0"),
+            ("dwell", math.inf, "dwell duration must be finite and > 0"),
+            ("await_uv_dose", 1.0, "await_uv_dose fraction must lie in [0, 1)"),
+            ("bogus", 1.0, "unknown command 'bogus'"),
+            ("self_destruct", 5.0, "self_destruct takes no value"),
+            ("dwell", None, "command 'dwell' needs a value"),
         ],
-        ids=["valueless-move", "zero-dwell", "endless-dwell", "full-dose-await", "unknown-kind"],
+        ids=[
+            "valueless-move", "zero-dwell", "endless-dwell", "full-dose-await", "unknown-kind", "valued-self-destruct",
+            "valueless-dwell",
+        ],
     )
-    def test_refused_with_its_message(self, command, head):
+    def test_refused_with_its_message(self, kind, value, head):
+        # a Command that exists is valid, so the refusal comes from building it
         with pytest.raises(ConfigError, match=re.escape(head)):
-            make_mission(benign_world(), commands=(command,))
+            make_mission(benign_world(), commands=(Command(kind, value),))
 
 
 class TestStepPlanRefusals:
@@ -1074,6 +1080,8 @@ class TestMissionFile:
              "[zone.1]: unknown keys ['colour', 'width']"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\nwait = 5\n",
              "[script]: unknown command 'wait'"),
+            ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\nself_destruct = 5\n",
+             "[script]: self_destruct takes no value"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n[robot]\nspeed = 1\n",
              "[robot]: unknown keys ['speed']"),
             ("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
@@ -1095,9 +1103,9 @@ class TestMissionFile:
              "temp_resistance_ohm, temp_c, capacitance_pf, photocurrent_a)"),
         ],
         ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start", "zero-kelvin", "empty-message",
-             "unknown-section", "zone-keys", "unknown-command", "robot-keys", "non-rule-entry", "zone-no-x-min",
-             "zone-both-temperatures", "zone-no-temperature", "zone-text-x-max", "zone-bad-uv", "robot-text-position",
-             "rule-unknown-field"],
+             "unknown-section", "zone-keys", "unknown-command", "valued-self-destruct", "robot-keys", "non-rule-entry",
+             "zone-no-x-min", "zone-both-temperatures", "zone-no-temperature", "zone-text-x-max", "zone-bad-uv",
+             "robot-text-position", "rule-unknown-field"],
     )
     def test_every_load_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.mission"
