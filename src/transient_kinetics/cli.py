@@ -33,7 +33,7 @@ from .errors import ConfigError, DomainError, InsufficientDataError, LineError
 # every whole-text output goes through cli._atomic_write, the write boundary
 # that perfbench/tracer.py times; the telemetry and the conversion profile
 # stream through atomic_writer instead
-from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, parse_csv, read_text
+from .fileio import atomic_write as _atomic_write, atomic_writer, parse_bool, parse_csv, parse_number, read_text
 # predict takes its series as array('d') columns, with no numpy; that core keeps the
 # name integrate_conversion, the boundary that perfbench/tracer.py times
 from .kinetics import (
@@ -223,18 +223,10 @@ def _read_fit_table(path: Path) -> list[tuple[float, float]]:
     points = []
     for n, cells in rows[1:]:
         try:
-            converged = parse_bool(cells[i_conv])
-        except ValueError:
-            raise LineError(path, n, f"bad converged value {cells[i_conv].strip()!r}") from None
-        if not converged or not cells[i_k].strip():
-            continue
-        try:
-            point = (float(cells[i_temp]), float(cells[i_k]))
-        except ValueError:
-            raise LineError(path, n, "non-numeric fit-table row") from None
-        if not all(map(math.isfinite, point)):
-            raise LineError(path, n, "non-finite number in fit-table row")
-        points.append(point)
+            if parse_bool(cells[i_conv]) and cells[i_k].strip():
+                points.append((parse_number(cells[i_temp]), parse_number(cells[i_k])))
+        except ValueError as exc:
+            raise LineError(path, n, str(exc)) from None
     return points
 
 
@@ -246,18 +238,11 @@ def _read_schedule_csv(path: Path) -> ExposureSchedule:
     celsius = header[1] == "temperature_C"
     segments = []
     for n, cells in rows[1:]:
-        try:
-            duration = float(cells[0])
-            temperature = float(cells[1]) + (ZERO_CELSIUS_K if celsius else 0.0)
-        except ValueError:
-            raise LineError(path, n, "non-numeric schedule row") from None
-        try:
-            uv = parse_bool(cells[2])
-        except ValueError:
-            raise LineError(path, n, f"bad uv_on value {cells[2].strip()!r}") from None
-        try:
-            segments.append(ScheduleSegment(duration, temperature, uv))
-        except DomainError as exc:
+        try:  # a DomainError of the segment is a ValueError too
+            duration = parse_number(cells[0])
+            temperature = parse_number(cells[1]) + (ZERO_CELSIUS_K if celsius else 0.0)
+            segments.append(ScheduleSegment(duration, temperature, parse_bool(cells[2])))
+        except ValueError as exc:
             raise LineError(path, n, str(exc)) from None
     try:
         return ExposureSchedule(tuple(segments))

@@ -20,7 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, LineError
-from .fileio import parse_bool, read_text
+from .fileio import parse_bool, parse_number, read_text
 from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams, check_positive
 from .mechanics import (
     DEFAULT_ACTUATOR,
@@ -75,14 +75,11 @@ def section_data(entries: Section, keys, ctx: str, required=()) -> dict[str, str
 
 
 def as_float(value: str, context: str) -> float:
-    """The finite number ``value`` spells; NaN and +-inf are refused too."""
+    """``fileio.parse_number`` of ``value``; a refusal is a ConfigError led by ``context``, as in ``as_bool``."""
     try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
-    return number
+        return parse_number(value)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def as_bool(value: str, context: str) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
     UntriggeredTraceError,
     ZeroEnthalpyError,
 )
-from .fileio import atomic_writer, parse_bool, parse_csv, read_text
+from .fileio import atomic_writer, parse_bool, parse_csv, parse_number, read_text
 from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, check_step_count, dsc_heat_flow
 
 # numpy 2.0 renamed trapz
@@ -375,18 +375,13 @@ def _parse_trace_lines(text: str, source):
     heats: list[float] = []
     for line_number, cells in rows[1:]:
         try:
-            times.append(float(cells[0]))
-            heats.append(float(cells[1]))
-        except ValueError:
-            raise LineError(source, line_number, f"non-numeric row {','.join(cells)!r}") from None
+            times.append(parse_number(cells[0]))
+            heats.append(parse_number(cells[1]))
+        except ValueError as exc:
+            raise LineError(source, line_number, str(exc)) from None
     if len(times) < 2:
         raise LineError(source, rows[-1][0], "trace needs at least 2 data rows")
-    time_s, heat_flow_w = np.array(times), np.array(heats)
-    finite = np.isfinite(time_s) & np.isfinite(heat_flow_w)
-    if not finite.all():
-        line_number, cells = rows[1 + int(np.argmin(finite))]
-        raise LineError(source, line_number, f"non-finite row {','.join(cells)!r}")
-    return meta, time_s, heat_flow_w, rows[-1][0]
+    return meta, np.array(times), np.array(heats), rows[-1][0]
 
 
 def _parse_trace_block(text: str, source):
@@ -436,11 +431,10 @@ def read_trace_csv(path: str | Path) -> DscTrace:
     if "temperature_K" not in meta:
         raise LineError(path, 1, "missing '# temperature_K=' metadata")
     try:
-        temperature_k = float(meta["temperature_K"])
-    except ValueError:
-        temperature_k = math.nan
-    if not 0.0 < temperature_k < math.inf:
-        raise LineError(path, meta.lines["temperature_K"], f"bad temperature_K value {meta['temperature_K']!r}")
+        temperature_k = parse_number(meta["temperature_K"])
+        check_positive("temperature_K", temperature_k, " K")
+    except ValueError as exc:
+        raise LineError(path, meta.lines["temperature_K"], str(exc)) from None
     try:
         uv_on = parse_bool(meta.get("uv_on", "false"))
     except ValueError as exc:

@@ -1,10 +1,11 @@
-"""Text I/O shared by every reader and writer: input files, CSV, booleans, atomic writes.
+"""Text I/O shared by every reader and writer: input files, CSV, numbers, booleans, atomic writes.
 
 Depends only on ``errors``, so every other module of the package can import it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,6 +15,18 @@ from .errors import ConfigError, LineError
 
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
+
+
+def parse_number(text: str) -> float:
+    """The finite number ``text`` spells, as ``float`` reads it (surrounding space ignored). Raises
+    ValueError for any other text, NaN and +-inf included; each caller re-raises it as its own input error."""
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return number
 
 
 def parse_bool(value: str) -> bool:
@@ -27,13 +40,13 @@ def parse_bool(value: str) -> bool:
         return True
     if word in _FALSE_WORDS:
         return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value.strip()!r}")
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The UTF-8 text of an input file; ConfigError names ``what`` if it cannot be read."""
+    """The UTF-8 text of an input file, a leading byte-order mark dropped; ConfigError names ``what`` if unreadable."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 

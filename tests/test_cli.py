@@ -160,7 +160,7 @@ class TestFitDsc:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "fit-dsc", good, bad, "--out", out)
         assert code == 2
-        assert err == f"error: {bad}:5: non-numeric row '1,abc'\n"
+        assert err == f"error: {bad}:5: expected a finite number, got 'abc'\n"
         assert not out.exists()
 
     def test_trace_spanning_the_float_range_warns_of_nothing(self, tmp_path, capsys):
@@ -385,7 +385,7 @@ class TestArrhenius:
         )
         proc = cli("arrhenius", table, "--out", tmp_path / "out")
         assert proc.returncode == 2
-        assert "non-numeric" in proc.stderr
+        assert f"{table}:2: expected a finite number, got 'not-a-number'" in proc.stderr
 
     def test_header_cells_are_stripped(self, tmp_path, capsys):
         table = tmp_path / "fits.csv"
@@ -416,8 +416,8 @@ class TestArrhenius:
     @pytest.mark.parametrize(
         "bad_row, message",
         [
-            ("row1,not-a-number,1e-3,10.0,0.0,3,true,", "non-numeric fit-table row"),
-            ("row1,393.15,1e-3,10.0,0.0,3,maybe,", "bad converged value 'maybe'"),
+            ("row1,not-a-number,1e-3,10.0,0.0,3,true,", "expected a finite number, got 'not-a-number'"),
+            ("row1,393.15,1e-3,10.0,0.0,3,maybe,", "expected a boolean, got 'maybe'"),
             ("run,120,393.15,1e-3,10.0,0.0,3,true,", "expected 8 columns, got 9"),
         ],
         ids=["non-numeric", "converged-word", "comma-in-label"],
@@ -571,7 +571,7 @@ class TestPredict:
         sched.write_text("duration_s,temperature_C,uv_on\n100,25,maybe\n")
         proc = cli("predict", sched, "--out", tmp_path / "out")
         assert proc.returncode == 2
-        assert "bad uv_on value 'maybe'" in proc.stderr
+        assert f"{sched}:2: expected a boolean, got 'maybe'" in proc.stderr
 
 
     def test_bad_row_reports_its_file_line(self, tmp_path, capsys):
@@ -581,7 +581,7 @@ class TestPredict:
         )
         code, err = main_in_process(capsys, "predict", sched, "--out", tmp_path / "out")
         assert code == 2
-        assert f"{sched}:6: non-numeric schedule row" in err
+        assert f"{sched}:6: expected a finite number, got 'abc'" in err
 
     def test_indented_comment_line_is_skipped(self, tmp_path, capsys):
         sched = tmp_path / "sched.csv"
@@ -1127,6 +1127,16 @@ class TestStepSize:
         assert "step size must be finite and > 0 s" in err
         assert not (tmp_path / "out").exists()
 
+    def test_predict_cuts_the_step_to_the_shortest_segment(self, tmp_path, capsys):
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_C,uv_on\n600,120,true\n120,80,false\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--dt", 300, "--out", out)
+        assert code == 0, err
+        assert read_summary(out)["results"]["dt_s"] == 120.0
+        profile = (out / "conversion_profile.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in profile] == [120.0 * i for i in range(7)]
+
 
 class TestBoundedHorizon:
     def test_predict_over_max_steps_exits_2(self, tmp_path):
@@ -1169,7 +1179,7 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         proc = cli("predict", sched, "--out", out, timeout=20)
         assert proc.returncode == 2
-        assert f"{sched}:2: segment duration must be finite and > 0 s, got inf" in proc.stderr
+        assert f"{sched}:2: expected a finite number, got 'inf'" in proc.stderr
         assert not out.exists()
 
     def test_nan_pre_exponential_exits_2(self, tmp_path, capsys):
@@ -1191,7 +1201,7 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "fit-dsc", trace, "--out", out)
         assert code == 2
-        assert f"{trace}:11: non-finite row '7,nan'" in err
+        assert f"{trace}:11: expected a finite number, got 'nan'" in err
         assert not out.exists()
 
     def test_nan_fit_table_temperature_exits_2(self, tmp_path, capsys):
@@ -1203,7 +1213,7 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
         assert code == 2
-        assert f"{table}:2: non-finite number in fit-table row" in err
+        assert f"{table}:2: expected a finite number, got 'nan'" in err
         assert not out.exists()
 
     def test_nan_sensor_overlay_on_simulate_exits_2(self, tmp_path, capsys):

@@ -353,13 +353,23 @@ class TestTraceCsv:
         assert err.value.line_number == 2
         assert "expected a boolean, got 'maybe'" in str(err.value)
 
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5", "0"])
-    def test_bad_temperature_reports_its_line(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "expected a finite number, got 'abc'"),
+            ("nan", "expected a finite number, got 'nan'"),
+            ("inf", "expected a finite number, got 'inf'"),
+            ("-5", "temperature_K must be finite and > 0 K, got -5.0"),
+            ("0", "temperature_K must be finite and > 0 K, got 0.0"),
+        ],
+        ids=["abc", "nan", "inf", "-5", "0"],
+    )
+    def test_bad_temperature_reports_its_line(self, tmp_path, value, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"# uv_on=true\n# temperature_K={value}\ntime_s,heat_flow_W\n0,1\n1,0.5\n")
         with pytest.raises(LineError) as err:
             read_trace_csv(path)
-        assert str(err.value) == f"{path}:2: bad temperature_K value {value!r}"
+        assert str(err.value) == f"{path}:2: {message}"
 
     def test_failed_rename_keeps_old_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
@@ -499,8 +509,8 @@ class TestBulkTraceReader:
             ("0,1,2\n3\n", "4: expected 2 columns, got 3"),
             ("0\n1,2,3\n", "4: expected 2 columns, got 1"),
             ("0,1\n1,2\n# uv_on=maybe\n2,3\n", "6: expected a boolean, got 'maybe'"),
-            ("0,1\n\n1,2\n2,x\n", "7: non-numeric row '2,x'"),
-            ("0,1\n1,inf\n", "5: non-finite row '1,inf'"),
+            ("0,1\n\n1,2\n2,x\n", "7: expected a finite number, got 'x'"),
+            ("0,1\n1,inf\n", "5: expected a finite number, got 'inf'"),
             ("0,1\n", "4: trace needs at least 2 data rows"),
             ("0,1\n1,2\n0.5,3", "6: sample times must be strictly increasing"),
         ],

@@ -1,4 +1,5 @@
-"""The shared CSV reader and atomic writer, and the error contract of every input parser on any bytes."""
+"""The shared CSV reader, number and boolean parsers and atomic writer, and the error contract of every
+input parser on any bytes."""
 
 import dataclasses
 import math
@@ -14,7 +15,7 @@ from transient_kinetics.cli import _read_fit_table, _read_schedule_csv
 from transient_kinetics.config import load_calibration_file
 from transient_kinetics.dscfit import read_trace_csv
 from transient_kinetics.errors import ConfigError, LineError
-from transient_kinetics.fileio import atomic_write, atomic_writer, parse_csv, read_text
+from transient_kinetics.fileio import atomic_write, atomic_writer, parse_csv, parse_number, read_text
 from transient_kinetics.mission import load_mission
 
 
@@ -33,6 +34,39 @@ class TestReadCsv:
             parse_csv(read_text(path, "trace"), path)
         assert err.value.line_number == 4
         assert str(err.value) == f"{path}:4: expected 3 columns, got 2"
+
+
+class TestParseNumber:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(
+            st.floats().map(repr),
+            st.tuples(st.sampled_from(["", " ", "\t", " \n"]), st.floats().map(repr), st.sampled_from(["", " ", "\t"]))
+            .map("".join),
+            st.text(alphabet="0123456789_.eE+-infatyINFATY \t", max_size=12),
+        )
+    )
+    @example(text="nan")
+    @example(text="-inf")
+    @example(text="1e999")
+    @example(text="-1e999")
+    @example(text="1_0")
+    @example(text=" 2.5e-3\t")
+    @example(text="\n-0.0 ")
+    @example(text="")
+    @example(text="   ")
+    @example(text=" Infinity ")
+    def test_a_finite_float_is_read_with_its_bits_and_any_other_text_is_refused(self, text):
+        try:
+            expected = float(text)
+        except ValueError:
+            expected = math.nan
+        if math.isfinite(expected):
+            assert parse_number(text).hex() == expected.hex()
+        else:
+            with pytest.raises(ValueError) as err:
+                parse_number(text)
+            assert str(err.value) == f"expected a finite number, got {text.strip()!r}"
 
 
 class TestAtomicWriter:
@@ -199,3 +233,97 @@ def test_any_bytes_give_a_value_or_a_config_error(kind, tmp_path):
         assert non_finite_numbers(value) == []
 
     check()
+
+
+def plain(value):
+    """``value`` with each dataclass a dict and each numpy array a list, so that == compares every number."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [plain(item) for item in value]
+    return value
+
+
+# One file each format accepts.
+VALID = {
+    "trace": "# temperature_K=393.15\n# uv_on=true\n# label=hot\ntime_s,heat_flow_W\n0,1\n1,0.5\n2,0.25\n",
+    "schedule": "duration_s,temperature_C,uv_on\n100,25,true\n50,120,false\n",
+    "fit-table": "temperature_K,k_per_s,converged\n353.15,1e-4,true\n393.15,6.7e-4,yes\n",
+    "config": "[kinetics]\npre_exponential_per_s = 0.2\n[actuator]\nangle_table = 0:0, 6:20, 12:35\n",
+    "mission": "[zone.a]\nx_min = 0\nx_max = 1\ntemperature_c = 25\nuv_on = true\n[script]\ndwell = 5\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_a_leading_byte_order_mark_is_ignored(kind, tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with one
+    plain_file, marked_file = tmp_path / "plain", tmp_path / "marked"
+    plain_file.write_text(VALID[kind], encoding="utf-8")
+    marked_file.write_text(VALID[kind], encoding="utf-8-sig")
+    assert marked_file.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert plain(READERS[kind](marked_file)) == plain(READERS[kind](plain_file))
+
+
+# Where each format holds a number: (format, the file with that cell as {},
+# where its refusal is placed). A CSV cell keeps the spaces around it.
+NUMBER_CELLS = {
+    "trace-row": (
+        "trace", "# temperature_K=393.15\n# uv_on=true\ntime_s,heat_flow_W\n0,1\n1, {} \n2,0.25\n", "{path}:5"
+    ),
+    "trace-temperature": (
+        "trace", "# uv_on=true\n# temperature_K= {}\ntime_s,heat_flow_W\n0,1\n1,0.5\n", "{path}:2"
+    ),
+    "schedule-duration": ("schedule", "duration_s,temperature_C,uv_on\n100,25,true\n {} ,25,true\n", "{path}:3"),
+    "schedule-temperature": ("schedule", "duration_s,temperature_K,uv_on\n100, {} ,true\n", "{path}:2"),
+    "fit-table-temperature": (
+        "fit-table", "temperature_K,k_per_s,converged\n353.15,1e-4,true\n {} ,6.7e-4,true\n", "{path}:3"
+    ),
+    "fit-table-k": ("fit-table", "temperature_K,k_per_s,converged\n353.15, {} ,1\n", "{path}:2"),
+    "config-number": ("config", "[kinetics]\npre_exponential_per_s = {}\n", "{path} [kinetics]"),
+    "config-anchor": ("config", "[actuator]\nangle_table = 0:0, 6:{}, 12:35\n", "{path} [actuator]"),
+    "mission-zone": (
+        "mission", "[zone.a]\nx_min = 0\nx_max = {}\ntemperature_c = 25\n[script]\ndwell = 5\n", "{path} [zone.a]"
+    ),
+    "mission-script": (
+        "mission", "[zone.a]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = {}\n", "{path} [script]"
+    ),
+    "mission-robot": ("mission", "[robot]\nposition = {}\n", "{path} [robot]"),
+}
+# Where each format holds a boolean; a calibration holds none.
+BOOLEAN_CELLS = {
+    "trace": ("trace", "# temperature_K=393.15\n# uv_on= {}\ntime_s,heat_flow_W\n0,1\n1,0.5\n", "{path}:2"),
+    "schedule": ("schedule", "duration_s,temperature_C,uv_on\n100,25, {}\n", "{path}:2"),
+    "fit-table": ("fit-table", "temperature_K,k_per_s,converged\n353.15,1e-4, {} \n", "{path}:2"),
+    "mission": (
+        "mission", "[zone.a]\nx_min = 0\nx_max = 1\ntemperature_c = 25\nuv_on = {}\n[script]\ndwell = 5\n",
+        "{path} [zone.a]",
+    ),
+}
+
+
+def refusal(kind: str, template: str, cell: str, path) -> str:
+    """The message with which the reader of ``kind`` refuses ``template`` holding ``cell``."""
+    path.write_text(template.format(cell))
+    with pytest.raises(ConfigError) as err:
+        READERS[kind](path)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "-inf", "1e999"])
+@pytest.mark.parametrize("slot", sorted(NUMBER_CELLS))
+def test_a_bad_number_is_refused_alike_in_every_format(tmp_path, slot, cell):
+    kind, template, where = NUMBER_CELLS[slot]
+    path = tmp_path / "input"
+    where = where.format(path=path)
+    assert refusal(kind, template, cell, path) == f"{where}: expected a finite number, got {cell!r}"
+
+
+@pytest.mark.parametrize("slot", sorted(BOOLEAN_CELLS))
+def test_a_bad_boolean_is_refused_alike_in_every_format(tmp_path, slot):
+    kind, template, where = BOOLEAN_CELLS[slot]
+    path = tmp_path / "input"
+    assert refusal(kind, template, "maybe", path) == f"{where.format(path=path)}: expected a boolean, got 'maybe'"

@@ -1,9 +1,11 @@
-"""numpy loads only in the commands that use arrays; the package exports load on first use and each is needed."""
+"""numpy loads only in the commands that use arrays; the package exports load on first use and each is needed;
+every third-party module the tests import is declared in pyproject.toml."""
 
 import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ import transient_kinetics
 from transient_kinetics import cli, dscfit, kinetics, mission
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+TESTS = Path(__file__).resolve().parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 
 def run_script(script: str, cwd: Path) -> str:
@@ -312,3 +315,22 @@ class TestExportsAreNeeded:
             assert name in names
         assert not [name for name in names if name.endswith("__")]
         assert {"synthesize_trace", "TERMINAL_TAGS", "ConversionSeries"} <= table_names()
+
+
+class TestDeclaredDependencies:
+    def test_every_third_party_module_the_tests_import_is_declared(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+        requirements = project["dependencies"] + project.get("optional-dependencies", {}).get("test", [])
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
+        imported = set()
+        for path in TESTS.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.partition(".")[0])
+        local = {"transient_kinetics", *(path.stem for path in TESTS.rglob("*.py"))}
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert {"numpy", "pytest", "hypothesis"} <= third_party  # the scan sees them
+        assert third_party <= declared, f"imported by the tests, not declared: {sorted(third_party - declared)}"
