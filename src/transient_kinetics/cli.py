@@ -91,8 +91,9 @@ EXIT_IO = 4
 ALPHA_TARGETS = (0.5, 0.9, 0.95, 0.99)
 
 # records or samples formatted per chunk of a streamed output, so that the
-# text held at once stays a few hundred KB however long the run
-CHUNK_ROWS = 4096
+# text held at once stays a few hundred KB however long the run: a telemetry
+# record is about 260 B of JSONL and 75 B of CSV, a profile row about 50 B
+CHUNK_ROWS = 1024
 
 
 def _write_summary(outdir: Path, command: str, cal: Calibration, results, extra=None) -> None:

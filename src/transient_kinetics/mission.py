@@ -538,10 +538,12 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
     return records
 
 
-# the operators longest first: an alternation takes the first branch that matches
+# the operators longest first: an alternation takes the first branch that matches;
+# the threshold is any one token that starts with no operator character, so
+# the number rule, not this pattern, refuses a word, NaN or an infinity
 _RULE_RE = re.compile(
     r"^\s*(?P<abs>abs\()?\s*(?P<field>[a-z_]+)\s*(?(abs)\))\s*"
-    rf"(?P<op>{'|'.join(sorted(_OPERATORS, key=len, reverse=True))})\s*(?P<value>[-+0-9.eE]+)\s*$"
+    rf"(?P<op>{'|'.join(sorted(_OPERATORS, key=len, reverse=True))})\s*(?P<value>[^\s<>=]\S*)\s*$"
 )
 
 

@@ -1070,6 +1070,51 @@ class TestStreamedOutputs:
         assert all(n <= chunk for n in rows[1:])
         assert sum(rows) == len(samples) + 1
 
+    # a UV dose, then a dark hold: the dose stays put from t = 100 s and a fast
+    # cure saturates alpha at 1.0 by t = 81 s, so both runs of equal values,
+    # each formatted once, cross chunk boundaries at every size below
+    SATURATING_SCHEDULE = "duration_s,temperature_C,uv_on\n100,120,true\n5000,120,false\n"
+    FAST_CURE = "[kinetics]\npre_exponential_per_s = 1703\n"
+
+    def test_streamed_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, capsys, monkeypatch):
+        sched, cfg = tmp_path / "sched.csv", tmp_path / "fast.cfg"
+        sched.write_text(self.SATURATING_SCHEDULE)
+        cfg.write_text(self.FAST_CURE)
+        commands = {
+            "simulate": ("scout_demo.mission", "--dt", 1),
+            "predict": (sched, "--config", cfg, "--dt", 1),
+        }
+        files = {"simulate": ("telemetry.jsonl", "telemetry.csv"), "predict": ("conversion_profile.csv",)}
+        outputs = []
+        for chunk in (7, 1024, 4096):
+            monkeypatch.setattr(cli_module, "CHUNK_ROWS", chunk)
+            outputs.append({})
+            for command, args in commands.items():
+                out = tmp_path / f"{command}-{chunk}"
+                code, err = main_in_process(capsys, command, *args, "--out", out)
+                assert code == 0, err
+                outputs[-1].update({name: (out / name).read_bytes() for name in files[command]})
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["telemetry.jsonl"].count(b"\n") == 8534
+        profile = outputs[0]["conversion_profile.csv"].decode().splitlines()[1:]
+        assert len(profile) == 5101
+        # the saturated alpha and the dark dose hold on each side of both larger boundaries
+        for boundary in (1024, 4096):
+            assert len({row.partition(",")[2] for row in profile[boundary - 2:boundary + 2]}) == 1
+            assert profile[boundary].split(",")[1] == "1.0"
+
+    def test_text_per_write_stays_bounded(self, tmp_path, capsys, monkeypatch):
+        cli_module._load_array_layers("mission")
+        jsonl_calls, csv_calls = [], []
+        monkeypatch.setattr(cli_module, "telemetry_to_jsonl", recording(telemetry_to_jsonl, jsonl_calls))
+        monkeypatch.setattr(cli_module, "telemetry_to_csv", recording(telemetry_to_csv, csv_calls))
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--dt", 1, "--out", out)
+        assert code == 0, err
+        # the recorded texts are the whole file, so no write escaped the bound
+        assert "".join(text for _, text in jsonl_calls) == (out / "telemetry.jsonl").read_text()
+        assert max(len(text.encode()) for _, text in jsonl_calls + csv_calls) <= 512 * 1024
+
 
 class TestUndecodableInput:
     @pytest.mark.parametrize(

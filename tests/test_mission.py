@@ -1101,11 +1101,17 @@ class TestMissionFile:
              "[alarms]\nrule = speed > 1 -> fast\n",
              "[alarms]: unknown telemetry field 'speed' (valid: t, position, alpha, hf_fraction, "
              "temp_resistance_ohm, temp_c, capacitance_pf, photocurrent_a)"),
+            # a threshold that is not a finite number reads as one, not as a malformed condition
+            *(("[zone.1]\nx_min = 0\nx_max = 1\ntemperature_c = 25\n[script]\ndwell = 5\n"
+               f"[alarms]\nrule = t > {value} -> x\n",
+               f"[alarms]: condition 't > {value}': expected a finite number, got '{value}'")
+              for value in ("abc", "nan", "-inf")),
         ],
         ids=["no-zone", "flat-zone", "gap", "no-command", "target", "start", "zero-kelvin", "empty-message",
              "unknown-section", "zone-keys", "unknown-command", "valued-self-destruct", "robot-keys", "non-rule-entry",
              "zone-no-x-min", "zone-both-temperatures", "zone-no-temperature", "zone-text-x-max", "zone-bad-uv",
-             "robot-text-position", "rule-unknown-field"],
+             "robot-text-position", "rule-unknown-field", "rule-text-threshold", "rule-nan-threshold",
+             "rule-infinite-threshold"],
     )
     def test_every_load_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.mission"
