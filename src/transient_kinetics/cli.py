@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import import_module
@@ -145,8 +146,11 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    # a comma would add a cell, and a leading '#' make the row a comment
-    text = value.replace(",", ";")
+    # a line break (any that str.splitlines knows) would split the row, a comma
+    # add a cell and a leading '#' make the row a comment; a lone surrogate (a
+    # file name's byte that is not UTF-8) cannot be written as UTF-8
+    text = re.sub("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]", " ", value).replace(",", ";")
+    text = re.sub("[\ud800-\udfff]", "\ufffd", text)
     return "\\" + text if text.lstrip().startswith("#") else text
 
 

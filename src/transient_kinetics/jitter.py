@@ -9,22 +9,18 @@ Generation", HMC-CS-2014-0905), on plain Python ints: the stream then
 depends neither on the installed numpy's ``Generator``, which numpy does
 not freeze across versions, nor on numpy being installed.
 
-Lane layout: a block is computed at once. Each value of the kernel, one
-uint32 or uint64 per step, is one int of ``BLOCK`` lanes of 64 bits; lane
-k, the step ``base + k``, is bits 64k to 64k + 63. A uint32 word sits in
-the low half of its lane. The product of two uint32 words fills the lane
-and is masked back to 32 bits (or split into its two halves), as is a
-right shift, which pulls the next lane's low bits into the top of each
-lane. So one big-int operation hashes, mixes or steps every lane. The
-draws are read out through ``int.to_bytes`` in little-endian order, lane 0
-first, into an ``array("Q")``, whose items are swapped to the host's byte
-order on a big-endian host.
+Lane layout: the two ``SeedSequence`` hashes run on a whole block at once.
+Each of their values, one uint32 word per step, is one int of ``BLOCK``
+lanes of 64 bits; lane k, the step ``base + k``, is bits 64k to 64k + 63,
+with the word in its low half. A product of two words is masked back to 32
+bits, as is a right shift, which pulls the next lane's low bits into the
+top of each lane; so one big-int operation hashes or mixes every lane. The
+hash's uint64 words are then read out, and PCG64 runs per step on plain ints.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 
 # a block never straddles 2**32, where the index's entropy grows by a word
 BLOCK = 4096
@@ -35,40 +31,23 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# PCG64's 128-bit multiplier, as 32-bit limbs from the lowest
-_PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for k in range(4))
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# PCG64's multiplier M, squared and plus one: two steps from state x give
+# x * M**2 + inc * (M + 1), mod 2**128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_SQUARED, _PCG_MULT_PLUS_1 = _PCG_MULT**2 & _MASK128, _PCG_MULT + 1
 
 _ONES = ((1 << 64 * BLOCK) - 1) // ((1 << 64) - 1)  # 1 in every lane
 _LOW32 = _MASK32 * _ONES  # the low 32 bits of every lane
 _TWO32 = _ONES << 32  # 2**32 in every lane
-# for a right rotation of every lane by 2**b: the bits that stay in the lane
-# after the right shift, and the bits that wrap round to its top
-_ROTATIONS = tuple(
-    (1 << b, ((1 << 64 - (1 << b)) - 1) * _ONES, ((1 << (1 << b)) - 1 << 64 - (1 << b)) * _ONES)
-    for b in range(6)
-)
-_LOW53 = ((1 << 53) - 1) * _ONES
+_LANES = struct.Struct(f"<{BLOCK}Q")  # lane k is the k-th little-endian uint64
+_IOTA = int.from_bytes(_LANES.pack(*range(BLOCK)), "little")  # k in lane k
 
 
-def _little_endian(lanes: array) -> array:
-    """``lanes`` converted in place between the host's byte order and little-endian."""
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
-
-
-_IOTA = int.from_bytes(_little_endian(array("Q", range(BLOCK))).tobytes(), "little")  # k in lane k
-
-
-def _int_words(n: int) -> list[int]:
-    """The little-endian uint32 words of an int >= 0, one word for 0, as SeedSequence splits it.
-
-    A negative int never ends the loop; ``StepPlan`` refuses a negative seed or step index.
-    """
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _int_words(n: int) -> tuple[int, ...]:
+    """The little-endian uint32 words of an int >= 0, one word for 0, as SeedSequence splits it."""
+    n_words = max(1, (n.bit_length() + 31) // 32)
+    return struct.unpack(f"<{n_words}I", n.to_bytes(4 * n_words, "little"))
 
 
 def _xorshift(value: int) -> int:
@@ -111,71 +90,31 @@ def _generate_state(pool: list[int], n_words: int) -> list[int]:
     return words
 
 
-def _carry(columns: list[int]) -> list[int]:
-    """The 32-bit limbs, lowest first, of a sum of 32-bit columns, mod 2**128."""
-    limbs, carry = [], 0
-    for column in columns:
-        total = column + carry
-        limbs.append(total & _LOW32)
-        carry = total >> 32 & _LOW32
-    return limbs
-
-
-def _add128(a: list[int], b: list[int]) -> list[int]:
-    """a + b mod 2**128, on 32-bit limbs."""
-    return _carry([x + y for x, y in zip(a, b)])
-
-
-def _mul128(a: list[int], b: tuple) -> list[int]:
-    """a * b mod 2**128, on 32-bit limbs; ``b`` is constant."""
-    # each 64-bit limb product's low half goes to column i + j, its high half to i + j + 1
-    columns = [0] * 4
-    for i in range(4):
-        for j in range(4 - i):
-            product = a[i] * b[j]
-            columns[i + j] += product & _LOW32
-            if i + j < 3:
-                columns[i + j + 1] += product >> 32 & _LOW32
-    return _carry(columns)
-
-
-def _rotate_right(value: int, rotation: int) -> int:
-    """Each 64-bit lane of ``value`` rotated right by the same lane of ``rotation`` (0 to 63).
-
-    Six fixed rotations, by 1, 2, 4, ..., 32, each kept in the lanes whose
-    rotation has that bit set.
-    """
-    for b, (shift, stays, wraps) in enumerate(_ROTATIONS):
-        rotated = value >> shift & stays | value << 64 - shift & wraps
-        chosen = (rotation >> b & _ONES) * 0xFFFFFFFFFFFFFFFF
-        value ^= (value ^ rotated) & chosen
-    return value
-
-
 def block(seed: int, base: int) -> list[float]:
     """The jitter draws in [-1, 1] of steps ``base`` to ``base + BLOCK - 1``.
 
     ``base`` is a multiple of ``BLOCK``, so every index of the block
-    splits into as many uint32 words, of which only the lowest varies.
+    splits into as many uint32 words, of which only the lowest varies. A
+    negative seed or base, or a base off that grid, raises ValueError.
     """
+    if seed < 0 or base < 0 or base % BLOCK:
+        raise ValueError(f"jitter block needs a seed >= 0 and a base >= 0 on a multiple of {BLOCK}, got {seed}, {base}")
     index_words = _int_words(base)
     low = _IOTA + index_words[0] * _ONES
     entropy = [w * _ONES for w in _int_words(seed)] + [low] + [w * _ONES for w in index_words[1:]]
-    # the step's seed word, then default_rng's SeedSequence of it, whose
-    # four uint64 words are PCG64's initstate (high, low) and initseq (high, low)
+    # the step's seed word, then default_rng's SeedSequence of it, whose four
+    # uint64 words are PCG64's initstate (high, low) and initseq (high, low)
     (step_seed,) = _generate_state(_seed_pool(entropy), 1)
     words = _generate_state(_seed_pool([step_seed]), 8)
-    initstate = [words[2], words[3], words[0], words[1]]
-    initseq = [words[6], words[7], words[4], words[5]]
-    # PCG64 seeding: inc = initseq << 1 | 1; step from 0, add initstate, step
-    inc = [initseq[0] << 1 & _LOW32 | _ONES] + [
-        initseq[k] << 1 & _LOW32 | initseq[k - 1] >> 31 & _ONES for k in range(1, 4)
-    ]
-    state = _add128(_mul128(_add128(inc, initstate), _PCG_MULT), inc)
-    # the first draw: one more step, then the XSL-RR output of the state
-    state = _add128(_mul128(state, _PCG_MULT), inc)
-    folded = (state[3] ^ state[1]) << 32 | state[2] ^ state[0]
-    output = _rotate_right(folded, state[3] >> 26 & 63 * _ONES)
-    # next_double, then uniform(-1, 1) = low + (high - low) * draw
-    lanes = _little_endian(array("Q", (output >> 11 & _LOW53).to_bytes(8 * BLOCK, "little")))
-    return [-1.0 + 2.0 * (u * (1.0 / 9007199254740992.0)) for u in lanes]
+    uint64s = (_LANES.unpack((words[k] | words[k + 1] << 32).to_bytes(8 * BLOCK, "little")) for k in range(0, 8, 2))
+    draws = []
+    for state_high, state_low, seq_high, seq_low in zip(*uint64s):
+        # PCG64 seeding: inc = initseq << 1 | 1; step from 0, add initstate,
+        # step; then one more step for the first draw
+        inc = (seq_high << 64 | seq_low) << 1 | 1
+        state = ((state_high << 64 | state_low) + inc) * _PCG_MULT_SQUARED + inc * _PCG_MULT_PLUS_1 & _MASK128
+        # XSL-RR output, next_double, then uniform(-1, 1) = low + (high - low) * draw
+        folded, rotation = (state >> 64 ^ state) & _MASK64, state >> 122
+        output = (folded >> rotation | folded << 64 - rotation) & _MASK64
+        draws.append(-1.0 + 2.0 * ((output >> 11) * (1.0 / 9007199254740992.0)))
+    return draws

@@ -205,17 +205,28 @@ class TestFitDsc:
 
     @pytest.mark.parametrize(
         "names, cells",
-        [(("run,80", "run,120"), ["run;80", "run;120"]), (("#80", "#120"), ["\\#80", "\\#120"])],
-        ids=["comma", "leading-hash"],
+        [
+            (("run,80", "run,120"), ["run;80", "run;120"]),
+            (("#80", "#120"), ["\\#80", "\\#120"]),
+            (("run\n80", "run\u2028120"), ["run 80", "run 120"]),
+            (("t\udcff80", "t\udcff120"), ["t\ufffd80", "t\ufffd120"]),
+        ],
+        ids=["comma", "leading-hash", "line-break", "not-utf8"],
     )
     def test_trace_names_keep_fit_table_rows_whole(self, tmp_path, capsys, names, cells):
-        # a comma would shift every later cell; a leading '#' would make the row a comment
+        # a comma would shift every later cell, a leading '#' would make the row a
+        # comment and a line break split it; a file name's byte that is not UTF-8
+        # (a lone surrogate in the name) cannot be written as UTF-8
         traces = []
         for name, t_c in zip(names, (80, 120)):
             temp_k = t_c + 273.15
             k = arrhenius_rate(ECOFLEX, temp_k)
             path = tmp_path / f"{name}.csv"
-            write_trace_csv(synthesize_trace(k, 10.0, (20.0 / k / 1500, 20.0 / k), temperature_k=temp_k), path)
+            trace = synthesize_trace(k, 10.0, (20.0 / k / 1500, 20.0 / k), temperature_k=temp_k)
+            try:
+                write_trace_csv(trace, path)
+            except (OSError, UnicodeEncodeError) as exc:
+                pytest.skip(f"the filesystem refuses the name {name!r}: {exc}")
             traces.append(path)
         fits = tmp_path / "fits"
         code, err = main_in_process(capsys, "fit-dsc", *traces, "--out", fits)

@@ -123,9 +123,9 @@ class TestNumpyFreeCommands:
             assert "10.8" in {row["capacitance_pF"] for row in csv.DictReader(telemetry)}
 
     def test_loading_the_layers_leaves_the_array_module_unloaded(self, tmp_path):
-        # predict's packed columns and simulate's jitter kernel import the array
-        # extension module when they run, so synth, fit-dsc and arrhenius never
-        # map it: it costs a process about 0.07 MB of peak RSS
+        # only predict's packed columns import the array extension module, when
+        # they run, so synth, fit-dsc, arrhenius and simulate never map it: it
+        # costs a process about 0.07 MB of peak RSS
         out = run_script(
             "import sys\n"
             "from transient_kinetics import cli\n"
@@ -135,6 +135,10 @@ class TestNumpyFreeCommands:
             tmp_path,
         )
         assert out == "False"
+        # a run through the degraded band computes jitter blocks
+        argv = ["simulate", "scout_demo.mission", "--dt", "20", "--out", "simulate"]
+        assert run_command(argv, tmp_path, module="array") == (0, False)
+        assert "sensor-degraded" in event_tags(tmp_path / "simulate")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/status")
     @pytest.mark.parametrize("caller, expected", [(None, "1 None"), ("2", "2")])

@@ -1011,6 +1011,17 @@ class TestJitterBlock:
         for lane in (0, jitter.BLOCK - 1):
             assert draws[lane] == reference_jitter(seed, base + lane), lane
 
+    @pytest.mark.parametrize(
+        "seed, base",
+        [(-1, 0), (0, -jitter.BLOCK), (3, 2**32 - 5), (3, 1)],
+        ids=["negative-seed", "negative-base", "unaligned-near-2**32", "unaligned"],
+    )
+    def test_block_refuses_what_it_cannot_compute(self, seed, base):
+        # a negative seed or base has no uint32 words; an unaligned base's
+        # lanes past 2**32 would take the wrong entropy words
+        with pytest.raises(ValueError, match="jitter block needs"):
+            jitter.block(seed, base)
+
     def test_kernel_imports_only_the_standard_library(self):
         tree = ast.parse(Path(jitter.__file__).read_text())
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
