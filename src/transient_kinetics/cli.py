@@ -414,6 +414,13 @@ def cmd_synth(args) -> int:
 
 
 def _seed_u64(value: str) -> int:
+    # a digit string longer than 2**64's 20 digits is refused unread: int()
+    # takes no more than 4 300 digits, and would call it not an integer
+    digits = value.strip().replace("_", "")
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if digits.isdecimal() and len(digits.lstrip("0")) > 20:
+        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     try:
         seed = int(value)
     except ValueError:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnreachableTargetError
@@ -57,31 +58,36 @@ def check_step_count(horizon_s: float, dt: float) -> None:
         )
 
 
-def interp(x: float, xs: list[float], ys: list[float]) -> float:
-    """``float(np.interp(x, xs, ys))`` for strictly increasing anchors ``xs``, bit for bit, without numpy.
+def check_anchor_table(name: str, table: tuple[tuple[float, float], ...], x_name: str) -> None:
+    """Refuse an (x, y) anchor table of fewer than 2 pairs, with a non-finite anchor, or whose x does not rise strictly."""
+    if len(table) < 2:
+        raise DomainError(f"{name} needs at least 2 anchor pairs")
+    if not all(math.isfinite(v) for pair in table for v in pair):
+        raise DomainError(f"{name} anchors must be finite")
+    if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
+        raise DomainError(f"{name} {x_name} must be strictly increasing")
 
-    The anchors are floats (or ints below 2**53, which convert exactly).
-    Below the first anchor it is ``ys[0]``, from the last on ``ys[-1]``, and
-    at an anchor its own value. Between two anchors it follows the line
-    from the left one; should that give NaN (a zero slope times an infinite
-    offset, or infinities of opposite sign added), the line from the right
-    one, and if that is NaN too and the pair is flat, the flat value. A NaN
-    ``x`` gives NaN.
+
+def interp(x: float, table: tuple[tuple[float, float], ...]) -> float:
+    """``float(np.interp(x, xs, ys))`` for the finite (x, y) anchors of ``table``, bit for bit, without numpy.
+
+    The x anchors rise strictly, and each anchor is a float or an int below
+    2**53. Outside the anchors it is the nearer end's y; between two it is
+    the line from the left one, or from the right one where that gives NaN
+    (anchors spanning more than a float holds). A NaN ``x`` gives NaN.
     """
     if x != x:
         return x
-    j = bisect_right(xs, x) - 1
+    j = bisect_right(table, x, key=itemgetter(0)) - 1
     if j < 0:
-        return float(ys[0])
-    if j == len(xs) - 1 or xs[j] == x:
-        return float(ys[j])
-    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-    y = slope * (x - xs[j]) + ys[j]
-    if y != y:
-        y = slope * (x - xs[j + 1]) + ys[j + 1]
-        if y != y and ys[j] == ys[j + 1]:
-            y = ys[j]
-    return y
+        return float(table[0][1])
+    x0, y0 = table[j]
+    if j == len(table) - 1 or x0 == x:
+        return float(y0)
+    x1, y1 = table[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    return slope * (x - x1) + y1 if y != y else y
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ActuationError, DomainError
-from .kinetics import check_positive, interp
+from .kinetics import check_anchor_table, check_positive, interp
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,14 @@ class ActuatorSpec:
             raise DomainError(
                 f"speed stride_per_cycle / cycle_period must be finite, got {self.speed!r} m/s"
             )
-        if self.angle_table is not None:
-            xs = [p for p, _ in self.angle_table]
-            ys = [a for _, a in self.angle_table]
-            if len(xs) < 2:
-                raise DomainError("angle_table needs at least 2 anchor pairs")
-            if xs[0] != 0.0 or ys[0] != 0.0:
+        table = self.angle_table
+        if table is not None:
+            check_anchor_table("angle_table", table, "pressures")
+            if table[0][0] != 0.0 or table[0][1] != 0.0:
                 raise DomainError("angle_table must start at the (0, 0) anchor")
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise DomainError("angle_table pressures must be strictly increasing")
-            if any(b < a for a, b in zip(ys, ys[1:])):
+            if any(b[1] < a[1] for a, b in zip(table, table[1:])):
                 raise DomainError("angle_table must be monotone in angle")
-            if xs[-1] < self.max_pressure:
+            if table[-1][0] < self.max_pressure:
                 raise DomainError("angle_table must cover max_pressure")
 
     @property
@@ -160,9 +156,7 @@ def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
             f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
         )
     if actuator.angle_table is not None:
-        xs = [p for p, _ in actuator.angle_table]
-        ys = [a for _, a in actuator.angle_table]
-        magnitude = interp(abs(pressure), xs, ys)
+        magnitude = interp(abs(pressure), actuator.angle_table)
         return math.copysign(magnitude, pressure) if pressure else 0.0
     return actuator.angle_per_pressure * pressure
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .config import Calibration, SimulationSettings, as_bool, as_float, parse_sections, section_data
-from .errors import ConfigError, DomainError, SensorFailedError, SimulationFault
+from .errors import ConfigError, DomainError, SimulationFault
 from .fileio import read_text
 from .kinetics import (
     ZERO_CELSIUS_K, arrhenius_rate, check_positive, check_step_count, conversion_update, dose_update, trigger_coupling
@@ -29,6 +29,7 @@ from .mechanics import GaitState, gait_advance
 from .sensors import (
     SENSOR_KINDS,
     STATUS_DEGRADED,
+    STATUS_FAILED,
     apply_degradation,
     photodiode_current,
     read_temperature,
@@ -369,10 +370,7 @@ class StepPlan:
                 temp_resistance(spec, body_temp_c), "temp", alpha, self.cal.health,
                 fail_resistance=spec.fail_resistance,
             )
-            try:
-                temperature = read_temperature(spec, resistance)
-            except SensorFailedError:
-                temperature = None
+            temperature = None if status == STATUS_FAILED else read_temperature(spec, resistance)
             last = self._last_temperature = (body_temp_c, status, (resistance, temperature))
         key = (zone_index, status, angle)
         cached = self._readings.get(key)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SensorFailedError, ValidityBandError
-from .kinetics import check_positive, interp
+from .kinetics import check_anchor_table, check_positive, interp
 
 TEMP_BAND_C = (-20.0, 200.0)
 BIAS_BAND_V = (-2.0, 2.0)
@@ -75,18 +75,14 @@ class StrainSensorSpec:
         check_positive("c0", self.c0, " pF")
         check_positive("swing", self.swing, " pF")
         check_positive("angle_full", self.angle_full, " deg")
-        if self.capacitance_table is not None:
-            xs = [a for a, _ in self.capacitance_table]
-            ys = [c for _, c in self.capacitance_table]
-            if len(xs) < 2:
-                raise DomainError("capacitance_table needs at least 2 anchor pairs")
-            if xs[0] != 0.0:
+        table = self.capacitance_table
+        if table is not None:
+            check_anchor_table("capacitance_table", table, "angles")
+            if table[0][0] != 0.0:
                 raise DomainError("capacitance_table must start at angle 0")
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise DomainError("capacitance_table angles must be strictly increasing")
-            if any(b <= a for a, b in zip(ys, ys[1:])):
+            if any(b[1] <= a[1] for a, b in zip(table, table[1:])):
                 raise DomainError("capacitance_table must be strictly increasing in pF")
-            if xs[-1] < self.angle_full:
+            if table[-1][0] < self.angle_full:
                 raise DomainError("capacitance_table must cover angle_full")
         # the map rises with the angle, so its largest reading is at angle_full
         largest = strain_capacitance(self, self.angle_full)
@@ -160,9 +156,7 @@ def strain_capacitance(spec: StrainSensorSpec, bending_angle: float) -> float:
             f"(+/-{spec.angle_full:.4g} deg)"
         )
     if spec.capacitance_table is not None:
-        xs = [a for a, _ in spec.capacitance_table]
-        ys = [c for _, c in spec.capacitance_table]
-        return interp(abs(bending_angle), xs, ys)
+        return interp(abs(bending_angle), spec.capacitance_table)
     return spec.c0 + spec.swing * (abs(bending_angle) / spec.angle_full)
 
 

@@ -1681,6 +1681,25 @@ class TestGlobalBehavior:
         proc = cli("synth", "--k", 1e-3, "--seed", 2**64, "--out", tmp_path / "out")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "seed",
+        ["9" * 4400, "-" + "9" * 4400, "9_" * 4400 + "9", " +" + "1" * 21],
+        ids=["4400-digits", "negative-4400-digits", "underscored-4401-digits", "21-digits"],
+    )
+    def test_a_seed_of_too_many_digits_is_out_of_range(self, tmp_path, capsys, seed):
+        # past int()'s 4 300-digit limit a seed is out of range, as one of 21 digits is
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli_module.main(["simulate", "scout_demo.mission", "--seed", seed, "--out", str(out)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed must be an unsigned 64-bit integer" in err
+        assert len(err) < 1000
+        assert not out.exists()
+
+    def test_leading_zeros_do_not_count_against_a_seed(self):
+        assert cli_module._seed_u64("0" * 30 + str(2**64 - 1)) == 2**64 - 1
+
     @pytest.mark.parametrize("seed", ["1.5", "abc"])
     def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
         out = tmp_path / "out"

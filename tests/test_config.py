@@ -363,6 +363,13 @@ class TestCalibration:
         separator = " " if message.startswith("[") else ": "
         assert str(err.value) == f"{cfg}{separator}{message}"
 
+    @pytest.mark.parametrize("entry", ["0:0, 12:35", "0:0, 12:35,"], ids=["plain", "trailing-comma"])
+    def test_anchor_table_reads_its_pairs(self, tmp_path, entry):
+        # an empty entry, as after a trailing comma, is skipped
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"[actuator]\nangle_table = {entry}\n")
+        assert load_calibration_file(cfg).actuator.angle_table == ((0.0, 0.0), (12.0, 35.0))
+
     @pytest.mark.parametrize(
         "section, entries, message",
         [

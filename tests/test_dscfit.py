@@ -143,6 +143,15 @@ class TestFitRateConstant:
                 hits += 1
         assert hits >= 11
 
+    def test_a_step_to_a_non_positive_parameter_is_refused(self):
+        # a peak late in the trace is no first-order decay; Gauss-Newton steps
+        # to k <= 0 from it, which the fit must refuse and damp, not take
+        t = np.linspace(0.0, 1000.0, 200)
+        trace = DscTrace(t, np.exp(-(((t - 700.0) / 50.0) ** 2)) + 1e-3, 300.0, True)
+        result = fit_rate_constant(trace)
+        assert result.k > 0
+        assert result.total_enthalpy > 0
+
     def test_flat_zero_trace(self):
         t = np.linspace(0, 10, 32)
         trace = DscTrace(t, np.zeros(32), 300.0, True)

@@ -21,6 +21,7 @@ from transient_kinetics.kinetics import (
     PhotolysisState,
     ScheduleSegment,
     arrhenius_rate,
+    check_anchor_table,
     check_step_count,
     conversion_update,
     dose_update,
@@ -315,11 +316,13 @@ class TestCheckStepCount:
             check_step_count(horizon_s, dt)
 
 
-# strictly increasing anchors with any values, flat or steep
-ANCHOR_XS = st.lists(st.floats(allow_nan=False), min_size=2, max_size=6, unique=True).map(sorted)
+# strictly increasing finite anchors with any values, flat or steep
+ANCHOR_XS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6, unique=True).map(
+    sorted
+)
 ANCHOR_YS = st.one_of(
-    st.floats(allow_nan=False).map(lambda y: [y] * 6),
-    st.lists(st.floats(allow_nan=False), min_size=6, max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda y: [y] * 6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
     st.lists(st.floats(-1e-300, 1e-300) | st.sampled_from([-1.7e308, 1.7e308]), min_size=6, max_size=6),
 )
 
@@ -330,13 +333,14 @@ class TestInterp:
     @staticmethod
     def assert_same(x, xs, ys):
         expected = float(np.interp(x, xs, ys))
-        assert interp(x, xs, ys).hex() == expected.hex(), (x, xs, ys)
+        assert interp(x, tuple(zip(xs, ys))).hex() == expected.hex(), (x, xs, ys)
 
     @settings(max_examples=300, deadline=None)
     @given(ANCHOR_XS, ANCHOR_YS, st.floats())
     @example([-1.5e308, 1.5e308], [2.0, 3.0] + [0.0] * 4, 1e308)  # 0 * inf on the left line: the right one
-    @example([0.0, 1.0], [math.inf, math.inf] + [0.0] * 4, 0.5)  # NaN both ways on a flat pair
+    @example([-1.5e308, 1.5e308], [2.0, 2.0] + [0.0] * 4, 1.4e308)  # the same on a flat pair
     @example([0.0, 1e-300], [-1.7e308, 1.7e308] + [0.0] * 4, 5e-301)  # an infinite slope
+    @example([-1.7e308, 1.7e308], [-1.7e308, 1.7e308] + [0.0] * 4, 0.0)  # inf / inf: NaN both ways
     def test_matches_numpy(self, xs, ys, x):
         ys = ys[: len(xs)]
         points = [x, 0.0, -0.0, *xs, math.nan, math.inf, -math.inf]
@@ -345,11 +349,29 @@ class TestInterp:
             self.assert_same(point, xs, ys)
 
     def test_anchors_and_ends(self):
-        xs, ys = [0.0, 6.0, 12.0], [0.0, 25.0, 35.0]
-        assert [interp(x, xs, ys) for x in (-1.0, 0.0, 3.0, 6.0, 12.0, 20.0)] == [0.0, 0.0, 12.5, 25.0, 35.0, 35.0]
-        assert math.isnan(interp(math.nan, xs, ys))
+        table = ((0.0, 0.0), (6.0, 25.0), (12.0, 35.0))
+        assert [interp(x, table) for x in (-1.0, 0.0, 3.0, 6.0, 12.0, 20.0)] == [0.0, 0.0, 12.5, 25.0, 35.0, 35.0]
+        assert math.isnan(interp(math.nan, table))
         # int anchors give floats, as numpy's float64 do
-        assert [repr(interp(x, [0, 10], [1, 2])) for x in (-1, 0, 5, 10)] == ["1.0", "1.0", "1.5", "2.0"]
+        assert [repr(interp(x, ((0, 1), (10, 2)))) for x in (-1, 0, 5, 10)] == ["1.0", "1.0", "1.5", "2.0"]
+
+
+class TestCheckAnchorTable:
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (((0.0, 0.0),), "t needs at least 2 anchor pairs"),
+            (((0.0, 0.0), (1.0, math.inf)), "t anchors must be finite"),
+            (((0.0, 0.0), (math.nan, 1.0)), "t anchors must be finite"),
+            (((0.0, 0.0), (-math.inf, 1.0)), "t anchors must be finite"),
+            (((0.0, 0.0), (0.0, 1.0)), "t xs must be strictly increasing"),
+            (((0.0, 0.0), (2.0, 1.0), (1.0, 2.0)), "t xs must be strictly increasing"),
+        ],
+        ids=["one-pair", "infinite-y", "nan-x", "infinite-x", "repeated-x", "falling-x"],
+    )
+    def test_refused_with_its_message(self, table, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_anchor_table("t", table, "xs")
 
 
 class TestScheduleTypes:

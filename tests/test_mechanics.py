@@ -98,8 +98,12 @@ class TestBendAngle:
         [
             (((0.0, 0.0), (6.0, 25.0), (12.0, 20.0)), "angle_table must be monotone in angle"),
             (((0.0, 0.0), (6.0, 25.0)), "angle_table must cover max_pressure"),
+            (((0.0, 0.0), (6.0, math.inf), (12.0, math.inf)), "angle_table anchors must be finite"),
+            (((0.0, 0.0), (math.nan, 20.0), (12.0, 35.0)), "angle_table anchors must be finite"),
+            # the rules both tables share come before the actuator's own
+            (((1.0, 5.0), (0.5, 6.0)), "angle_table pressures must be strictly increasing"),
         ],
-        ids=["falling-angle", "short-of-max-pressure"],
+        ids=["falling-angle", "short-of-max-pressure", "infinite-angle", "nan-pressure", "falling-late-start"],
     )
     def test_table_shape_rules(self, table, message):
         with pytest.raises(DomainError, match=f"^{message}$"):

@@ -133,8 +133,10 @@ class TestStrainSensor:
             (((5.0, 10.0), (35.0, 11.0)), "capacitance_table must start at angle 0"),
             (((0.0, 10.0), (20.0, 10.0), (35.0, 11.0)), "capacitance_table must be strictly increasing in pF"),
             (((0.0, 10.0), (20.0, 10.5)), "capacitance_table must cover angle_full"),
+            (((0.0, 10.0), (35.0, math.inf)), "capacitance_table anchors must be finite"),
+            (((0.0, 10.0), (math.nan, 10.5), (35.0, 11.0)), "capacitance_table anchors must be finite"),
         ],
-        ids=["late-start", "flat-capacitance", "short-of-angle-full"],
+        ids=["late-start", "flat-capacitance", "short-of-angle-full", "infinite-capacitance", "nan-angle"],
     )
     def test_table_shape_rules(self, table, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
