@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    LineError,
-    UntriggeredTraceError,
-    ZeroEnthalpyError,
-)
+from .errors import DomainError, InsufficientDataError, LineError
 from .fileio import atomic_writer, parse_bool, parse_csv, parse_number, read_text
 from .kinetics import GAS_CONSTANT, ArrheniusParams, check_positive, check_step_count, dsc_heat_flow
 
@@ -106,9 +100,7 @@ def total_enthalpy(trace: DscTrace, baseline: float = 0.0) -> float:
     corrected = trace.heat_flow_w - baseline
     value = float(_trapezoid(corrected, trace.time_s))
     if value <= 0.0:
-        raise ZeroEnthalpyError(
-            "trace released no net heat; conversion is undefined"
-        )
+        raise DomainError("trace released no net heat; conversion is undefined")
     return value
 
 
@@ -125,7 +117,7 @@ def conversion_profile(trace: DscTrace, baseline: float = 0.0) -> tuple[np.ndarr
     # normalize by the same accumulation so the last sample is exactly 1
     total = float(cumulative[-1])
     if total <= 0.0:
-        raise ZeroEnthalpyError("trace released no net heat; conversion is undefined")
+        raise DomainError("trace released no net heat; conversion is undefined")
     alpha = cumulative / total
     alpha = np.minimum(np.maximum.accumulate(alpha), 1.0)
     alpha = np.maximum(alpha, 0.0)
@@ -159,9 +151,7 @@ def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResu
     relative parameter step drops below 1e-9.
     """
     if not trace.uv_on:
-        raise UntriggeredTraceError(
-            "trace was recorded without UV; there is no reaction to fit"
-        )
+        raise DomainError("trace was recorded without UV; there is no reaction to fit")
     if trace.time_s.size < MIN_FIT_SAMPLES:
         raise DomainError(f"fitting needs at least {MIN_FIT_SAMPLES} samples")
     if baseline is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, UnreachableTargetError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     from array import array
@@ -59,9 +59,11 @@ def check_step_count(horizon_s: float, dt: float) -> None:
 
 
 def check_anchor_table(name: str, table: tuple[tuple[float, float], ...], x_name: str) -> None:
-    """Refuse an (x, y) anchor table of fewer than 2 pairs, with a non-finite anchor, or whose x does not rise strictly."""
+    """Refuse an anchor table of fewer than 2 anchors, one that is not an (x, y) pair or not finite, or whose x does not rise strictly."""
     if len(table) < 2:
         raise DomainError(f"{name} needs at least 2 anchor pairs")
+    if any(len(pair) != 2 for pair in table):
+        raise DomainError(f"{name} anchors must be (x, y) pairs")
     if not all(math.isfinite(v) for pair in table for v in pair):
         raise DomainError(f"{name} anchors must be finite")
     if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
@@ -204,10 +206,10 @@ def time_to_conversion(k: float, alpha_target: float) -> float:
     """Time to reach a target conversion, t = -ln(1 - alpha) / k."""
     if not 0.0 <= alpha_target < 1.0:
         if alpha_target == 1.0:
-            raise UnreachableTargetError("alpha = 1 is reached only asymptotically")
+            raise DomainError("alpha = 1 is reached only asymptotically")
         raise DomainError(f"alpha_target must lie in [0, 1), got {alpha_target}")
     if not k > 0:
-        raise UnreachableTargetError(f"rate constant must be > 0 to reach any conversion, got {k}")
+        raise DomainError(f"rate constant must be > 0 to reach any conversion, got {k}")
     return -math.log1p(-alpha_target) / k
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ActuationError, DomainError
+from .errors import DomainError
 from .kinetics import check_anchor_table, check_positive, interp
 
 
@@ -152,7 +152,7 @@ def fracture_check(material: MaterialSpec, strain: float) -> bool:
 def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
     """Bending angle (degrees, flexion positive) for a signed inlet pressure."""
     if abs(pressure) > actuator.max_pressure:
-        raise ActuationError(
+        raise DomainError(
             f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
         )
     if actuator.angle_table is not None:
@@ -164,7 +164,7 @@ def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
 def max_channel_strain(actuator: ActuatorSpec, pressure: float) -> float:
     """Peak strain at the air-channel wall for a signed inlet pressure."""
     if abs(pressure) > actuator.max_pressure:
-        raise ActuationError(
+        raise DomainError(
             f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
         )
     return actuator.strain_per_pressure * abs(pressure)

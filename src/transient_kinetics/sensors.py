@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SensorFailedError, ValidityBandError
+from .errors import DomainError
 from .kinetics import check_anchor_table, check_positive, interp
 
 TEMP_BAND_C = (-20.0, 200.0)
@@ -43,6 +43,8 @@ class TempSensorSpec:
     def __post_init__(self):
         check_positive("r0", self.r0, " ohm")
         check_positive("slope", self.slope, " ohm/degC")
+        if not math.isfinite(self.fail_resistance):
+            raise DomainError(f"fail_resistance must be finite and >= 1e6 ohm, got {self.fail_resistance!r}")
         if self.fail_resistance < 1e6:
             raise DomainError("fail_resistance must be >= 1e6 ohm")
         # a sound sensor reads above 0 and below the failure clamp (which it
@@ -131,7 +133,7 @@ def temp_resistance(spec: TempSensorSpec, temperature: float) -> float:
     """Sensor resistance (ohm) at an ambient temperature in degC."""
     lo, hi = TEMP_BAND_C
     if not lo <= temperature <= hi:
-        raise ValidityBandError(
+        raise DomainError(
             f"temperature {temperature:.4g} degC outside model band [{lo}, {hi}]"
         )
     return spec.r0 + spec.slope * (temperature - spec.t_ref)
@@ -140,7 +142,7 @@ def temp_resistance(spec: TempSensorSpec, temperature: float) -> float:
 def read_temperature(spec: TempSensorSpec, resistance: float) -> float:
     """Invert the R(T) line; fails once resistance hits the failure clamp."""
     if resistance >= spec.fail_resistance:
-        raise SensorFailedError(
+        raise DomainError(
             f"resistance {resistance:.4g} ohm is at or above the failure clamp"
         )
     if not resistance > 0:
@@ -151,7 +153,7 @@ def read_temperature(spec: TempSensorSpec, resistance: float) -> float:
 def strain_capacitance(spec: StrainSensorSpec, bending_angle: float) -> float:
     """Capacitance (pF) at a bending angle within the calibrated range."""
     if abs(bending_angle) > spec.angle_full:
-        raise ValidityBandError(
+        raise DomainError(
             f"angle {bending_angle:.4g} deg outside calibration "
             f"(+/-{spec.angle_full:.4g} deg)"
         )
@@ -169,7 +171,7 @@ def photodiode_current(spec: PhotodiodeSpec, bias: float, uv_on: bool) -> float:
     """
     lo, hi = BIAS_BAND_V
     if not lo <= bias <= hi:
-        raise ValidityBandError(f"bias {bias:.4g} V outside band [{lo}, {hi}]")
+        raise DomainError(f"bias {bias:.4g} V outside band [{lo}, {hi}]")
     if not uv_on:
         return spec.dark_current
     if bias >= 0:

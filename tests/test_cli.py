@@ -514,6 +514,18 @@ class TestPredict:
         assert err == f"error: {sched}: schedule must contain at least one segment\n"
         assert not out.exists()
 
+    def test_schedule_in_fahrenheit_exits_2(self, tmp_path, capsys):
+        # read as kelvin, 248 F would run as a cold 248 K hold
+        sched = tmp_path / "sched.csv"
+        sched.write_text("duration_s,temperature_F,uv_on\n3600,248,true\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(capsys, "predict", sched, "--out", out)
+        assert code == 2
+        assert err == (
+            f"error: {sched}:1: schedule header must be duration_s,temperature_C|temperature_K,uv_on\n"
+        )
+        assert not out.exists()
+
     def test_explicit_parameters_override(self, tmp_path):
         sched = tmp_path / "sched.csv"
         sched.write_text("duration_s,temperature_C,uv_on\n30000,120,true\n")

@@ -23,13 +23,7 @@ from transient_kinetics.dscfit import (
     total_enthalpy,
     write_trace_csv,
 )
-from transient_kinetics.errors import (
-    DomainError,
-    InsufficientDataError,
-    LineError,
-    UntriggeredTraceError,
-    ZeroEnthalpyError,
-)
+from transient_kinetics.errors import DomainError, InsufficientDataError, LineError
 from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate, dsc_heat_flow
 
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
@@ -77,7 +71,7 @@ class TestTotalEnthalpy:
 
     def test_flat_zero_raises(self):
         trace = DscTrace(np.linspace(0, 10, 16), np.zeros(16), 300.0, True)
-        with pytest.raises(ZeroEnthalpyError):
+        with pytest.raises(DomainError, match="trace released no net heat"):
             total_enthalpy(trace)
 
     def test_two_point_rectangle(self):
@@ -120,7 +114,7 @@ class TestConversionProfile:
 
     def test_propagates_zero_enthalpy(self):
         trace = DscTrace(np.linspace(0, 10, 16), np.zeros(16), 300.0, True)
-        with pytest.raises(ZeroEnthalpyError):
+        with pytest.raises(DomainError, match="trace released no net heat"):
             conversion_profile(trace)
 
 
@@ -155,12 +149,12 @@ class TestFitRateConstant:
     def test_flat_zero_trace(self):
         t = np.linspace(0, 10, 32)
         trace = DscTrace(t, np.zeros(32), 300.0, True)
-        with pytest.raises(ZeroEnthalpyError):
+        with pytest.raises(DomainError, match="trace released no net heat"):
             fit_rate_constant(trace)
 
     def test_untriggered_trace_rejected(self):
         trace = make_trace(1e-3, 10.0, uv_on=False)
-        with pytest.raises(UntriggeredTraceError):
+        with pytest.raises(DomainError, match="trace was recorded without UV"):
             fit_rate_constant(trace)
 
     def test_too_few_samples(self):

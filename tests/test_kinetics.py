@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transient_kinetics.errors import DomainError, UnreachableTargetError
+from transient_kinetics.errors import DomainError
 from transient_kinetics.kinetics import (
     DEFAULT_HF_SAT,
     DEFAULT_K_PHOTO,
@@ -173,9 +173,9 @@ class TestTimeToConversion:
         assert time_to_conversion(1e-3, 0.5) == pytest.approx(693.1, abs=0.1)
 
     def test_unreachable_targets(self):
-        with pytest.raises(UnreachableTargetError):
+        with pytest.raises(DomainError, match="alpha = 1 is reached only asymptotically"):
             time_to_conversion(1e-3, 1.0)
-        with pytest.raises(UnreachableTargetError):
+        with pytest.raises(DomainError, match="rate constant must be > 0 to reach any conversion"):
             time_to_conversion(0.0, 0.5)
 
     def test_mutual_inverse_with_isothermal(self):
@@ -366,8 +366,11 @@ class TestCheckAnchorTable:
             (((0.0, 0.0), (-math.inf, 1.0)), "t anchors must be finite"),
             (((0.0, 0.0), (0.0, 1.0)), "t xs must be strictly increasing"),
             (((0.0, 0.0), (2.0, 1.0), (1.0, 2.0)), "t xs must be strictly increasing"),
+            # the pair rule comes before the finite and order rules
+            (((0.0, 0.0, math.nan), (-1.0, 1.0)), "t anchors must be (x, y) pairs"),
+            (((0.0,), (1.0, 1.0)), "t anchors must be (x, y) pairs"),
         ],
-        ids=["one-pair", "infinite-y", "nan-x", "infinite-x", "repeated-x", "falling-x"],
+        ids=["one-pair", "infinite-y", "nan-x", "infinite-x", "repeated-x", "falling-x", "triple-anchor", "single-anchor"],
     )
     def test_refused_with_its_message(self, table, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

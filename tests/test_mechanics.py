@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from transient_kinetics.errors import ActuationError, DomainError
+from transient_kinetics.errors import DomainError
 from transient_kinetics.mechanics import (
     DEFAULT_ACTUATOR,
     MATERIAL_PRESETS,
@@ -73,7 +73,7 @@ class TestBendAngle:
             assert bend_angle(DEFAULT_ACTUATOR, -p) == -bend_angle(DEFAULT_ACTUATOR, p)
 
     def test_overpressure(self):
-        with pytest.raises(ActuationError):
+        with pytest.raises(DomainError, match="pressure 12.5 kPa exceeds rated 12 kPa"):
             bend_angle(DEFAULT_ACTUATOR, 12.5)
 
     def test_piecewise_table_override(self):
@@ -102,11 +102,16 @@ class TestBendAngle:
             (((0.0, 0.0), (math.nan, 20.0), (12.0, 35.0)), "angle_table anchors must be finite"),
             # the rules both tables share come before the actuator's own
             (((1.0, 5.0), (0.5, 6.0)), "angle_table pressures must be strictly increasing"),
+            (((0.0, 0.0, 9.0), (12.0, 35.0)), "angle_table anchors must be (x, y) pairs"),
+            (((0.0,), (12.0, 35.0)), "angle_table anchors must be (x, y) pairs"),
         ],
-        ids=["falling-angle", "short-of-max-pressure", "infinite-angle", "nan-pressure", "falling-late-start"],
+        ids=[
+            "falling-angle", "short-of-max-pressure", "infinite-angle", "nan-pressure", "falling-late-start",
+            "triple-anchor", "single-anchor",
+        ],
     )
     def test_table_shape_rules(self, table, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             ActuatorSpec(1.0, 12.0, 0.07, 0.025, 1.0, angle_table=table)
 
 
@@ -124,7 +129,7 @@ class TestMaxChannelStrain:
         assert max_channel_strain(DEFAULT_ACTUATOR, -12.0) == pytest.approx(0.8356, rel=1e-12)
 
     def test_overpressure(self):
-        with pytest.raises(ActuationError):
+        with pytest.raises(DomainError, match="pressure -12.01 kPa exceeds rated 12 kPa"):
             max_channel_strain(DEFAULT_ACTUATOR, -12.01)
 
     def test_wall_material_check(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transient_kinetics.errors import DomainError, SensorFailedError, ValidityBandError
+from transient_kinetics.errors import DomainError
 from transient_kinetics.sensors import (
     DEGRADED_JITTER_GAIN,
     FAIL_RESISTANCE_OHM,
@@ -58,13 +58,13 @@ class TestTempSensor:
         assert readout[4] == pytest.approx(100.0, abs=1e-9)
 
     def test_band_validity(self):
-        with pytest.raises(ValidityBandError):
+        with pytest.raises(DomainError, match="temperature 201 degC outside model band"):
             temp_resistance(TEMP, 201.0)
-        with pytest.raises(ValidityBandError):
+        with pytest.raises(DomainError, match="temperature -21 degC outside model band"):
             temp_resistance(TEMP, -21.0)
 
     def test_failed_resistance_rejected(self):
-        with pytest.raises(SensorFailedError):
+        with pytest.raises(DomainError, match=re.escape("resistance 1e+06 ohm is at or above the failure clamp")):
             read_temperature(TEMP, TEMP.fail_resistance)
 
     def test_caption_variant_slope(self):
@@ -92,8 +92,14 @@ class TestLibraryRefusals:
             (apply_degradation, (10.0, "temp", -0.1, HEALTH, 0.0), "alpha must lie in [0, 1]"),
             (apply_degradation, (10.0, "temp", 1.5, HEALTH, 0.0), "alpha must lie in [0, 1]"),
             (apply_degradation, (10.0, "strain", math.nan, HEALTH, 0.0), "alpha must lie in [0, 1]"),
+            # a file cannot give these: its number rule refuses inf and NaN
+            (TempSensorSpec, (10.0, 0.002, 25.0, math.inf), "fail_resistance must be finite and >= 1e6 ohm, got inf"),
+            (TempSensorSpec, (10.0, 0.002, 25.0, math.nan), "fail_resistance must be finite and >= 1e6 ohm, got nan"),
         ],
-        ids=["zero-resistance", "negative-resistance", "nan-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan"],
+        ids=[
+            "zero-resistance", "negative-resistance", "nan-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan",
+            "infinite-fail-resistance", "nan-fail-resistance",
+        ],
     )
     def test_refused_with_its_message(self, call, args, head):
         with pytest.raises(DomainError, match=re.escape(head)):
@@ -119,7 +125,7 @@ class TestStrainSensor:
         assert strain_capacitance(STRAIN, -20.0) == strain_capacitance(STRAIN, 20.0)
 
     def test_out_of_calibration(self):
-        with pytest.raises(ValidityBandError):
+        with pytest.raises(DomainError, match=re.escape("angle 35.1 deg outside calibration (+/-35 deg)")):
             strain_capacitance(STRAIN, 35.1)
 
     def test_table_override(self):
@@ -135,11 +141,16 @@ class TestStrainSensor:
             (((0.0, 10.0), (20.0, 10.5)), "capacitance_table must cover angle_full"),
             (((0.0, 10.0), (35.0, math.inf)), "capacitance_table anchors must be finite"),
             (((0.0, 10.0), (math.nan, 10.5), (35.0, 11.0)), "capacitance_table anchors must be finite"),
+            (((0.0, 10.0, 9.0), (35.0, 11.0)), "capacitance_table anchors must be (x, y) pairs"),
+            (((0.0,), (35.0, 11.0)), "capacitance_table anchors must be (x, y) pairs"),
         ],
-        ids=["late-start", "flat-capacitance", "short-of-angle-full", "infinite-capacitance", "nan-angle"],
+        ids=[
+            "late-start", "flat-capacitance", "short-of-angle-full", "infinite-capacitance", "nan-angle",
+            "triple-anchor", "single-anchor",
+        ],
     )
     def test_table_shape_rules(self, table, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             StrainSensorSpec(capacitance_table=table)
 
 
@@ -163,7 +174,7 @@ class TestPhotodiode:
         assert all(b >= a for a, b in zip(currents, currents[1:]))
 
     def test_band_validity(self):
-        with pytest.raises(ValidityBandError):
+        with pytest.raises(DomainError, match=re.escape("bias 2.1 V outside band [-2.0, 2.0]")):
             photodiode_current(PHOTO, 2.1, uv_on=True)
 
     def test_spec_validation(self):
