@@ -13,7 +13,6 @@ parsing, unknown-key rejection and the summary echo.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError, LineError
 from .fileio import parse_bool, parse_number, read_text
-from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams, check_positive
+from .kinetics import DEFAULT_HF_SAT, DEFAULT_K_PHOTO, ArrheniusParams, check_nonnegative, check_positive
 from .mechanics import (
     DEFAULT_ACTUATOR,
     MATERIAL_PRESETS,
@@ -126,10 +125,8 @@ class SimulationSettings:
             raise DomainError(f"dose_alarm_fraction must lie in [0, 1], got {self.dose_alarm_fraction!r}")
         check_positive("step size", self.dt_s, " s")
         check_positive("timeout_s", self.timeout_s, " s")
-        for name, unit in (("body_thermal_lag_s", "s"), ("uv_current_threshold_a", "A")):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be finite and >= 0 {unit}, got {value!r}")
+        check_nonnegative("body_thermal_lag_s", self.body_thermal_lag_s, " s")
+        check_nonnegative("uv_current_threshold_a", self.uv_current_threshold_a, " A")
         lo, hi = BIAS_BAND_V
         if not lo <= self.monitor_bias_v <= hi:
             raise DomainError(
@@ -165,8 +162,7 @@ class Calibration:
 
     def __post_init__(self):
         # a negative rate would make the photolysis dose run away from its saturation
-        if not 0 <= self.photolysis_rate < math.inf:
-            raise DomainError(f"photolysis_rate must be finite and >= 0, got {self.photolysis_rate!r}")
+        check_nonnegative("photolysis_rate", self.photolysis_rate)
         check_positive("hf_saturation", self.hf_saturation)
         check_positive("dpi_initial", self.dpi_initial)
         if self.wall_material not in self.materials:

@@ -50,6 +50,12 @@ def check_positive(name: str, value: float, unit: str = "") -> None:
         raise DomainError(f"{name} must be finite and > 0{unit}, got {value!r}")
 
 
+def check_nonnegative(name: str, value: float, unit: str = "") -> None:
+    """Refuse a value that is not finite and >= 0; ``unit`` follows the bound in the message."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0{unit}, got {value!r}")
+
+
 def check_step_count(horizon_s: float, dt: float) -> None:
     """Refuse a span of ``horizon_s`` at steps (or samples) of ``dt`` that needs more than ``MAX_STEPS`` of them."""
     if horizon_s / dt > MAX_STEPS:
@@ -101,8 +107,7 @@ class ArrheniusParams:
 
     def __post_init__(self):
         check_positive("pre_exponential", self.pre_exponential)
-        if not 0 <= self.activation_energy < math.inf:
-            raise DomainError(f"activation_energy must be finite and >= 0, got {self.activation_energy!r}")
+        check_nonnegative("activation_energy", self.activation_energy)
 
     @classmethod
     def from_kj_per_mol(cls, pre_exponential: float, activation_energy_kj: float) -> "ArrheniusParams":
@@ -125,8 +130,7 @@ class PhotolysisState:
         check_positive("dpi_initial", self.dpi_initial)
         if not 0.0 <= self.hf <= self.dpi_initial:
             raise DomainError("hf must lie in [0, dpi_initial]")
-        if not 0.0 <= self.k_photo < math.inf:
-            raise DomainError(f"k_photo must be finite and >= 0, got {self.k_photo!r}")
+        check_nonnegative("k_photo", self.k_photo)
 
     @classmethod
     def saturated(cls, dpi_initial: float = 1.0, k_photo: float = DEFAULT_K_PHOTO) -> "PhotolysisState":

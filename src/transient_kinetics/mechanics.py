@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .kinetics import check_anchor_table, check_positive, interp
+from .kinetics import check_anchor_table, check_nonnegative, check_positive, interp
 
 
 @dataclass(frozen=True)
@@ -94,41 +94,20 @@ class GaitState:
     cycle_progress: float = 0.0  # fraction of the current cycle, [0, 1)
 
 
-# Tensile anchors measured for DPI-HFP/Ecoflex 00-30 at 0/10/20 wt% filler;
-# the modulus and elastic limit are shared (filler does not stiffen the
-# matrix), only the fracture point moves. FEA constants: 40 kPa modulus,
+# Tensile anchors measured for DPI-HFP/Ecoflex 00-30 at 0/10/20 wt% filler:
+# only the fracture point moves, the modulus and elastic limit are shared
+# (filler does not stiffen the matrix). FEA constants: 40 kPa modulus,
 # Poisson 0.43, density 1.07 g/cc.
 MATERIAL_PRESETS: dict[str, MaterialSpec] = {
-    "ecoflex-0wt": MaterialSpec(
-        name="ecoflex-0wt",
-        modulus=40.02e3,
-        elastic_limit_strain=4.0,
-        fracture_strain=6.8372,
-        fracture_stress=0.4251e6,
-        poisson=0.43,
-        density=1070.0,
-        dpi_wt_percent=0.0,
-    ),
-    "ecoflex-10wt": MaterialSpec(
-        name="ecoflex-10wt",
-        modulus=40.02e3,
-        elastic_limit_strain=4.0,
-        fracture_strain=5.7167,
-        fracture_stress=0.1453e6,
-        poisson=0.43,
-        density=1070.0,
-        dpi_wt_percent=10.0,
-    ),
-    "ecoflex-20wt": MaterialSpec(
-        name="ecoflex-20wt",
-        modulus=40.02e3,
-        elastic_limit_strain=4.0,
-        fracture_strain=4.9334,
-        fracture_stress=0.1897e6,
-        poisson=0.43,
-        density=1070.0,
-        dpi_wt_percent=20.0,
-    ),
+    spec.name: spec
+    for spec in (
+        MaterialSpec(
+            f"ecoflex-{wt:.0f}wt", modulus=40.02e3, elastic_limit_strain=4.0, fracture_strain=strain,
+            fracture_stress=stress, poisson=0.43, density=1070.0, dpi_wt_percent=wt,
+        )
+        # (filler wt%, fracture strain, fracture stress in Pa)
+        for wt, strain, stress in ((0.0, 6.8372, 0.4251e6), (10.0, 5.7167, 0.1453e6), (20.0, 4.9334, 0.1897e6))
+    )
 }
 
 # 12 kPa drives a 35 degree bend and 83.56% peak channel strain; one
@@ -149,12 +128,15 @@ def fracture_check(material: MaterialSpec, strain: float) -> bool:
     return strain > material.fracture_strain
 
 
+def _check_rated(actuator: ActuatorSpec, pressure: float) -> None:
+    """Refuse a pressure, NaN included, whose magnitude is not within the actuator's rating."""
+    if not abs(pressure) <= actuator.max_pressure:
+        raise DomainError(f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa")
+
+
 def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
     """Bending angle (degrees, flexion positive) for a signed inlet pressure."""
-    if abs(pressure) > actuator.max_pressure:
-        raise DomainError(
-            f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
-        )
+    _check_rated(actuator, pressure)
     if actuator.angle_table is not None:
         magnitude = interp(abs(pressure), actuator.angle_table)
         return math.copysign(magnitude, pressure) if pressure else 0.0
@@ -163,10 +145,7 @@ def bend_angle(actuator: ActuatorSpec, pressure: float) -> float:
 
 def max_channel_strain(actuator: ActuatorSpec, pressure: float) -> float:
     """Peak strain at the air-channel wall for a signed inlet pressure."""
-    if abs(pressure) > actuator.max_pressure:
-        raise DomainError(
-            f"pressure {pressure:.4g} kPa exceeds rated {actuator.max_pressure:.4g} kPa"
-        )
+    _check_rated(actuator, pressure)
     return actuator.strain_per_pressure * abs(pressure)
 
 
@@ -193,8 +172,7 @@ def gait_advance(
     is the flexed stroke (full positive pressure), the second half the
     extended recovery (vented, zero angle).
     """
-    if elapsed < 0:
-        raise DomainError("elapsed must be >= 0")
+    check_nonnegative("elapsed", elapsed)
     if not 0.0 <= mobility <= 1.0:
         raise DomainError("mobility must lie in [0, 1]")
     position = state.position + actuator.speed * mobility * elapsed

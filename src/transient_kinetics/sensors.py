@@ -152,7 +152,7 @@ def read_temperature(spec: TempSensorSpec, resistance: float) -> float:
 
 def strain_capacitance(spec: StrainSensorSpec, bending_angle: float) -> float:
     """Capacitance (pF) at a bending angle within the calibrated range."""
-    if abs(bending_angle) > spec.angle_full:
+    if not abs(bending_angle) <= spec.angle_full:
         raise DomainError(
             f"angle {bending_angle:.4g} deg outside calibration "
             f"(+/-{spec.angle_full:.4g} deg)"

@@ -751,6 +751,17 @@ class TestSimulate:
         assert err == f"error: {cfg}: photolysis_rate must be finite and >= 0, got -1.0\n"
         assert not out.exists()
 
+    def test_negative_activation_energy_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("[kinetics]\nactivation_energy_kj_per_mol = -1\n")
+        out = tmp_path / "out"
+        code, err = main_in_process(
+            capsys, "simulate", "scout_demo.mission", "--dt", 1, "--config", cfg, "--out", out
+        )
+        assert code == 2
+        assert err == f"error: {cfg}: activation_energy must be finite and >= 0, got -1000.0\n"
+        assert not out.exists()
+
     def test_negative_timeout_exits_2(self, tmp_path, capsys):
         # it ran one step and reported "timeout"
         cfg = tmp_path / "sim.cfg"
@@ -1354,8 +1365,9 @@ class TestSimulationRanges:
             ("dose_alarm_fraction = -5", "dose_alarm_fraction must lie in [0, 1], got -5.0"),
             ("dose_alarm_fraction = 1.5", "dose_alarm_fraction must lie in [0, 1], got 1.5"),
             ("uv_current_threshold_a = -1e308", "uv_current_threshold_a must be finite and >= 0 A, got -1e+308"),
+            ("body_thermal_lag_s = -1", "body_thermal_lag_s must be finite and >= 0 s, got -1.0"),
         ],
-        ids=["bias-high", "bias-low", "dose-negative", "dose-above-1", "uv-threshold-negative"],
+        ids=["bias-high", "bias-low", "dose-negative", "dose-above-1", "uv-threshold-negative", "thermal-lag-negative"],
     )
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_out_of_range_value_exits_2_naming_the_file(self, tmp_path, capsys, command, entry, message):

@@ -285,6 +285,7 @@ class TestLibraryRefusals:
             (time_to_conversion, (1e-3, math.nan), "alpha_target must lie in [0, 1)"),
             (dsc_heat_flow, (1e-3, 0.0, 1.0), "total_enthalpy must be > 0"),
             (dsc_heat_flow, (-1e-3, 10.0, 1.0), "rate constant must be >= 0"),
+            (PhotolysisState, (1.0, 0.0, math.nan), "k_photo must be finite and >= 0, got nan"),
         ],
         ids=[
             "isothermal-negative-rate",
@@ -298,6 +299,7 @@ class TestLibraryRefusals:
             "target-nan",
             "heat-zero-enthalpy",
             "heat-negative-rate",
+            "photolysis-nan-rate",
         ],
     )
     def test_refused_with_its_message(self, law, args, head):

@@ -53,8 +53,17 @@ class TestLibraryRefusals:
             (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -1e-9), "strain must be >= 0"),
             (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], -math.inf), "strain must be >= 0"),
             (fracture_check, (MATERIAL_PRESETS["ecoflex-0wt"], math.nan), "strain must be >= 0"),
+            (bend_angle, (DEFAULT_ACTUATOR, math.nan), "pressure nan kPa exceeds rated 12 kPa"),
+            (max_channel_strain, (DEFAULT_ACTUATOR, math.nan), "pressure nan kPa exceeds rated 12 kPa"),
+            (gait_advance, (GaitState(), DEFAULT_ACTUATOR, math.nan, 1.0), "elapsed must be finite and >= 0, got nan"),
+            (gait_advance, (GaitState(), DEFAULT_ACTUATOR, math.inf, 1.0), "elapsed must be finite and >= 0, got inf"),
+            (gait_advance, (GaitState(), DEFAULT_ACTUATOR, -1.0, 1.0), "elapsed must be finite and >= 0, got -1.0"),
         ],
-        ids=["fracture-negative-strain", "fracture-minus-inf-strain", "fracture-nan-strain"],
+        ids=[
+            "fracture-negative-strain", "fracture-minus-inf-strain", "fracture-nan-strain",
+            "bend-nan-pressure", "channel-strain-nan-pressure",
+            "gait-nan-elapsed", "gait-infinite-elapsed", "gait-negative-elapsed",
+        ],
     )
     def test_refused_with_its_message(self, call, args, head):
         with pytest.raises(DomainError, match=re.escape(head)):

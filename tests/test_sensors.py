@@ -95,10 +95,11 @@ class TestLibraryRefusals:
             # a file cannot give these: its number rule refuses inf and NaN
             (TempSensorSpec, (10.0, 0.002, 25.0, math.inf), "fail_resistance must be finite and >= 1e6 ohm, got inf"),
             (TempSensorSpec, (10.0, 0.002, 25.0, math.nan), "fail_resistance must be finite and >= 1e6 ohm, got nan"),
+            (strain_capacitance, (STRAIN, math.nan), "angle nan deg outside calibration (+/-35 deg)"),
         ],
         ids=[
             "zero-resistance", "negative-resistance", "nan-resistance", "alpha-below-0", "alpha-above-1", "alpha-nan",
-            "infinite-fail-resistance", "nan-fail-resistance",
+            "infinite-fail-resistance", "nan-fail-resistance", "strain-nan-angle",
         ],
     )
     def test_refused_with_its_message(self, call, args, head):
