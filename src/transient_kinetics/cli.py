@@ -156,8 +156,6 @@ def _csv_cell(value) -> str:
 
 def cmd_fit_dsc(args) -> int:
     _load_array_layers("dscfit")
-    import numpy as np
-
     cal = _load_effective_calibration(args)
     rows = []
     any_failed = False
@@ -172,12 +170,10 @@ def cmd_fit_dsc(args) -> int:
             error="",
         )
         try:
-            # a heat flow too large for float arithmetic overflows; the row says so below
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = fit_rate_constant(trace)
+            result = fit_rate_constant(trace)
         except DomainError as exc:
             row["error"] = str(exc)
-        else:
+        else:  # a heat flow too large for float arithmetic overflows; the row says so
             fitted = dict(
                 k_per_s=result.k, total_enthalpy_J=result.total_enthalpy, residual_rms_W=result.residual_rms
             )
@@ -200,7 +196,11 @@ def cmd_fit_dsc(args) -> int:
 def cmd_arrhenius(args) -> int:
     _load_array_layers("dscfit")
     cal = _load_effective_calibration(args)
-    fit = fit_arrhenius(_read_fit_table(Path(args.fit_table)))
+    path = Path(args.fit_table)
+    try:
+        fit = fit_arrhenius(_read_fit_table(path))
+    except DomainError as exc:  # a refusal of the rows as a whole names the table, as a schedule's does
+        raise type(exc)(f"{path}: {exc}") from None
     plot_lines = ["inv_temperature_per_K,ln_k"]
     for temp, k in fit.points:
         plot_lines.append(f"{1.0 / temp!r},{math.log(k)!r}")
@@ -220,15 +220,14 @@ def cmd_arrhenius(args) -> int:
 def _read_fit_table(path: Path) -> list[tuple[float, float]]:
     """(temperature_K, k_per_s) of each converged row of a fit table."""
     _, rows = parse_csv(read_text(path, "fit table"), path)
-    header = [h.strip() for h in rows[0][1]]
     try:
-        i_temp, i_k, i_conv = map(header.index, ("temperature_K", "k_per_s", "converged"))
+        i_temp, i_k, i_conv = map(rows[0][1].index, ("temperature_K", "k_per_s", "converged"))
     except ValueError:
         raise LineError(path, rows[0][0], "fit table must carry temperature_K,k_per_s,converged columns") from None
     points = []
     for n, cells in rows[1:]:
         try:
-            if parse_bool(cells[i_conv]) and cells[i_k].strip():
+            if parse_bool(cells[i_conv]) and cells[i_k]:
                 points.append((parse_number(cells[i_temp]), parse_number(cells[i_k])))
         except ValueError as exc:
             raise LineError(path, n, str(exc)) from None
@@ -237,7 +236,7 @@ def _read_fit_table(path: Path) -> list[tuple[float, float]]:
 
 def _read_schedule_csv(path: Path) -> ExposureSchedule:
     _, rows = parse_csv(read_text(path, "schedule"), path)
-    header = [h.strip() for h in rows[0][1]]
+    header = rows[0][1]
     if header not in (["duration_s", "temperature_C", "uv_on"], ["duration_s", "temperature_K", "uv_on"]):
         raise LineError(path, rows[0][0], "schedule header must be duration_s,temperature_C|temperature_K,uv_on")
     celsius = header[1] == "temperature_C"
@@ -387,7 +386,6 @@ def cmd_synth(args) -> int:
             noise_fraction=args.noise,
             seed=args.seed + index,
             temperature_k=temp_k,
-            uv_on=True,
             label=label,
         )
         # synthesizing checks the job and refuses a noise draw that overflows,

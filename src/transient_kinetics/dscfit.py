@@ -142,13 +142,16 @@ def _initial_guess(trace: DscTrace, baseline: float) -> tuple[float, float]:
     return k0, dh0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResult:
     """Fit (k, dH_total) of q(t) = k dH exp(-k t) by damped Gauss-Newton.
 
     ``baseline`` of None estimates the offset from the trailing-window
     median before fitting. Damping grows tenfold on rejected steps and
     shrinks tenfold on accepted ones; convergence is declared when the
-    relative parameter step drops below 1e-9.
+    relative parameter step drops below 1e-9. A heat flow too large for
+    float arithmetic overflows without a warning: the fields it reaches
+    come back non-finite, for the caller to refuse.
     """
     if not trace.uv_on:
         raise DomainError("trace was recorded without UV; there is no reaction to fit")
@@ -305,10 +308,9 @@ def synthesize_trace(
     noise_fraction: float = 0.0,
     seed: int | None = None,
     temperature_k: float = 298.15,
-    uv_on: bool = True,
     label: str = "",
 ) -> DscTrace:
-    """Generate a model trace with optional seeded Gaussian noise.
+    """Generate a model trace of the triggered decomposition, with optional seeded Gaussian noise.
 
     Noise is scaled by the peak amplitude k * dH (the t = 0 heat flow)
     and is reproducible for a fixed seed. A draw that makes a heat flow
@@ -334,7 +336,7 @@ def synthesize_trace(
         time_s=t,
         heat_flow_w=q,
         temperature_k=temperature_k,
-        uv_on=uv_on,
+        uv_on=True,
         label=label,
     )
 
@@ -356,10 +358,10 @@ def write_trace_csv(trace: DscTrace, path: str | Path) -> None:
 
 
 def _parse_trace_lines(text: str, source):
-    """``(metadata, time_s, heat_flow_w, last line number)`` of a trace, one line at a time."""
+    """``(metadata, time_s, heat_flow_w, file line of each sample)`` of a trace, one line at a time."""
     meta, rows = parse_csv(text, source)
     header = ",".join(rows[0][1])
-    if header.replace(" ", "") != TRACE_HEADER:
+    if header != TRACE_HEADER:
         raise LineError(source, rows[0][0], f"expected header {TRACE_HEADER!r}, got {header!r}")
     times: list[float] = []
     heats: list[float] = []
@@ -371,7 +373,7 @@ def _parse_trace_lines(text: str, source):
             raise LineError(source, line_number, str(exc)) from None
     if len(times) < 2:
         raise LineError(source, rows[-1][0], "trace needs at least 2 data rows")
-    return meta, np.array(times), np.array(heats), rows[-1][0]
+    return meta, np.array(times), np.array(heats), [n for n, _ in rows[1:]]
 
 
 def _parse_trace_block(text: str, source):
@@ -392,7 +394,7 @@ def _parse_trace_block(text: str, source):
     else:
         return None
     meta, rows = parse_csv("\n".join(lines[:n]), source)
-    if ",".join(rows[0][1]).replace(" ", "") != TRACE_HEADER:
+    if ",".join(rows[0][1]) != TRACE_HEADER:
         return None
     data = lines[n:]
     if len(data) < 2:
@@ -406,7 +408,7 @@ def _parse_trace_block(text: str, source):
     if cells.shape != (len(data), 2) or not np.isfinite(cells).all():
         return None
     time_s, heat_flow_w = cells.T.copy()
-    return meta, time_s, heat_flow_w, n + len(data)
+    return meta, time_s, heat_flow_w, range(n + 1, n + 1 + len(data))
 
 
 def read_trace_csv(path: str | Path) -> DscTrace:
@@ -416,27 +418,28 @@ def read_trace_csv(path: str | Path) -> DscTrace:
     line, so every error comes from the line parser with its line.
     """
     text = read_text(path, "trace")
-    meta, time_s, heat_flow_w, last_line = _parse_trace_block(text, path) or _parse_trace_lines(text, path)
+    meta, time_s, heat_flow_w, lines = _parse_trace_block(text, path) or _parse_trace_lines(text, path)
 
     if "temperature_K" not in meta:
         raise LineError(path, 1, "missing '# temperature_K=' metadata")
+    line, value = meta["temperature_K"]
     try:
-        temperature_k = parse_number(meta["temperature_K"])
+        temperature_k = parse_number(value)
         check_positive("temperature_K", temperature_k, " K")
     except ValueError as exc:
-        raise LineError(path, meta.lines["temperature_K"], str(exc)) from None
+        raise LineError(path, line, str(exc)) from None
+    line, value = meta.get("uv_on", (None, "false"))
     try:
-        uv_on = parse_bool(meta.get("uv_on", "false"))
+        uv_on = parse_bool(value)
     except ValueError as exc:
-        raise LineError(path, meta.lines["uv_on"], str(exc)) from None
-    label = meta.get("label", "")
-    try:
-        return DscTrace(
-            time_s=time_s,
-            heat_flow_w=heat_flow_w,
-            temperature_k=temperature_k,
-            uv_on=uv_on,
-            label=label,
-        )
-    except DomainError as exc:
-        raise LineError(path, last_line, str(exc)) from None
+        raise LineError(path, line, str(exc)) from None
+    falls = np.flatnonzero(time_s[1:] <= time_s[:-1])
+    if falls.size:
+        raise LineError(path, lines[falls[0] + 1], "sample times must be strictly increasing")
+    return DscTrace(
+        time_s=time_s,
+        heat_flow_w=heat_flow_w,
+        temperature_k=temperature_k,
+        uv_on=uv_on,
+        label=meta.get("label", (None, ""))[1],
+    )

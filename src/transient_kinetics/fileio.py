@@ -51,24 +51,16 @@ def read_text(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-class Metadata(dict):
-    """The ``# key=value`` metadata of a CSV file; ``lines[key]`` is its file line number."""
-
-    def __init__(self):
-        super().__init__()
-        self.lines: dict[str, int] = {}
-
-
 def parse_csv(text: str, source):
     """Split comma-separated text into ``(metadata, rows)``.
 
-    ``rows`` lists ``(file line number, cells)`` of the stripped lines, header
-    first. Blank lines and ``#`` lines are skipped; ``# key=value`` lines fill
-    ``metadata``, a ``Metadata`` that also keeps each key's line. A missing
-    header, or a row whose cell count differs from the header's, raises
-    ``error(message, line number)`` of the caller's class.
+    ``rows`` lists ``(file line number, cells)`` of the lines, header first,
+    each cell stripped of surrounding space. Blank lines and ``#`` lines are
+    skipped; each ``# key=value`` line sets ``metadata[key]`` to ``(file
+    line number, value)``, both stripped. A missing header, or a row whose
+    cell count differs from the header's, raises ``LineError``.
     """
-    metadata = Metadata()
+    metadata: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, list[str]]] = []
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -77,11 +69,9 @@ def parse_csv(text: str, source):
         if line[0] == "#":
             key, eq, value = line[1:].partition("=")
             if eq:
-                key = key.strip()
-                metadata[key] = value.strip()
-                metadata.lines[key] = n
+                metadata[key.strip()] = (n, value.strip())
             continue
-        cells = line.split(",")
+        cells = [cell.strip() for cell in line.split(",")]
         if rows and len(cells) != len(rows[0][1]):
             raise LineError(source, n, f"expected {len(rows[0][1])} columns, got {len(cells)}")
         rows.append((n, cells))

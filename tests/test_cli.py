@@ -274,7 +274,7 @@ class TestArrhenius:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
         assert code == 2
-        assert err.startswith("error: Arrhenius fit gives ln A = 69077.55")
+        assert err.startswith(f"error: {table}: Arrhenius fit gives ln A = 69077.55")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -285,7 +285,7 @@ class TestArrhenius:
         out = tmp_path / "out"
         code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
         assert code == 2
-        assert err.startswith("error: Arrhenius regression cannot tell the temperatures apart")
+        assert err.startswith(f"error: {table}: Arrhenius regression cannot tell the temperatures apart")
         assert "spread of 1/T underflows to 0" in err
         assert err.count("\n") == 1
         assert not out.exists()
@@ -307,7 +307,7 @@ class TestArrhenius:
             warnings.simplefilter("error")
             code, err = main_in_process(capsys, "arrhenius", table, "--out", out)
         assert code == 2
-        assert err.startswith("error: Arrhenius regression cannot take ")
+        assert err.startswith(f"error: {table}: Arrhenius regression cannot take ")
         assert message in err
         assert err.count("\n") == 1
         assert not out.exists()
@@ -357,7 +357,7 @@ class TestArrhenius:
         table = tmp_path / "fits.csv"
         self.write_fit_table(table, points)
         out = tmp_path / "out"
-        assert main_in_process(capsys, "arrhenius", table, "--out", out) == (code, f"error: {message}\n")
+        assert main_in_process(capsys, "arrhenius", table, "--out", out) == (code, f"error: {table}: {message}\n")
         assert not out.exists()
 
     def test_fit_table_without_its_columns_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trace ingestion, enthalpy integration, rate fitting, Arrhenius regression."""
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -29,12 +30,9 @@ from transient_kinetics.kinetics import ArrheniusParams, arrhenius_rate, dsc_hea
 ECOFLEX = ArrheniusParams.from_kj_per_mol(0.1703, 18.09)
 
 
-def make_trace(k, dh, n=1500, uv_on=True, noise=0.0, seed=None, temperature_k=298.15):
+def make_trace(k, dh, n=1500, noise=0.0, seed=None, temperature_k=298.15):
     t_end = 20.0 / k
-    return synthesize_trace(
-        k, dh, (t_end / n, t_end), noise_fraction=noise, seed=seed,
-        temperature_k=temperature_k, uv_on=uv_on,
-    )
+    return synthesize_trace(k, dh, (t_end / n, t_end), noise_fraction=noise, seed=seed, temperature_k=temperature_k)
 
 
 class TestDscTrace:
@@ -146,6 +144,13 @@ class TestFitRateConstant:
         assert result.k > 0
         assert result.total_enthalpy > 0
 
+    def test_an_overflowing_fit_returns_non_finite_fields_without_a_warning(self):
+        # the fit sets its own numpy error state; the test suite turns any warning into an error
+        t = np.linspace(0, 100, 50)
+        result = fit_rate_constant(DscTrace(t, 1e200 * np.exp(-0.05 * t), 300.0, True))
+        assert result.residual_rms == math.inf
+        assert result.converged is False
+
     def test_flat_zero_trace(self):
         t = np.linspace(0, 10, 32)
         trace = DscTrace(t, np.zeros(32), 300.0, True)
@@ -153,7 +158,7 @@ class TestFitRateConstant:
             fit_rate_constant(trace)
 
     def test_untriggered_trace_rejected(self):
-        trace = make_trace(1e-3, 10.0, uv_on=False)
+        trace = dataclasses.replace(make_trace(1e-3, 10.0), uv_on=False)
         with pytest.raises(DomainError, match="trace was recorded without UV"):
             fit_rate_constant(trace)
 
@@ -291,7 +296,7 @@ class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         trace = synthesize_trace(
             1e-3, 10.0, (10.0, 20000.0), noise_fraction=0.02, seed=5,
-            temperature_k=393.15, uv_on=True, label="hot-hold",
+            temperature_k=393.15, label="hot-hold",
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
@@ -473,10 +478,10 @@ class TestBulkTraceReader:
         path = tmp_path / "trace.csv"
         block = dscfit._parse_trace_block(text, path)
         if block is not None:
-            meta, time_s, heat_flow_w, last_line = dscfit._parse_trace_lines(text, path)
-            assert block[0] == meta and block[0].lines == meta.lines
+            meta, time_s, heat_flow_w, lines = dscfit._parse_trace_lines(text, path)
+            assert block[0] == meta
             assert block[1].tobytes() == time_s.tobytes() and block[2].tobytes() == heat_flow_w.tobytes()
-            assert block[3] == last_line
+            assert list(block[3]) == lines
         path.write_bytes(text.encode())
         bulk = parse_outcome(path)
         with mock.patch.object(dscfit, "_parse_trace_block", return_value=None):
@@ -516,8 +521,14 @@ class TestBulkTraceReader:
             ("0,1\n1,inf\n", "5: expected a finite number, got 'inf'"),
             ("0,1\n", "4: trace needs at least 2 data rows"),
             ("0,1\n1,2\n0.5,3", "6: sample times must be strictly increasing"),
+            # the row where the times stop rising, not the last one
+            ("0,1\n1,2\n0.5,3\n2,4\n3,5\n4,6\n", "6: sample times must be strictly increasing"),
+            ("0,1\n1,2\n\n0.5,3\n2,4\n3,5\n", "7: sample times must be strictly increasing"),
         ],
-        ids=["three-then-one", "one-then-three", "metadata-in-block", "blank-then-bad", "inf", "one-row", "no-final-newline"],
+        ids=[
+            "three-then-one", "one-then-three", "metadata-in-block", "blank-then-bad", "inf", "one-row",
+            "no-final-newline", "fall-mid-trace", "fall-after-a-blank",
+        ],
     )
     def test_irregular_trace_gets_the_line_readers_error(self, tmp_path, rows, error):
         text = "# temperature_K=300\n# uv_on=true\ntime_s,heat_flow_W\n" + rows

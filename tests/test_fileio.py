@@ -24,7 +24,7 @@ class TestReadCsv:
         path = tmp_path / "t.csv"
         path.write_text("# temperature_K = 300\n\n  # note\n a,b \n#uv_on=true\n1,2\n")
         meta, rows = parse_csv(read_text(path, "trace"), path)
-        assert meta == {"temperature_K": "300", "uv_on": "true"}
+        assert meta == {"temperature_K": (1, "300"), "uv_on": (5, "true")}
         assert rows == [(4, ["a", "b"]), (6, ["1", "2"])]
 
     def test_cell_count_differs_from_header(self, tmp_path):
@@ -327,3 +327,26 @@ def test_a_bad_boolean_is_refused_alike_in_every_format(tmp_path, slot):
     kind, template, where = BOOLEAN_CELLS[slot]
     path = tmp_path / "input"
     assert refusal(kind, template, "maybe", path) == f"{where.format(path=path)}: expected a boolean, got 'maybe'"
+
+
+# How each CSV format refuses a header it cannot read.
+HEADER_REFUSALS = {
+    "trace": "{path}:4: expected header 'time_s,heat_flow_W', got 'time _s,heat_flow_W'",
+    "schedule": "{path}:1: schedule header must be duration_s,temperature_C|temperature_K,uv_on",
+    "fit-table": "{path}:1: fit table must carry temperature_K,k_per_s,converged columns",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADER_REFUSALS))
+def test_header_cells_are_read_alike_in_every_csv_format(tmp_path, kind):
+    # a header cell is compared without the spaces and tabs around it, but with those inside it
+    lines = VALID[kind].splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    plain_file, tabbed, spaced = tmp_path / "plain", tmp_path / "tabbed", tmp_path / "spaced"
+    plain_file.write_text(VALID[kind])
+    tabbed.write_text("".join([*lines[:i], lines[i].replace(",", ",\t"), *lines[i + 1:]]))
+    assert plain(READERS[kind](tabbed)) == plain(READERS[kind](plain_file))
+    spaced.write_text("".join([*lines[:i], lines[i].replace("_", " _", 1), *lines[i + 1:]]))
+    with pytest.raises(LineError) as err:
+        READERS[kind](spaced)
+    assert str(err.value) == HEADER_REFUSALS[kind].format(path=spaced)
