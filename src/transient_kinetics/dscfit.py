@@ -164,44 +164,36 @@ def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResu
     q = trace.heat_flow_w - baseline
 
     k, dh = _initial_guess(trace, baseline)
-    params = np.array([k, dh])
-
-    def residuals(p):
-        return q - dsc_heat_flow(p[0], p[1], t)
-
-    def jacobian(p):
-        decay = np.exp(-p[0] * t)
-        dk = p[1] * decay * (1.0 - p[0] * t)
-        ddh = p[0] * decay
-        return np.column_stack([dk, ddh])
-
-    r = residuals(params)
+    r = q - dsc_heat_flow(k, dh, t)
     sse = float(r @ r)
     damping = 1e-3
     converged = False
     iterations = 0
 
     for iterations in range(1, MAX_FIT_ITERATIONS + 1):
-        jac = jacobian(params)
+        decay = np.exp(-k * t)
+        jac = np.column_stack([dh * decay * (1.0 - k * t), k * decay])
         jtj = jac.T @ jac
         jtr = jac.T @ r
         scale = np.diag(np.maximum(np.diag(jtj), 1e-300))
         try:
-            step = np.linalg.solve(jtj + damping * scale, jtr)
+            step_k, step_dh = np.linalg.solve(jtj + damping * scale, jtr)
         except np.linalg.LinAlgError:
             damping = min(damping * 10.0, DAMPING_MAX)
             continue
-        candidate = params + step
-        if candidate[0] <= 0.0 or candidate[1] <= 0.0:
+        k_new, dh_new = k + step_k, dh + step_dh
+        if k_new <= 0.0 or dh_new <= 0.0:
             damping = min(damping * 10.0, DAMPING_MAX)
             continue
-        r_new = residuals(candidate)
+        r_new = q - dsc_heat_flow(k_new, dh_new, t)
         sse_new = float(r_new @ r_new)
         if sse_new <= sse:
-            rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(candidate), 1e-300)))
-            params, r, sse = candidate, r_new, sse_new
+            # each parameter's relative step must be small; a NaN one is not
+            small = (abs(step_k) / max(abs(k_new), 1e-300) < STEP_TOLERANCE
+                     and abs(step_dh) / max(abs(dh_new), 1e-300) < STEP_TOLERANCE)
+            k, dh, r, sse = k_new, dh_new, r_new, sse_new
             damping = max(damping * 0.1, DAMPING_MIN)
-            if rel_step < STEP_TOLERANCE:
+            if small:
                 converged = True
                 break
         else:
@@ -209,8 +201,8 @@ def fit_rate_constant(trace: DscTrace, baseline: float | None = None) -> FitResu
 
     residual_rms = math.sqrt(sse / t.size)
     return FitResult(
-        k=float(params[0]),
-        total_enthalpy=float(params[1]),
+        k=float(k),
+        total_enthalpy=float(dh),
         residual_rms=residual_rms,
         iterations=iterations,
         converged=converged,

@@ -145,12 +145,11 @@ class Event:
 class RobotState(NamedTuple):
     """Full simulated state; advanced immutably one step at a time.
 
-    ``zone_index`` is the index in the world of the zone at ``position``.
-    Neither mobility nor sensor status is stored: both are functions of
-    ``alpha``.
+    The robot's one position is its gait's, ``gait.position``;
+    ``zone_index`` is the index in the world of the zone there. Neither
+    mobility nor sensor status is stored: both are functions of ``alpha``.
     """
 
-    position: float
     zone_index: int
     body_temperature_c: float
     alpha: float = 0.0
@@ -164,7 +163,6 @@ class RobotState(NamedTuple):
         """A pristine robot standing at ``position`` in a world of zones, at its temperature."""
         zone_index = locate_zone_index(world, position)
         return cls(
-            position=position,
             zone_index=zone_index,
             body_temperature_c=world[zone_index].temperature - ZERO_CELSIUS_K,
             gait=GaitState(position=position),
@@ -426,13 +424,13 @@ def step(
 
     # locomotion: the pressure cycle runs only while a move is commanded
     gait = robot.gait
-    position = robot.position
+    position = gait.position
     here_index = env_index
     if drive != 0.0:
         advanced = gait_advance(gait, cal.actuator, dt, abs(drive) if alpha < settings.mobility_loss_alpha else 0.0)
         delta = advanced.position - gait.position
         # rounding must not carry a move to the world's edge past it
-        position = min(max(robot.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
+        position = min(max(position + math.copysign(delta, drive), plan.x_min), plan.x_max)
         gait = replace(advanced, position=position)
         here_index = locate_zone_index(zones, position)
     here = zones[here_index]
@@ -483,7 +481,7 @@ def step(
         events = tuple(events)
 
     # what RobotState(...) and TelemetryRecord(...) run, given the values as one tuple
-    new_robot = tuple.__new__(RobotState, (position, here_index, body_temp_c, alpha, hf, gait, clock, firing))
+    new_robot = tuple.__new__(RobotState, (here_index, body_temp_c, alpha, hf, gait, clock, firing))
     return new_robot, tuple.__new__(TelemetryRecord, values + (events,))
 
 
@@ -514,7 +512,7 @@ def run(mission: Mission, cal: Calibration, dt: float = 1.0, seed: int = 0) -> l
             if robot.clock >= settings.timeout_s:
                 last = Event("timeout", "simulation timeout expired")
             elif command.kind == "move_to":
-                remaining = command.value - robot.position
+                remaining = command.value - robot.gait.position
                 if abs(remaining) <= _POSITION_EPS:
                     break
                 if robot.alpha >= settings.mobility_loss_alpha:

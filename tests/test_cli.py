@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transient_kinetics import cli as cli_module
-from transient_kinetics.config import CALIBRATION_TABLE, MATERIAL_ROWS, Calibration, load_calibration_file
+from transient_kinetics.config import (
+    ANCHORS,
+    CALIBRATION_TABLE,
+    MATERIAL_ROWS,
+    TEXT,
+    Calibration,
+    load_calibration_file,
+)
 from transient_kinetics.dscfit import TRACE_HEADER, read_trace_csv, synthesize_trace, write_trace_csv
 from transient_kinetics.kinetics import (
     ZERO_CELSIUS_K,
@@ -1003,6 +1011,15 @@ class TestAtomicOutputs:
         assert proc.returncode == 4
         assert list(out.glob("*.tmp")) == []
 
+    def test_simulate_failed_jsonl_rename_leaves_no_tmp_or_summary(self, tmp_path, capsys):
+        # the CSV is renamed first, so it stays: the pair is not atomic together
+        out = tmp_path / "out"
+        (out / "telemetry.jsonl").mkdir(parents=True)
+        code, err = main_in_process(capsys, "simulate", "scout_demo.mission", "--dt", 10, "--out", out)
+        assert code == 4 and "Is a directory" in err
+        assert list(out.glob("*.tmp")) == []
+        assert not (out / "summary.json").exists()
+
 
 # a predict run of 241 samples, across a UV step and a dark hold
 STREAM_SCHEDULE = "duration_s,temperature_C,uv_on\n100,120,true\n140,25,false\n"
@@ -1626,6 +1643,65 @@ class TestRefusedRunLeavesNoOutput:
         code, err = main_in_process(capsys, *args, "--out", tmp_path / "out" / "nested")
         assert code == 2, err
         assert not (tmp_path / "out").exists()
+
+
+class TestContract:
+    """What every predict and simulate run promises, under any numeric calibration overlay."""
+
+    NUMERIC_KEYS = tuple(
+        (section, key)
+        for section, rows in CALIBRATION_TABLE.items()
+        for key, _, _, rule in rows
+        if rule is not ANCHORS and rule is not TEXT
+    )
+    # the edges of the float range, values of the scale of most shipped ones, and any finite float
+    VALUES = (
+        st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7e308, -1.0))
+        | st.floats(0.01, 100.0)
+        | st.floats(allow_nan=False, allow_infinity=False)
+    )
+    # timeout_s at most 1e5 keeps simulate at --dt 100 within 1 000 steps
+    OVERLAYS = st.dictionaries(st.sampled_from(NUMERIC_KEYS), VALUES, min_size=1, max_size=3).map(
+        lambda overlay: {k: min(v, 1e5) if k[1] == "timeout_s" else v for k, v in overlay.items()}
+    )
+
+    @staticmethod
+    def refuse_constant(name):
+        raise ValueError(f"{name} in JSON output")
+
+    @classmethod
+    def run_once(cls, args, out: Path):
+        """The exit code of one in-process run and the bytes it left in ``out``, ``generated_at`` cut."""
+        code = cli_module.main([str(a) for a in (*args, "--out", out)])
+        assert code in range(5)
+        if code in (2, 3):
+            assert not out.exists()
+        if code == 0:
+            json.loads((out / "summary.json").read_text(), parse_constant=cls.refuse_constant)
+        files = {}
+        if out.exists():
+            files = {p.name: re.sub(rb'"generated_at": "[^"]*"', b"", p.read_bytes()) for p in out.iterdir()}
+            shutil.rmtree(out)
+        return code, files
+
+    @settings(max_examples=100, deadline=None)
+    @given(overlay=OVERLAYS)
+    @example(overlay={("simulation", "timeout_s"): 5e-324, ("kinetics", "pre_exponential_per_s"): 1.7e308})
+    @example(overlay={("photolysis", "rate_per_s"): -0.0})
+    def test_predict_and_simulate_keep_the_contract(self, overlay):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            sections = collections.defaultdict(str)
+            for (section, key), value in overlay.items():
+                sections[section] += f"{key} = {value!r}\n"
+            cfg = tmp / "overlay.cfg"
+            cfg.write_text("".join(f"[{section}]\n{entries}" for section, entries in sections.items()))
+            schedule = tmp / "sched.csv"
+            schedule.write_text(STREAM_SCHEDULE)
+            for command in (["predict", schedule, "--dt", 1], ["simulate", "scout_demo.mission", "--dt", 100]):
+                args = [*command, "--config", cfg]
+                first = self.run_once(args, tmp / "out")
+                assert self.run_once(args, tmp / "out") == first
 
 
 class TestTracedBoundaries:

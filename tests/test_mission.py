@@ -737,11 +737,11 @@ def reference_step(plan, alarms, robot, drive=0.0, step_index=0, pending_events=
         cal.hf_saturation,
     )
     mobility = 1.0 if alpha < settings.mobility_loss_alpha else 0.0
-    gait, position, here_index = robot.gait, robot.position, env_index
+    gait, position, here_index = robot.gait, robot.gait.position, env_index
     if drive != 0.0:
         advanced = mission.gait_advance(gait, cal.actuator, dt, mobility * abs(drive))
         delta = advanced.position - gait.position
-        position = min(max(robot.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
+        position = min(max(robot.gait.position + math.copysign(delta, drive), plan.x_min), plan.x_max)
         gait = replace(advanced, position=position)
         here_index = locate_zone_index(zones, position)
     here = zones[here_index]
@@ -770,7 +770,7 @@ def reference_step(plan, alarms, robot, drive=0.0, step_index=0, pending_events=
         events.append(Event("escape", f"left {env.name} under active alarm"))
     if robot.alpha < settings.decomposed_alpha <= alpha:
         events.append(Event("decomposed", f"alpha reached {alpha:.4f}"))
-    new_robot = RobotState(position, here_index, body_temp_c, alpha, hf, gait, clock, tuple(firing))
+    new_robot = RobotState(here_index, body_temp_c, alpha, hf, gait, clock, tuple(firing))
     return new_robot, TelemetryRecord(*values, tuple(events))
 
 
