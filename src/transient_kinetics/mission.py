@@ -216,7 +216,7 @@ def default_alarm_rules(settings: SimulationSettings) -> tuple[AlarmRule, ...]:
 def compile_alarms(rules) -> Callable[[tuple], list[tuple[str, str]]]:
     """One function of a step's field values: the (message, tag) of each rule that holds, in rule order.
 
-    It is generated from the rules as ``_JSONL_ROW`` is from the fields.
+    It is generated from the rules as ``_jsonl_line`` is from the fields.
     Only field indices and operators, both checked by ``Condition``, become
     source text; thresholds and (message, tag) pairs are bound as values.
     An unavailable (None) reading satisfies no condition, and a rule
@@ -282,8 +282,9 @@ class StepPlan:
     Holds the step size, the seed, the world's bounds, the full-speed move
     ``speed * dt``, each zone's k(T) and temperature in degC, the thermal-lag
     relaxation factor (0 without lag), exp(-k_photo * dt), the sorted alpha
-    thresholds, the compiled alarm rules, the last conversion factors and
-    the caches of ``readings`` and ``noise``. It refuses, as a DomainError, a
+    thresholds and the bands between them, the compiled alarm rules, the
+    last conversion factors and alpha band, and the memos of ``readings``
+    and ``noise``, each keyed on its inputs. It refuses, as a DomainError, a
     seed that is not an int >= 0, and a step that is not finite and > 0,
     whose move is lost to rounding or overflows, that spans more pressure
     cycles than a float holds, or that needs more than ``MAX_STEPS`` steps
@@ -320,9 +321,16 @@ class StepPlan:
         # the alphas where the sensor status changes, mobility is lost and the robot decomposes
         limits = (cal.simulation.mobility_loss_alpha, cal.simulation.decomposed_alpha)
         self.alpha_thresholds = tuple(sorted((cal.health.alpha_degrade, cal.health.alpha_fail, *limits)))
+        # (lo, hi, status) of the band [lo, hi) at each bisect_right index of the thresholds; the
+        # status is one within a band, as alpha_degrade and alpha_fail are among its bounds
+        edges = (-math.inf, *self.alpha_thresholds, math.inf)
+        self.alpha_bands = tuple((lo, hi, cal.health.status_at(lo)) for lo, hi in zip(edges, edges[1:]))
+        self._band = self.alpha_bands[0]  # the band of the alpha that step classified last
         self.alarms = compile_alarms(mission.alarm_rules)
         # (zone index, dose, k_eff, exp(-k_eff * dt)) of the last step, one attribute as below
         self._conversion: tuple = (None, None, None, None)
+        # ((zone index, body temperature, angle, status), readings) of the last readings call
+        self._last_readings: tuple = (None, None)
         self._readings: dict[tuple[int, str, float], tuple[float | None, float]] = {}
         # (body temperature, status, (resistance, temperature reading)), one
         # attribute so that a shared plan never pairs a key with another reading
@@ -356,11 +364,16 @@ class StepPlan:
 
         ``status`` is the sensor status at ``alpha``; a failed temperature
         channel reads None, and a degraded capacitance is the raw reading,
-        which ``step`` jitters. The last temperature reading is reused while
-        its (body temperature, status) stays the same; the capacitance and
+        which ``step`` jitters. The last result is reused while every
+        input but alpha stays the same, and the last temperature reading
+        while its (body temperature, status) does; the capacitance and
         photocurrent, which depend only on the zone, status and angle, are
         cached on first use, so a zone the robot never enters is never read.
         """
+        inputs = (zone_index, body_temp_c, angle, status)
+        last_inputs, readings = self._last_readings
+        if inputs == last_inputs:
+            return readings
         last = self._last_temperature
         if last[0] != body_temp_c or last[1] != status:
             spec = self.cal.temp_sensor
@@ -382,7 +395,9 @@ class StepPlan:
             )
             photocurrent = apply_degradation(raw_current, "photo", alpha, health)
             cached = self._readings[key] = (capacitance, photocurrent)
-        return last[2] + cached
+        readings = last[2] + cached
+        self._last_readings = (inputs, readings)
+        return readings
 
 
 def step(
@@ -436,11 +451,17 @@ def step(
     here = zones[here_index]
 
     # all three channels share one set of thresholds, so one status; a step
-    # that crosses none of the plan's thresholds keeps the status it had and
-    # neither loses mobility nor decomposes
-    health, thresholds = cal.health, plan.alpha_thresholds
-    status = health.status_at(alpha)
-    crossing = alpha != robot.alpha and bisect_right(thresholds, alpha) != bisect_right(thresholds, robot.alpha)
+    # crosses a threshold exactly when its alpha leaves the band [lo, hi) of
+    # the alpha it started at, and else keeps the status it had and neither
+    # loses mobility nor decomposes. The plan keeps the band it classified
+    # last, which a step of another robot on the plan may have set.
+    start = plan._band
+    if not start[0] <= robot.alpha < start[1]:
+        start = plan._band = plan.alpha_bands[bisect_right(plan.alpha_thresholds, robot.alpha)]
+    crossing = not start[0] <= alpha < start[1]
+    if crossing:
+        plan._band = plan.alpha_bands[bisect_right(plan.alpha_thresholds, alpha)]
+    health, status = cal.health, plan._band[2]
 
     # the body relaxes toward the local zone's temperature (at once without lag)
     zone_temp_c = plan.zone_temps_c[here_index]
@@ -465,7 +486,7 @@ def step(
             events.append(Event("zone-entry", here.name))
             if temp_reading is not None:
                 events.append(Event("temp-report", f"{here.name}: {temp_reading:.2f} C"))
-        if crossing and status != health.status_at(robot.alpha):
+        if crossing and status != start[2]:
             events.extend(Event(f"sensor-{status}", kind) for kind in SENSOR_KINDS)
         if crossing and robot.alpha < settings.mobility_loss_alpha <= alpha:
             events.append(Event("mobility-lost", f"alpha reached {alpha:.4f}"))
@@ -624,8 +645,13 @@ def load_mission(path: str | Path, settings: SimulationSettings | None = None) -
         raise ConfigError(f"{path}: {exc}") from None
 
 
-# one telemetry.jsonl line: each field's key, in order, with a slot for its JSON text
-_JSONL_ROW = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in TelemetryRecord._fields) + "}\n"
+# one telemetry.jsonl line, one f-string of each field's JSON text in field order; only the
+# field names and their JSON keys, which never hold its quote ', become source text
+_jsonl_line = eval(
+    "lambda " + ", ".join(TelemetryRecord._fields) + ": f'{{"
+    + ", ".join(f"{json.dumps(name)}: {{{name}}}" for name in TelemetryRecord._fields)
+    + "}}\\n'"
+)
 _float_repr = float.__repr__  # json's form of a finite float, of a float subclass too
 # the pass's "value before" at the start: no field value, not even None, is this object
 _NO_VALUE = object()
@@ -635,16 +661,16 @@ def _format_telemetry(records) -> tuple[str, str]:
     """The telemetry.jsonl text of ``records`` and their telemetry.csv rows, from one pass.
 
     A float is its ``float.__repr__`` in both, a missing reading null in the
-    JSONL and nan in the CSV. A record of finite floats fills ``_JSONL_ROW``
-    and its CSV row from the same cell texts; a field whose value is the
-    same object as in the record before reuses that record's text (``t`` and
-    ``alpha`` change on every step), and a zone name is encoded once per
-    call. Any other record's line is ``json.dumps``' own, and its CSV cells
-    that are neither a float nor None are their ``repr``.
+    JSONL and nan in the CSV. A record of finite floats gives ``_jsonl_line``
+    and its CSV row the same cell texts; a field whose value is the same
+    object as in the record before, its zone name too, reuses that record's
+    text (``t`` and ``alpha`` change on every step). Any other record's line
+    is ``json.dumps``' own, and its CSV cells that are neither a float nor
+    None are their ``repr``.
     """
-    float_repr, isfinite = _float_repr, math.isfinite
-    zones: dict[str, str] = {}
-    last_position = last_hf = last_resistance = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
+    float_repr, isfinite, jsonl_line = _float_repr, math.isfinite, _jsonl_line
+    last_zone = last_position = last_hf = _NO_VALUE
+    last_resistance = last_temp = last_capacitance = last_photocurrent = _NO_VALUE
     lines, rows = [], []
     for r in records:
         t, position, alpha, hf, zone, resistance, temp_c, capacitance, photocurrent, events = r
@@ -668,8 +694,9 @@ def _format_telemetry(records) -> tuple[str, str]:
                 if photocurrent is not last_photocurrent:
                     last_photocurrent, photo_text = photocurrent, float_repr(photocurrent)
                 t_text, alpha_text = float_repr(t), float_repr(alpha)
-                zone_text = zones.get(zone) or zones.setdefault(zone, json.dumps(zone))
-                line = _JSONL_ROW % (
+                if zone is not last_zone:
+                    last_zone, zone_text = zone, json.dumps(zone)
+                line = jsonl_line(
                     t_text, position_text, alpha_text, hf_text, zone_text, resistance_text, temp_text or "null",
                     cap_text or "null", photo_text, json.dumps([vars(e) for e in events]) if events else "[]",
                 )

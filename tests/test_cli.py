@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from transient_kinetics import cli as cli_module
@@ -1646,7 +1646,7 @@ class TestRefusedRunLeavesNoOutput:
 
 
 class TestContract:
-    """What every predict and simulate run promises, under any numeric calibration overlay."""
+    """What every predict and simulate run promises, under any numeric calibration overlay or mutated mission."""
 
     NUMERIC_KEYS = tuple(
         (section, key)
@@ -1702,6 +1702,49 @@ class TestContract:
                 args = [*command, "--config", cfg]
                 first = self.run_once(args, tmp / "out")
                 assert self.run_once(args, tmp / "out") == first
+
+    # the shipped mission with its default alarm rules written out, so their thresholds are numbers in the file
+    MISSION_LINES = (
+        (SRC / "transient_kinetics" / "presets" / "scout_demo.mission").read_text()
+        + "[alarms]\n"
+        + "rule = abs(photocurrent_a) > 1e-09 -> UV detected\n"
+        + "rule = hf_fraction >= 0.5 and temp_c >= 100.0 -> accelerated decomposition risk\n"
+    ).splitlines(keepends=True)
+    # (line index, start, end) of each number in a [zone.*], [script], [robot] entry or alarm rule
+    NUMBERS = tuple(
+        (index, m.start(), m.end())
+        for index, line in enumerate(MISSION_LINES)
+        if "=" in line and not line.startswith("#")
+        for m in re.finditer(r"(?<![\w.])-?\d+(\.\d*)?(e[-+]?\d+)?(?![\w.])", line)
+    )
+
+    # 0-3 numbers replaced, then 0-2 lines, each an index into the mission, deleted (False) or duplicated (True)
+    MUTATIONS = st.tuples(
+        st.dictionaries(st.sampled_from(NUMBERS), VALUES, max_size=3),
+        st.lists(st.tuples(st.booleans(), st.integers(0, len(MISSION_LINES) - 1)), max_size=2),
+    )
+    # the 1800 of the survey dwell, which made endless runs the mission on to its timeout
+    LONG_DWELL = (MISSION_LINES.index("dwell = 1800\n"), 8, 12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mutation=MUTATIONS)
+    @example(mutation=({LONG_DWELL: 1.7e308}, []))
+    def test_simulate_keeps_the_contract_on_any_mutated_mission(self, mutation):
+        numbers, edits = mutation
+        assume(numbers or edits)
+        lines = list(self.MISSION_LINES)
+        # from the end backwards, so that no edit moves the place of the next
+        for (index, start, end), value in sorted(numbers.items(), reverse=True):
+            lines[index] = f"{lines[index][:start]}{value!r}{lines[index][end:]}"
+        for duplicate, index in sorted(edits, reverse=True):
+            lines[index:index + 1] = [lines[index]] * (2 if duplicate else 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "scout.mission"
+            path.write_text("".join(lines))
+            args = ["simulate", path, "--dt", 100]
+            first = self.run_once(args, tmp / "out")
+            assert self.run_once(args, tmp / "out") == first
 
 
 class TestTracedBoundaries:

@@ -838,6 +838,31 @@ class TestStepAgainstReference:
             assert repr((robot, record)) == repr((expected_robot, expected)), index
             assert (robot, record) == (expected_robot, expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(stepping_cases(), st.integers(0, 2**20), st.data())
+    def test_bit_identical_beside_a_robot_in_another_band(self, case, seed, data):
+        # a second robot on the same plan, between the steps, where the first one
+        # stands and at its body temperature, with an alpha in another sensor band:
+        # the plan's held alpha band and last readings are then the first robot's
+        # but for alpha and status
+        cal, mission_, dt, robot, steps = case
+        health = cal.health
+        bands = {
+            "operational": st.floats(0.0, health.alpha_degrade, exclude_max=True),
+            "degraded": st.floats(health.alpha_degrade, health.alpha_fail, exclude_max=True),
+            "failed": st.floats(health.alpha_fail, 1.0),
+        }
+        plan = StepPlan(mission_, cal, dt, seed=seed)
+        reference_plan, alarms = StepPlan(mission_, cal, dt, seed=seed), reference_alarms(mission_.alarm_rules)
+        expected_robot = robot
+        for index, (drive, pending) in enumerate(steps):
+            others = [band for status, band in bands.items() if status != health.status_at(robot.alpha)]
+            step(plan, robot._replace(alpha=data.draw(st.one_of(others))), step_index=index)
+            robot, record = step(plan, robot, drive, index, pending)
+            expected_robot, expected = reference_step(reference_plan, alarms, expected_robot, drive, index, pending)
+            assert repr((robot, record)) == repr((expected_robot, expected)), index
+            assert (robot, record) == (expected_robot, expected)
+
 
 class TestSensorBand:
     FURNACE = (
